@@ -53,12 +53,19 @@ def _certificates_payload(certs: dict) -> dict:
     return {k: bool(certs.get(k, False)) for k in keys}
 
 
+def _axiom_refusal(report: degeneration.ValidationReport) -> dict | None:
+    """Refusal payload for data that fail an axiom of degeneration data."""
+    if report.ok:
+        return None
+    return {"failed_check": report.failed_names()[0], "axioms": _axioms_payload(report)}
+
+
 def _refuse_unless_kummer_ready(d) -> dict | None:
     """Named-check gate shared by the Kummer-side commands."""
     report = degeneration.validate(d)
-    if not report.ok:
-        return {"failed_check": report.failed_names()[0],
-                "axioms": _axioms_payload(report)}
+    refusal = _axiom_refusal(report)
+    if refusal is not None:
+        return refusal
     if not degeneration.is_even(d):
         return {"failed_check": "even_pairing",
                 "detail": "b has an odd entry; Kummer-side invariants need an even pairing"}
@@ -76,8 +83,9 @@ def _axioms_payload(report: degeneration.ValidationReport) -> list[dict]:
 def _classify_payload(d, window=None, unsafe=False) -> tuple[dict, list[str]]:
     nu, tri = fan.auto_scale(d)
     _window_or_usage_error(tri, window, unsafe)
-    scaled = degeneration.base_change(d, nu)
-    certs = fan.certify(tri, scaled, window=window, allow_unsafe=unsafe)
+    # auto_scale certified tri at the default window, where the scans are
+    # exhaustive; any other window scans a subset and finds no violation either.
+    certs = tri.certificates
     delta_a, act = complexes.dual_complex(tri)
     delta_x = complexes.h_quotient(delta_a, act)
     counts = complexes.component_counts(d)
@@ -179,10 +187,13 @@ def cmd_base_change(args) -> int:
 
 def cmd_fan_build(args) -> int:
     d = _load_data(args.path)
+    refusal = _axiom_refusal(degeneration.validate(d))
+    if refusal is not None:
+        _emit(refusal, [f"refused: {refusal['failed_check']}"], args.quiet)
+        return 1
     nu, tri = fan.auto_scale(d)
-    certs = fan.certify(tri, degeneration.base_change(d, nu))
     report = {"nu": nu, "fan": fan.fan_to_json(tri),
-              "certificates": _certificates_payload(certs)}
+              "certificates": _certificates_payload(tri.certificates)}
     _emit(report, [f"nu = {nu}; {len(tri.simplices)} simplex classes"], args.quiet)
     return 0
 
@@ -191,15 +202,13 @@ def cmd_fan_check(args) -> int:
     tri = fan.fan_from_json(_load_json(args.path))
     window, unsafe = _window_or_usage_error(tri, args.window, args.unsafe)
     certs = fan.certify(tri, window=window, allow_unsafe=unsafe)
-    violations_d = fan.check_property_d(tri, window, allow_unsafe=unsafe)
-    violations_h = fan.check_h_freeness(tri, window=window, allow_unsafe=unsafe)
     report = {
         "certificates": _certificates_payload(certs),
         "violations": {
             "property_d": [{"translate": list(lam), "simplex": [list(v) for v in s.vertices]}
-                           for lam, s in violations_d],
+                           for lam, s in tri.violations["property_d"]],
             "h_free": [{"y": list(y), "simplex": [list(v) for v in s.vertices]}
-                       for y, s in violations_h],
+                       for y, s in tri.violations["h_free"]],
         },
         "safe_window": fan.required_window(tri),
     }

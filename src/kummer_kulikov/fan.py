@@ -7,9 +7,15 @@ lattice is Λ_b, spanned by the functionals b(e_i, -) (the rows of b).
 Cones are recovered as cones over the simplices placed at height 1; the
 apex ray sits over the vertex 0.
 
-The certification checks are windowed: the configuration repeats modulo
-Λ_b, so scanning translates with ‖λ‖_∞ up to an internally computed safe
-bound is exhaustive.
+The certification checks scan only as far as short proofs require.  A
+translate λ with hull(S) ∩ hull(S + λ) nonempty is a difference of two
+points of hull(S), so property (d) needs λ with ‖λ‖_∞ <= diameter(S) only.
+A fixed class −S = S + λ of the inversion forces λ = lexmin(−S) − lexmin(S),
+because translation preserves the lexicographic order, so H-freeness tests
+one candidate per class.  Unimodularity and the polarization margins are
+invariant under integer shifts and are computed once per simplex shape.
+An explicit window below ``safe_window`` (property (d)) or
+``required_window`` (H-freeness) still needs ``allow_unsafe``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change
 from .errors import (
+    ConsistencyError,
     SchemaError,
     SingularPairing,
     UncertifiedFan,
@@ -178,6 +185,8 @@ class PeriodicTriangulation:
             k: tuple(s for s in self.simplices if s.dim == k) for k in range(rank + 1)}
         self._index = frozenset(self.simplices)
         self.certificates: dict[str, bool] = {}
+        # Filled by certify(): the property-(d) and H-freeness violation lists.
+        self.violations: dict[str, list[tuple[Vector, LatticeSimplex]]] = {}
 
     def canonical_point(self, x: Vector) -> Vector:
         return self._cosets.canonical_point(x)
@@ -275,19 +284,21 @@ def check_semistable(t: PeriodicTriangulation) -> bool:
 
 
 def safe_window(t: PeriodicTriangulation) -> int:
-    """Window radius beyond which translates cannot meet a representative."""
+    """Smallest window property (d) accepts without ``allow_unsafe``.
+
+    It exceeds the proven reach ``max_diameter`` of a violation; the scan
+    itself stops at that reach.
+    """
     return t.max_diameter() + t.lattice_max() + 1
 
 
-def _h_free_safe_window(t: PeriodicTriangulation) -> int:
-    # The reflection -S = S + λ forces λ = -2·centroid(S), bounded by twice
-    # the largest vertex coordinate; take the max with the generic bound.
-    return max(safe_window(t), 2 * t.max_vertex_coord() + 1)
-
-
 def required_window(t: PeriodicTriangulation) -> int:
-    """Smallest window accepted by every check without --unsafe."""
-    return max(safe_window(t), _h_free_safe_window(t))
+    """Smallest window accepted by every check without --unsafe.
+
+    It exceeds 2·(largest vertex coordinate), a bound on the H-freeness
+    candidate λ = −2·centroid(S), and ``safe_window``.
+    """
+    return max(safe_window(t), 2 * t.max_vertex_coord() + 1)
 
 
 def _resolve_window(t: PeriodicTriangulation, window: int | None, bound: int,
@@ -411,17 +422,21 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
     """Violations of the disjointness condition: nonzero λ = b(y,-) in the
     window with hull(S) ∩ hull(S + λ) nonempty.  Empty result = certified.
 
-    A violating translate satisfies ‖λ‖_∞ <= diameter(S), so the default
-    window (diameter + lattice bound + 1) is exhaustive.
+    A violating λ is p − q with p, q ∈ hull(S), so ‖λ‖_∞ <= diameter(S).
+    The scan therefore covers ‖λ‖_∞ <= min(window, largest diameter) and
+    tests S only against translates within its own diameter; any window
+    at or above that reach gives the same list.
     """
     if t.lattice is None:
         raise ValueError("property (d) needs a translation lattice attached")
     w = _resolve_window(t, window, safe_window(t), allow_unsafe)
+    translates = [(lam, max(abs(x) for x in lam))
+                  for lam in _lattice_translates(t, min(w, t.max_diameter()))]
     out = []
-    translates = _lattice_translates(t, w)
     for s in t.simplices:
-        for lam in translates:
-            if hulls_intersect(s, s.translate(lam)):
+        reach = s.diameter_inf()
+        for lam, norm in translates:
+            if norm <= reach and hulls_intersect(s, s.translate(lam)):
                 out.append((lam, s))
     return out
 
@@ -435,19 +450,24 @@ def check_h_freeness(t: PeriodicTriangulation, d: DegenerationData | None = None
 
     y is reported in coordinates relative to the lattice's row basis, which
     are the Y-coordinates whenever the lattice is the row lattice of b.
+
+    Translation preserves the lexicographic order, so −S = S + λ forces
+    λ = lexmin(−S) − lexmin(S): each class has one candidate, kept when it
+    is nonzero, within the window and in the translation lattice.  The
+    candidate equals −2·centroid(S), so the default window holds it.
     """
     if t.lattice is None:
         raise ValueError("H-freeness needs a translation lattice attached")
-    w = _resolve_window(t, window, _h_free_safe_window(t), allow_unsafe)
+    w = _resolve_window(t, window, required_window(t), allow_unsafe)
     out = []
-    translates = _lattice_translates(t, w)
     for s in t.simplices:
         if s.dim < 1:
             continue
-        neg = set(s.negate().vertices)
-        for lam in translates:
-            if {tuple(a + b for a, b in zip(v, lam)) for v in s.vertices} == neg:
-                out.append((_lattice_coefficients(t, lam), s))
+        neg = s.negate()
+        lam = tuple(a - b for a, b in zip(neg.vertices[0], s.vertices[0]))
+        if (any(lam) and max(abs(x) for x in lam) <= w and s.translate(lam) == neg
+                and not any(t.canonical_point(lam))):
+            out.append((_lattice_coefficients(t, lam), s))
     return out
 
 
@@ -556,6 +576,15 @@ def default_polarization_form(t: int) -> PolarizationForm:
     raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
 
 
+def _offset(v: Vector, origin: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(v, origin))
+
+
+def _shape(s: LatticeSimplex) -> tuple[Vector, ...]:
+    """The vertices of s relative to its first vertex: s up to translation."""
+    return tuple(_offset(v, s.vertices[0]) for v in s.vertices)
+
+
 def _wall_neighbors(t: PeriodicTriangulation):
     """For each facet of each top-dimensional representative, the developed
     simplex on the other side.  Yields (top, facet, neighbor) or
@@ -585,17 +614,23 @@ def _polarization_margins(t: PeriodicTriangulation,
     unique neighbor (not a proper periodic triangulation)."""
     if t.rank == 0:
         return []
+    # Q(l + μ) − Q(l) is affine in l, so a margin depends only on the wall's
+    # shape: its vertices and w relative to the first vertex of s.
+    by_shape: dict[tuple, Fraction] = {}
     margins = []
     for s, f, neighbor in _wall_neighbors(t):
         if neighbor is None:
             return None
         w = next(v for v in neighbor.vertices if v not in set(f.vertices))
-        # Affine interpolation of Q over the vertices of s, evaluated at w.
-        a = [[Fraction(1)] + [Fraction(x) for x in v] for v in s.vertices]
-        rhs = [Fraction(form.value(v)) for v in s.vertices]
-        coeffs = _solve_exact(a, rhs)
-        affine_at_w = coeffs[0] + sum(c * x for c, x in zip(coeffs[1:], w))
-        margins.append(Fraction(form.value(w)) - affine_at_w)
+        key = (_shape(s), _offset(w, s.vertices[0]))
+        if key not in by_shape:
+            # Affine interpolation of Q over the vertices of s, evaluated at w.
+            a = [[Fraction(1)] + [Fraction(x) for x in v] for v in s.vertices]
+            rhs = [Fraction(form.value(v)) for v in s.vertices]
+            coeffs = _solve_exact(a, rhs)
+            affine_at_w = coeffs[0] + sum(c * x for c, x in zip(coeffs[1:], w))
+            by_shape[key] = Fraction(form.value(w)) - affine_at_w
+        margins.append(by_shape[key])
     return margins
 
 
@@ -627,12 +662,22 @@ def _polarization_check(t: PeriodicTriangulation, form: PolarizationForm) -> boo
 def certify(t: PeriodicTriangulation, d: DegenerationData | None = None,
             form: PolarizationForm | None = None,
             window: int | None = None, allow_unsafe: bool = False) -> dict[str, bool]:
-    """Run every check and attach the certificate dict to the triangulation."""
+    """Run every check and attach the certificate dict to the triangulation,
+    and the property-(d) and H-freeness violation lists as ``t.violations``.
+
+    Unimodularity is tested once per simplex shape: (x, h) ↦ (x + hμ, h) is
+    unimodular, so it is invariant under integer shifts.
+    """
+    violations = {
+        "property_d": check_property_d(t, window, allow_unsafe=allow_unsafe),
+        "h_free": check_h_freeness(t, d, window, allow_unsafe=allow_unsafe),
+    }
+    shapes = {_shape(s): s for s in t.simplices}
     certs = {
         "semistable": check_semistable(t),
-        "unimodular": all(is_unimodular(s) for s in t.simplices),
-        "property_d": not check_property_d(t, window, allow_unsafe=allow_unsafe),
-        "h_free": not check_h_freeness(t, d, window, allow_unsafe=allow_unsafe),
+        "unimodular": all(is_unimodular(s) for s in shapes.values()),
+        "property_d": not violations["property_d"],
+        "h_free": not violations["h_free"],
         "vertices_complete": vertices_complete(t),
     }
     if certs["semistable"] and certs["unimodular"]:
@@ -641,6 +686,7 @@ def certify(t: PeriodicTriangulation, d: DegenerationData | None = None,
     else:
         certs["polarization"] = False
     t.certificates = dict(certs)
+    t.violations = violations
     return certs
 
 
@@ -649,19 +695,23 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     lattice Λ_(ν·b) passes all four fan checks; the returned triangulation is
     certified for base_change(d, ν).
 
-    Terminates: scaling spreads Λ beyond the fixed simplex diameter (so
-    property (d) holds) and even ν makes ν·b even (so H-freeness holds).
+    ν <= 2.  The standard triangulation is semistable and unimodular, and
+    its simplices have diameter <= 1.  At ν = 2 every nonzero λ ∈ Λ_(2b)
+    lies in 2·Z^t, so ‖λ‖_∞ >= 2 and property (d) holds.  A fixed class
+    −S = S + λ would make S symmetric about the lattice point −λ/2: an edge
+    (direction (1), (1,0), (0,1) or (1,1)) has no lattice midpoint, and a
+    triangle would fix one vertex and swap the other two about it, making
+    all three collinear.  So H-freeness holds too, as it must for the even
+    pairing 2b.
     """
-    t = d.rank
-    unit = standard_triangulation(t)
-    nu = 1
-    while True:
+    unit = standard_triangulation(d.rank)
+    for nu in (1, 2):
         scaled = base_change(d, nu)
         tri = unit.with_lattice(scaled.b)
         certs = certify(tri, scaled)
         if all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free")):
             return nu, tri
-        nu += 1
+    raise ConsistencyError("the standard triangulation fails certification at ν = 2")
 
 
 # -- JSON documents --------------------------------------------------------------

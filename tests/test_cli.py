@@ -140,6 +140,24 @@ def test_fan_build_autoscales(tmp_path, capsys):
     assert built["fan"]["lattice"] == [[2, 0], [0, 2]]
 
 
+def test_fan_build_refuses_invalid_data(tmp_path, capsys):
+    cases = [
+        ("neg.json", {"rank": 1, "phi": [[1]], "b": [[-2]], "a_basis": [-1]},
+         "pairing_positive_definite"),
+        ("indef.json", {"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[2, 0], [0, -2]],
+                        "a_basis": [1, -1]}, "pairing_positive_definite"),
+        ("asym.json", {"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[2, 4], [0, 2]],
+                       "a_basis": [1, 1]}, "pairing_symmetric"),
+    ]
+    for name, doc, failed in cases:
+        p = write(tmp_path, name, doc)
+        code, built = run(capsys, "fan", "build", p)
+        assert code == 1
+        assert set(built) == {"failed_check", "axioms"}
+        assert built["failed_check"] == failed
+        assert run(capsys, "classify", p) == (1, built)
+
+
 def test_window_override_rules(capsys, d22_path):
     code, _ = run(capsys, "classify", d22_path, "--window", "1")
     assert code == 2  # below the safe bound without --unsafe

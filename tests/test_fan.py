@@ -1,8 +1,15 @@
-import pytest
+from fractions import Fraction
+from itertools import product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kummer_kulikov.fan as fan_module
 from conftest import make_data
 from kummer_kulikov.degeneration import base_change, is_even
 from kummer_kulikov.errors import (
+    ConsistencyError,
     SchemaError,
     UncertifiedFan,
     UnsupportedRank,
@@ -24,6 +31,7 @@ from kummer_kulikov.fan import (
     fan_to_json,
     hulls_intersect,
     is_unimodular,
+    required_window,
     safe_window,
     standard_triangulation,
     vertices_complete,
@@ -268,3 +276,129 @@ def test_user_fan_closed_under_faces():
     doc = {"rank": 2, "lattice": [[2, 0], [0, 2]], "simplices": tops}
     rebuilt = fan_from_json(doc)
     assert rebuilt == t
+
+
+def test_auto_scale_stops_at_nu_2(monkeypatch):
+    tried = []
+
+    def failing_certify(tri, d=None, **kwargs):
+        tried.append(d.b)
+        return {"semistable": True, "unimodular": True, "property_d": False,
+                "h_free": True}
+
+    monkeypatch.setattr(fan_module, "certify", failing_certify)
+    with pytest.raises(ConsistencyError):
+        auto_scale(make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0)))
+    assert tried == [IntMatrix([[1, 0], [0, 1]]), IntMatrix([[2, 0], [0, 2]])]
+
+
+# -- differential tests against the full-window scans ------------------------------
+
+ANTI_CELL = [[(0, 0)], [(0, 0), (1, 0)], [(0, 0), (0, 1)], [(1, 0), (0, 1)],
+             [(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+
+
+def developed(kind, rows):
+    """The standard or anti-diagonal unit cell developed over the lattice."""
+    n = len(rows)
+    unit = (standard_triangulation(n) if kind == "standard" else
+            PeriodicTriangulation(2, [LatticeSimplex(s) for s in ANTI_CELL], None))
+    return unit.with_lattice(IntMatrix(rows, shape=(n, n)))
+
+
+def lattice_points(rows, window):
+    """Every (λ, y) with λ = y·rows nonzero and ‖λ‖_∞ <= window, sorted by λ."""
+    n = len(rows)
+    adj = [[1]] if n == 1 else [[rows[1][1], -rows[0][1]], [-rows[1][0], rows[0][0]]]
+    det = IntMatrix(rows, shape=(n, n)).det()
+    out = []
+    for lam in product(range(-window, window + 1), repeat=n):
+        y = [sum(lam[i] * adj[i][j] for i in range(n)) for j in range(n)]
+        if any(lam) and all(x % det == 0 for x in y):
+            out.append((lam, tuple(x // det for x in y)))
+    return out
+
+
+def scan_property_d(t, window):
+    """The full-window property-(d) scan: every translate, every class."""
+    lams = [lam for lam, _ in lattice_points(t.lattice.entries, window)]
+    return [(lam, s) for s in t.simplices for lam in lams
+            if hulls_intersect(s, s.translate(lam))]
+
+
+def scan_h_freeness(t, window):
+    """The full-window H-freeness scan: every translate, every class."""
+    points = lattice_points(t.lattice.entries, window)
+    out = []
+    for s in t.simplices:
+        if s.dim < 1:
+            continue
+        neg = set(s.negate().vertices)
+        for lam, y in points:
+            if {tuple(a + b for a, b in zip(v, lam)) for v in s.vertices} == neg:
+                out.append((y, s))
+    return out
+
+
+def direct_margins(t, form):
+    """Every wall's convexity margin, solved on its own by Cramer's rule."""
+    out = []
+    for s, f, neighbor in fan_module._wall_neighbors(t):
+        w = next(v for v in neighbor.vertices if v not in f.vertices)
+        rows = [[1, *v] for v in s.vertices]
+        values = [form.value(v) for v in s.vertices]
+        det = IntMatrix(rows, shape=(len(rows), len(rows))).det()
+        coeffs = []
+        for c in range(len(rows)):
+            swapped = [r[:c] + [values[i]] + r[c + 1:] for i, r in enumerate(rows)]
+            coeffs.append(Fraction(IntMatrix(swapped, shape=(len(rows), len(rows))).det(),
+                                   det))
+        out.append(form.value(w) - coeffs[0] - sum(c * x for c, x in zip(coeffs[1:], w)))
+    return out
+
+
+small = st.integers(-4, 4)
+rank1 = st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=1).map(
+    lambda xs: [[xs[0]]])
+rank2 = st.tuples(small, small, small, small).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2] and abs(e[0] * e[3] - e[1] * e[2]) <= 16).map(
+    lambda e: [[e[0], e[1]], [e[2], e[3]]])
+fans = st.one_of(
+    rank1.map(lambda rows: ("standard", rows)),
+    st.tuples(st.sampled_from(["standard", "anti"]), rank2),
+    st.sampled_from([("standard", [[1]]), ("standard", [[1, 0], [0, 1]]),
+                     ("anti", [[0, 1], [-1, 0]]), ("standard", [[3, 1], [1, 3]]),
+                     ("standard", [[1, 0], [0, 9]]), ("anti", [[2, 0], [1, 8]])]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fans, st.one_of(st.none(), st.integers(0, 12)))
+def test_bounded_checks_match_full_window_scans(fan, window):
+    kind, rows = fan
+    t = developed(kind, rows)
+    wd = safe_window(t) if window is None else window
+    wh = required_window(t) if window is None else window
+    expected_d = scan_property_d(t, wd)
+    expected_h = scan_h_freeness(t, wh)
+    assert check_property_d(t, window, allow_unsafe=True) == expected_d
+    assert check_h_freeness(t, window=window, allow_unsafe=True) == expected_h
+
+    certs = certify(t, window=window, allow_unsafe=True)
+    assert t.violations == {"property_d": expected_d, "h_free": expected_h}
+    assert certs["property_d"] == (not expected_d)
+    assert certs["h_free"] == (not expected_h)
+    assert certs["unimodular"] == all(is_unimodular(s) for s in t.simplices)
+    if certs["semistable"] and certs["unimodular"]:
+        form = default_polarization_form(t.rank)
+        margins = fan_module._polarization_margins(t, form)
+        assert margins == direct_margins(t, form)
+        assert certs["polarization"] == all(m > 0 for m in margins)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(rank1, rank2))
+def test_standard_fan_certified_at_nu_2(rows):
+    # The bound of auto_scale: the standard fan over Λ_(2b) passes every core check.
+    doubled = [[2 * x for x in r] for r in rows]
+    certs = certify(developed("standard", doubled))
+    assert all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free"))

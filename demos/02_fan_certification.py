@@ -49,7 +49,7 @@ print(f"auto-scale resolves it with nu = {nu2}")
 # -[1,2] = [1,2] - 3.
 d3 = data(1, [[3]], a_basis=(2,))
 t3 = standard_triangulation(1).with_lattice(d3.b)
-for y, s in check_h_freeness(t3, d3):
+for y, s in check_h_freeness(t3):
     print(f"\nb = (3): the class of {s.vertices} is flipped onto itself by y = {y}")
 nu3, _ = auto_scale(d3)
 print(f"auto-scale resolves it with nu = {nu3} (the scaled pairing is even)")

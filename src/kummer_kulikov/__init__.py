@@ -35,7 +35,6 @@ from .degeneration import (
     h_invariance_check,
     is_even,
     to_json_dict,
-    toric_rank,
     validate,
 )
 from .fan import (

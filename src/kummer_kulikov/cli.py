@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import complexes, degeneration, fan, lattice, monodromy
@@ -358,7 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Write nothing more there, and point
+        # the descriptor at devnull so the flush at interpreter exit succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+
+
+def _run(args) -> int:
+    try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvalidScale, SchemaError
-from .lattice import IntMatrix
+from .lattice import IntMatrix, leading_principal_minors
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,6 @@ class ValidationReport:
         return tuple(c.name for c in self.checks if not c.passed)
 
 
-def _leading_principal_minors(m: IntMatrix) -> list[int]:
-    return [IntMatrix([row[: k + 1] for row in m.entries[: k + 1]], shape=(k + 1, k + 1)).det()
-            for k in range(m.rows)]
-
-
 def validate(d: DegenerationData) -> ValidationReport:
     """Check the category axioms; failures are report entries, not exceptions."""
     t = d.rank
@@ -123,7 +118,7 @@ def validate(d: DegenerationData) -> ValidationReport:
     checks.append(AxiomCheck("pairing_symmetric", sym,
                              "b(-, phi(-)) symmetric" if sym else "pairing matrix is asymmetric"))
 
-    minors = _leading_principal_minors(m)
+    minors = leading_principal_minors(m)
     pd = all(x > 0 for x in minors)
     checks.append(AxiomCheck("pairing_positive_definite", pd,
                              f"leading principal minors {minors}"))
@@ -189,10 +184,6 @@ def base_change(d: DegenerationData, nu: int) -> DegenerationData:
         b=IntMatrix([[nu * x for x in row] for row in d.b.entries], shape=(d.rank, d.rank)),
         a_basis=tuple(nu * x for x in d.a_basis),
     )
-
-
-def toric_rank(d: DegenerationData) -> int:
-    return d.rank
 
 
 def h_invariance_check(d: DegenerationData) -> bool:

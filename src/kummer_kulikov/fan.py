@@ -20,6 +20,7 @@ An explicit window below ``safe_window`` (property (d)) or
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -34,27 +35,15 @@ from .errors import (
     UnsupportedRank,
     WindowTooSmall,
 )
-from .lattice import IntMatrix, smith_normal_form, unimodular_inverse
+from .lattice import (
+    IntMatrix,
+    leading_principal_minors,
+    smith_normal_form,
+    solve,
+    unimodular_inverse,
+)
 
 Vector = tuple[int, ...]
-
-
-def _solve_exact(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a small square system exactly; raises ValueError if singular."""
-    n = len(rhs)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 class LatticeSimplex:
@@ -77,8 +66,7 @@ class LatticeSimplex:
         if k > 0:
             diffs = IntMatrix([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]],
                               shape=(k, len(verts[0])))
-            d, _, _ = smith_normal_form(diffs)
-            if sum(1 for x in d.diagonal_entries() if x != 0) != k:
+            if diffs.rank() != k:
                 raise ValueError(f"vertices are affinely dependent: {verts}")
 
     def __setattr__(self, name, value):
@@ -141,10 +129,7 @@ class _CosetMap:
         self.diag = d.diagonal_entries()
         self.u = u
         self.uinv = unimodular_inverse(u)
-        idx = 1
-        for x in self.diag:
-            idx *= x
-        self.index = idx
+        self.index = math.prod(self.diag)
 
     def canonical_point(self, x: Vector) -> Vector:
         z = self.u.matvec(x)
@@ -316,14 +301,10 @@ def _lattice_translates(t: PeriodicTriangulation, window: int) -> list[Vector]:
         return []
     w = t.lattice
     n = t.rank
-    inv_cols = []
-    for i in range(n):
-        rhs = [Fraction(1 if j == i else 0) for j in range(n)]
-        a = [[Fraction(w.entries[j][k]) for j in range(n)] for k in range(n)]  # a = W^T
-        inv_cols.append(_solve_exact(a, rhs))  # column i of (W^T)^{-1}
-    # y = (W^T)^{-1} λ, so ‖y‖_∞ <= max-row-abs-sum of (W^T)^{-1} times ‖λ‖_∞.
-    norm = max(sum(abs(inv_cols[c][r]) for c in range(n)) for r in range(n))
-    ybound = int(norm * window) + 1
+    # y = (W^T)^{-1} λ = adj(W^T) λ / det, so ‖y‖_∞ <= max-row-abs-sum of
+    # adj(W^T) times ‖λ‖_∞ / |det|.
+    norm = max(sum(abs(x) for x in row) for row in w.transpose().adjugate().entries)
+    ybound = norm * window // abs(w.det()) + 1
     out = []
     for y in product(range(-ybound, ybound + 1), repeat=n):
         if all(v == 0 for v in y):
@@ -336,10 +317,7 @@ def _lattice_translates(t: PeriodicTriangulation, window: int) -> list[Vector]:
 
 def _lattice_coefficients(t: PeriodicTriangulation, lam: Vector) -> Vector:
     """Express λ in the row basis of the lattice (the Y-coordinates)."""
-    w = t.lattice
-    n = t.rank
-    a = [[Fraction(w.entries[j][k]) for j in range(n)] for k in range(n)]
-    sol = _solve_exact(a, [Fraction(x) for x in lam])
+    sol = solve(t.lattice.transpose(), lam)
     if any(x.denominator != 1 for x in sol):
         raise ValueError(f"{lam} is not in the translation lattice")
     return tuple(int(x) for x in sol)
@@ -441,8 +419,7 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
     return out
 
 
-def check_h_freeness(t: PeriodicTriangulation, d: DegenerationData | None = None,
-                     window: int | None = None, *,
+def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
                      allow_unsafe: bool = False) -> list[tuple[Vector, LatticeSimplex]]:
     """Fixed classes of the inversion: pairs (y, S) with dim S >= 1 and
     -S = S + b(y,-).  Empty for even pairings; the odd control b = (3)
@@ -532,32 +509,10 @@ class PolarizationForm:
         return int(total)
 
     def is_positive_definite(self) -> bool:
-        n = self.rank
-        for k in range(1, n + 1):
-            sub = [row[:k] for row in self.gram[:k]]
-            if _fraction_det(sub) <= 0:
-                return False
-        return True
-
-
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+        """Sylvester's criterion on the integral 2·gram: det(2·G_k) = 2^k·det(G_k)."""
+        doubled = IntMatrix([[int(2 * x) for x in row] for row in self.gram],
+                            shape=(self.rank, self.rank))
+        return all(m > 0 for m in leading_principal_minors(doubled))
 
 
 def default_polarization_form(t: int) -> PolarizationForm:
@@ -589,23 +544,21 @@ def _wall_neighbors(t: PeriodicTriangulation):
     """For each facet of each top-dimensional representative, the developed
     simplex on the other side.  Yields (top, facet, neighbor) or
     (top, facet, None) when the wall is not interior."""
-    top = t.by_dim(t.rank)
+    walls = []
     incidence: dict[tuple, list[tuple[LatticeSimplex, Vector]]] = {}
-    for s in top:
+    for s in t.by_dim(t.rank):
         for f in s.faces():
             shift = t.canonical_shift(f)
             key = f.translate(shift).vertices
+            walls.append((s, f, shift, key))
             incidence.setdefault(key, []).append((s, shift))
-    for s in top:
-        for f in s.faces():
-            shift = t.canonical_shift(f)
-            key = f.translate(shift).vertices
-            neighbors = []
-            for other, other_shift in incidence.get(key, []):
-                cand = other.translate(tuple(a - b for a, b in zip(other_shift, shift)))
-                if cand != s:
-                    neighbors.append(cand)
-            yield s, f, (neighbors[0] if len(neighbors) == 1 else None)
+    for s, f, shift, key in walls:
+        neighbors = []
+        for other, other_shift in incidence[key]:
+            cand = other.translate(tuple(a - b for a, b in zip(other_shift, shift)))
+            if cand != s:
+                neighbors.append(cand)
+        yield s, f, (neighbors[0] if len(neighbors) == 1 else None)
 
 
 def _polarization_margins(t: PeriodicTriangulation,
@@ -625,17 +578,15 @@ def _polarization_margins(t: PeriodicTriangulation,
         key = (_shape(s), _offset(w, s.vertices[0]))
         if key not in by_shape:
             # Affine interpolation of Q over the vertices of s, evaluated at w.
-            a = [[Fraction(1)] + [Fraction(x) for x in v] for v in s.vertices]
-            rhs = [Fraction(form.value(v)) for v in s.vertices]
-            coeffs = _solve_exact(a, rhs)
+            coeffs = solve(IntMatrix([(1,) + v for v in s.vertices]),
+                           [form.value(v) for v in s.vertices])
             affine_at_w = coeffs[0] + sum(c * x for c, x in zip(coeffs[1:], w))
-            by_shape[key] = Fraction(form.value(w)) - affine_at_w
+            by_shape[key] = form.value(w) - affine_at_w
         margins.append(by_shape[key])
     return margins
 
 
-def check_polarization(t: PeriodicTriangulation, form: PolarizationForm,
-                       window: int | None = None) -> bool:
+def check_polarization(t: PeriodicTriangulation, form: PolarizationForm) -> bool:
     """Surrogate for the existence of a Γ-admissible polarization function:
     the PL interpolation of Q over the triangulation is strictly convex
     across every interior wall.  Central symmetry Q(-l) = Q(l) and the
@@ -644,7 +595,6 @@ def check_polarization(t: PeriodicTriangulation, form: PolarizationForm,
     if not (t.certificates.get("semistable") and t.certificates.get("unimodular")):
         raise UncertifiedFan(
             "polarization check requires semistable + unimodular certificates")
-    del window  # wall enumeration is class-based, hence already exhaustive
     return _polarization_check(t, form)
 
 
@@ -659,9 +609,8 @@ def _polarization_check(t: PeriodicTriangulation, form: PolarizationForm) -> boo
 
 # -- certification and scaling --------------------------------------------------
 
-def certify(t: PeriodicTriangulation, d: DegenerationData | None = None,
-            form: PolarizationForm | None = None,
-            window: int | None = None, allow_unsafe: bool = False) -> dict[str, bool]:
+def certify(t: PeriodicTriangulation, *, window: int | None = None,
+            allow_unsafe: bool = False) -> dict[str, bool]:
     """Run every check and attach the certificate dict to the triangulation,
     and the property-(d) and H-freeness violation lists as ``t.violations``.
 
@@ -670,7 +619,7 @@ def certify(t: PeriodicTriangulation, d: DegenerationData | None = None,
     """
     violations = {
         "property_d": check_property_d(t, window, allow_unsafe=allow_unsafe),
-        "h_free": check_h_freeness(t, d, window, allow_unsafe=allow_unsafe),
+        "h_free": check_h_freeness(t, window=window, allow_unsafe=allow_unsafe),
     }
     shapes = {_shape(s): s for s in t.simplices}
     certs = {
@@ -681,8 +630,7 @@ def certify(t: PeriodicTriangulation, d: DegenerationData | None = None,
         "vertices_complete": vertices_complete(t),
     }
     if certs["semistable"] and certs["unimodular"]:
-        certs["polarization"] = _polarization_check(
-            t, form if form is not None else default_polarization_form(t.rank))
+        certs["polarization"] = _polarization_check(t, default_polarization_form(t.rank))
     else:
         certs["polarization"] = False
     t.certificates = dict(certs)
@@ -708,7 +656,7 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     for nu in (1, 2):
         scaled = base_change(d, nu)
         tri = unit.with_lattice(scaled.b)
-        certs = certify(tri, scaled)
+        certs = certify(tri)
         if all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free")):
             return nu, tri
     raise ConsistencyError("the standard triangulation fails certification at ν = 2")

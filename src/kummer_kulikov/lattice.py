@@ -1,19 +1,58 @@
-"""Exact integer linear algebra: Smith normal form, cokernels, primitive vectors.
+"""Exact integer linear algebra: the one elimination core of the package.
 
-All arithmetic is over Python's arbitrary-precision integers; nothing here
-can overflow.  Matrices are immutable.  The Smith normal form uses a
-deterministic pivot rule (smallest absolute value, ties broken in row-major
-order) so the transform matrices are reproducible.
+Determinant and rank come from fraction-free (Bareiss) elimination, inverses
+and small solves from the adjugate (Cramer's rule), and cokernels from the
+Smith normal form.  All arithmetic is over Python's arbitrary-precision
+integers, so nothing here can overflow; only ``solve`` returns fractions.
+Matrices are immutable.  The Smith normal form uses a deterministic pivot
+rule (smallest absolute value, ties broken in row-major order) so the
+transform matrices are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import SingularPairing, ZeroVector
+
+
+def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int]:
+    """Fraction-free row echelon form: (rank, signed last pivot).
+
+    A column that is zero in every row not yet pivoted is skipped.  After
+    each step the trailing entries are minors of the rows and columns used so
+    far (Sylvester's identity), so every division by the previous pivot is
+    exact.  For a square matrix of full rank the signed last pivot is the
+    determinant; with no pivot at all it is 1.
+    """
+    a = [list(row) for row in entries]
+    n = len(a)
+    rank, sign, prev = 0, 1, 1
+    for col in range(cols):
+        piv = rank
+        while piv < n and a[piv][col] == 0:
+            piv += 1
+        if piv == n:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for row in a[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, cols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[col] = 0
+        prev = p
+        rank += 1
+        if rank == n:
+            break
+    return rank, sign * prev
 
 
 class IntMatrix:
@@ -46,17 +85,10 @@ class IntMatrix:
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], shape=(n, n))
 
     @staticmethod
-    def zero(r: int, c: int) -> "IntMatrix":
-        return IntMatrix([[0] * c for _ in range(r)], shape=(r, c))
-
-    @staticmethod
     def diagonal(values: Sequence[int]) -> "IntMatrix":
         n = len(values)
         return IntMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)],
                          shape=(n, n))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
@@ -90,25 +122,26 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
+        rank, last = _bareiss(self.entries, self.cols)
+        return last if rank == self.rows else 0
+
+    def rank(self) -> int:
+        return _bareiss(self.entries, self.cols)[0]
+
+    def adjugate(self) -> "IntMatrix":
+        """adj(m) with m·adj(m) = adj(m)·m = det(m)·I, by cofactors."""
+        if not self.is_square():
+            raise ValueError("adjugate of non-square matrix")
         n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+
+        def minor(i: int, j: int) -> int:
+            return IntMatrix([[x for q, x in enumerate(row) if q != j]
+                              for p, row in enumerate(self.entries) if p != i],
+                             shape=(n - 1, n - 1)).det()
+
+        # adj(m)[i][j] is the (j, i) cofactor.
+        return IntMatrix([[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)],
+                         shape=(n, n))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -216,29 +249,26 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix via the adjugate."""
-    if not m.is_square():
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
+    """Integer inverse of a unimodular matrix: det·adj with det = ±1."""
     d = m.det()
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det {d})")
-    if n == 0:
-        return m
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = IntMatrix([[m.entries[p][q] for q in range(n) if q != j]
-                             for p in range(n) if p != i], shape=(n - 1, n - 1))
-            cof[i][j] = (-1) ** (i + j) * sub.det()
-    # adj = cof^T; inverse = adj / det with det = +-1.
-    return IntMatrix([[cof[j][i] * d for j in range(n)] for i in range(n)], shape=(n, n))
+    return IntMatrix([[d * x for x in row] for row in m.adjugate().entries],
+                     shape=(m.rows, m.cols))
 
 
-def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
-    """All diagonal entries of the Smith normal form (including 1s and 0s)."""
-    d, _, _ = smith_normal_form(m)
-    return d.diagonal_entries()
+def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, ...]:
+    """The exact solution x of m·x = rhs, by Cramer's rule: x = adj(m)·rhs / det."""
+    d = m.det()
+    if d == 0:
+        raise ValueError("singular system")
+    return tuple(Fraction(y, d) for y in m.adjugate().matvec(rhs))
+
+
+def leading_principal_minors(m: IntMatrix) -> list[int]:
+    """det of the top-left k x k blocks, k = 1..n (Sylvester's criterion)."""
+    return [IntMatrix([row[: k + 1] for row in m.entries[: k + 1]], shape=(k + 1, k + 1)).det()
+            for k in range(m.rows)]
 
 
 def minor_gcd_divisors(m: IntMatrix) -> tuple[int, ...]:
@@ -282,10 +312,7 @@ class ComponentGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.divisors:
-            n *= d
-        return n
+        return math.prod(self.divisors)
 
     def __repr__(self) -> str:
         if not self.divisors:
@@ -312,18 +339,13 @@ def component_group(b: IntMatrix) -> ComponentGroup:
 
 def two_torsion_order(group: ComponentGroup) -> int:
     """#Phi[2] = prod gcd(d_i, 2); equals 2^t when every divisor is even."""
-    n = 1
-    for d in group.divisors:
-        n *= math.gcd(d, 2)
-    return n
+    return math.prod(math.gcd(d, 2) for d in group.divisors)
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """Divide out the gcd of the entries; the result has content 1."""
     w = tuple(int(x) for x in v)
-    g = 0
-    for x in w:
-        g = math.gcd(g, x)
+    g = math.gcd(*w)
     if g == 0:
         raise ZeroVector("the zero vector is not a multiple of a primitive vector")
     return tuple(x // g for x in w)

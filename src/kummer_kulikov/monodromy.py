@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import KulikovType
@@ -31,6 +31,7 @@ from .errors import (
     SchemaError,
     UnsupportedRank,
 )
+from .lattice import IntMatrix
 
 # Lexicographic basis of the wedge square of a 4-space, fixed once:
 # e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4.
@@ -85,16 +86,6 @@ class RationalOperator:
         return RationalOperator([[sum(r[k] * c[k] for k in range(n)) for c in cols]
                                  for r in self.entries])
 
-    def power(self, e: int) -> "RationalOperator":
-        out = RationalOperator.identity(self.dim)
-        base = self
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
 
@@ -113,27 +104,21 @@ class RationalOperator:
         return tuple(coeffs)
 
     def is_unipotent(self) -> bool:
-        """Characteristic polynomial equals (x - 1)^n."""
-        n = self.dim
-        return self.char_poly() == tuple(Fraction((-1) ** k * comb(n, k)) for k in range(n + 1))
+        """Characteristic polynomial equals (x - 1)^n, decided as (σ - 1)^n = 0.
+
+        Cayley-Hamilton gives (σ - 1)^n = 0 from the polynomial; conversely
+        the minimal polynomial then divides (x - 1)^n, so 1 is the only
+        eigenvalue and the characteristic polynomial is (x - 1)^n."""
+        return _is_nilpotent(self - RationalOperator.identity(self.dim))
 
     def rank(self) -> int:
-        m = [list(r) for r in self.entries]
-        n = self.dim
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, n) if m[r][col] != 0), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = Fraction(1) / m[rank][col]
-            m[rank] = [x * inv for x in m[rank]]
-            for r in range(n):
-                if r != rank and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-            rank += 1
-        return rank
+        """Rank over Q; scaling each row by the lcm of its denominators makes
+        it integral without changing the rank."""
+        rows = []
+        for row in self.entries:
+            den = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (den // x.denominator) for x in row])
+        return IntMatrix(rows, shape=(self.dim, self.dim)).rank()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalOperator) and self.dim == other.dim
@@ -147,7 +132,13 @@ class RationalOperator:
 
 
 def _is_nilpotent(m: RationalOperator) -> bool:
-    return m.power(m.dim).is_zero()
+    """M^dim = 0, by squaring: the index of a nilpotent operator is at most dim."""
+    exponent = 1
+    while not m.is_zero():
+        if exponent >= m.dim:
+            return False
+        m, exponent = m * m, 2 * exponent
+    return True
 
 
 def log_unipotent(sigma: RationalOperator) -> RationalOperator:
@@ -239,15 +230,6 @@ class KummerOperator:
     @property
     def dim(self) -> int:
         return self.wedge.dim + self.torsion_dim
-
-    def dense(self) -> RationalOperator:
-        n = self.dim
-        k = self.wedge.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(k):
-            for j in range(k):
-                rows[i][j] = self.wedge.entries[i][j]
-        return RationalOperator(rows)
 
 
 def kummer_monodromy(n_op: RationalOperator) -> KummerOperator:
@@ -364,7 +346,6 @@ def two_torsion_trivial(p: TwoTorsionPermutation) -> bool:
 # -- JSON documents ---------------------------------------------------------------
 #
 # Matrix document: {"dim": n, "entries": [[rational strings "p/q"]]}
-# Permutation document: {"perm": [int x 16]} (0- or 1-based)
 
 
 def operator_to_json(m: RationalOperator) -> dict:
@@ -393,21 +374,3 @@ def operator_from_json(doc: Mapping) -> RationalOperator:
                 raise SchemaError(f"bad rational {x!r}: {exc}") from exc
         rows.append(row)
     return RationalOperator(rows)
-
-
-def permutation_from_json(doc: Mapping) -> TwoTorsionPermutation:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("permutation document must be a JSON object")
-    raw = doc.get("perm")
-    if (not isinstance(raw, list) or len(raw) != 16
-            or any(not isinstance(x, int) or isinstance(x, bool) for x in raw)):
-        raise SchemaError("field 'perm' must be a list of 16 integers")
-    if sorted(raw) == list(range(1, 17)):
-        raw = [x - 1 for x in raw]
-    if sorted(raw) != list(range(16)):
-        raise SchemaError("field 'perm' must be a bijection of 16 labels")
-    return TwoTorsionPermutation(tuple(raw))
-
-
-def permutation_to_json(p: TwoTorsionPermutation) -> dict:
-    return {"perm": list(p.mapping)}

@@ -159,11 +159,11 @@ def test_criterion_6_h_freeness():
     start = time.monotonic()
     for d in family():
         _, tri = auto_scale(d)
-        assert check_h_freeness(tri, d) == []
+        assert check_h_freeness(tri) == []
     # Odd control: the documented violation -[1,2] = [1,2] - 3.
     d3 = make_data(1, [[3]], a_basis=(2,))
     tri3 = standard_triangulation(1).with_lattice(d3.b)
-    violations = check_h_freeness(tri3, d3)
+    violations = check_h_freeness(tri3)
     assert ((-1,), LatticeSimplex([(1,), (2,)])) in violations
     report(6, "inversion acts freely on even instances; odd control caught",
            time.monotonic() - start, 2.0)

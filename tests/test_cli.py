@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kummer_kulikov
 from kummer_kulikov.cli import main
 
 
@@ -229,3 +234,21 @@ def test_summary_goes_to_stderr(capsys, d22_path):
     assert code == 0
     json.loads(captured.out)  # stdout is pure JSON
     assert "type III" in captured.err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["validate"], ["fan", "build"]])
+def test_closed_stdout_exits_2_without_traceback(d22_path, command):
+    # No process holds the read end, so the report's first write fails (EPIPE).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(kummer_kulikov.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kummer_kulikov.cli", *command, d22_path],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr

@@ -18,7 +18,6 @@ from kummer_kulikov.degeneration import (
     h_invariance_check,
     is_even,
     to_json_dict,
-    toric_rank,
     validate,
 )
 from kummer_kulikov.errors import InvalidScale, SchemaError
@@ -186,12 +185,6 @@ def test_base_change():
 def test_base_change_composes():
     d = make_data(2, [[2, 0], [0, 4]])
     assert base_change(base_change(d, 2), 3) == base_change(d, 6)
-
-
-def test_toric_rank():
-    assert toric_rank(make_data(0, [])) == 0
-    assert toric_rank(make_data(1, [[2]])) == 1
-    assert toric_rank(make_data(2, [[2, 0], [0, 2]])) == 2
 
 
 def test_h_invariance():

@@ -120,11 +120,11 @@ def test_property_d_window_too_small():
 def test_h_freeness_even_vs_odd():
     d2 = make_data(1, [[2]])
     t2 = standard_triangulation(1).with_lattice(d2.b)
-    assert check_h_freeness(t2, d2) == []
+    assert check_h_freeness(t2) == []
 
     d3 = make_data(1, [[3]], a_basis=(2,))
     t3 = standard_triangulation(1).with_lattice(d3.b)
-    violations = check_h_freeness(t3, d3)
+    violations = check_h_freeness(t3)
     assert violations == [((-1,), LatticeSimplex([(1,), (2,)]))]
 
     t0 = standard_triangulation(0).with_lattice(IntMatrix([], shape=(0, 0)))
@@ -138,7 +138,7 @@ def test_checks_invariant_under_representative_translation():
     shifted = PeriodicTriangulation(
         1, [s.translate((3,)) for s in t.simplices], IntMatrix([[3]]))
     assert len(shifted.simplices) == len(t.simplices)
-    assert len(check_h_freeness(shifted, d)) == len(check_h_freeness(t, d))
+    assert len(check_h_freeness(shifted)) == len(check_h_freeness(t))
     assert len(check_property_d(shifted)) == len(check_property_d(t))
 
 
@@ -171,7 +171,7 @@ def test_auto_scale_even_family_h_free():
         d = make_data(rank, b_rows)
         nu, t = auto_scale(d)
         assert nu == 1
-        assert check_h_freeness(t, d) == []
+        assert check_h_freeness(t) == []
         assert check_property_d(t) == []
 
 
@@ -242,7 +242,7 @@ def test_certify_attaches_flags():
     d = make_data(2, [[2, 0], [0, 2]])
     t = standard_triangulation(2).with_lattice(d.b)
     assert t.certificates == {}
-    certs = certify(t, d)
+    certs = certify(t)
     assert t.certificates == certs
     assert set(certs) == {"semistable", "unimodular", "property_d", "h_free",
                           "polarization", "vertices_complete"}
@@ -281,8 +281,8 @@ def test_user_fan_closed_under_faces():
 def test_auto_scale_stops_at_nu_2(monkeypatch):
     tried = []
 
-    def failing_certify(tri, d=None, **kwargs):
-        tried.append(d.b)
+    def failing_certify(tri, **kwargs):
+        tried.append(tri.lattice)
         return {"semistable": True, "unimodular": True, "property_d": False,
                 "h_free": True}
 

@@ -1,6 +1,7 @@
 import math
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from kummer_kulikov.lattice import (
     minor_gcd_divisors,
     primitive_vector,
     smith_normal_form,
+    solve,
     two_torsion_order,
     unimodular_inverse,
 )
@@ -80,6 +82,63 @@ def test_snf_divisor_product_is_det(n, data):
     for x in d.diagonal_entries():
         prod *= x
     assert prod == abs(det)
+
+
+# -- the elimination core against independent routes ----------------------------
+
+def leibniz_det(m):
+    """Sum over permutations; shares no code with the Bareiss elimination."""
+    n = m.rows
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m.entries[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    # Half the entries are 0, so singular matrices and zero columns are common.
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    return IntMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=True))
+def test_det_matches_leibniz(m):
+    assert m.det() == leibniz_det(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_rank_matches_minor_gcd_divisors(m):
+    assert m.rank() == sum(1 for x in minor_gcd_divisors(m) if x != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=True))
+def test_adjugate_times_matrix_is_det(m):
+    scalar = IntMatrix.diagonal([m.det()] * m.rows)
+    assert m.mul(m.adjugate()) == scalar
+    assert m.adjugate().mul(m) == scalar
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=True), st.data())
+def test_solve_satisfies_the_system(m, data):
+    rhs = [data.draw(st.integers(-9, 9)) for _ in range(m.rows)]
+    if m.det() == 0:
+        with pytest.raises(ValueError, match="singular system"):
+            solve(m, rhs)
+        return
+    x = solve(m, rhs)
+    assert all(isinstance(v, Fraction) for v in x)
+    assert [sum(a * v for a, v in zip(row, x)) for row in m.entries] == rhs
 
 
 def test_unimodular_inverse():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer_kulikov.complexes import KulikovType
 from kummer_kulikov.errors import (
@@ -23,7 +26,6 @@ from kummer_kulikov.monodromy import (
     nilpotency_index,
     operator_from_json,
     operator_to_json,
-    permutation_from_json,
     quadratic_twist_character,
     standard_N,
     toric_rank_from_N,
@@ -105,7 +107,6 @@ def test_kummer_monodromy_zero_and_errors():
     k = kummer_monodromy(RationalOperator.zero(4))
     assert k.wedge.is_zero()
     assert k.dim == 22
-    assert k.dense().is_zero()
     with pytest.raises(NotNilpotent):
         kummer_monodromy(I4)
     jordan3 = elem(0, 1) + elem(1, 2)  # nilpotent but square nonzero
@@ -260,11 +261,71 @@ def test_operator_json_schema_errors():
         operator_from_json({"entries": [[1]]})
 
 
-def test_permutation_json():
-    doc = {"perm": list(range(16))}
-    assert permutation_from_json(doc) == TwoTorsionPermutation.identity()
-    # 1-based input is normalized.
-    doc1 = {"perm": [i + 1 for i in range(16)]}
-    assert permutation_from_json(doc1) == TwoTorsionPermutation.identity()
-    with pytest.raises(SchemaError):
-        permutation_from_json({"perm": [0] * 16})
+# -- rank and unipotence against independent routes --------------------------------
+
+def fraction_gauss_jordan_rank(op):
+    """Rank by Gauss-Jordan over Fractions, independent of the integer core."""
+    m = [list(r) for r in op.entries]
+    n = op.dim
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(n):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_rank_matches_fraction_gauss_jordan(n, k, data):
+    # B·C with B n x k and C k x n has rank <= k, so deficient ranks are common.
+    b = [[data.draw(rationals) for _ in range(k)] for _ in range(n)]
+    c = [[data.draw(rationals) for _ in range(n)] for _ in range(k)]
+    op = RationalOperator([[sum(b[i][l] * c[l][j] for l in range(k)) for j in range(n)]
+                           for i in range(n)])
+    assert op.rank() == fraction_gauss_jordan_rank(op)
+
+
+def unimodular_pair(data, n):
+    """A product of integer shears and its exact inverse."""
+    g = ginv = RationalOperator.identity(n)
+    for _ in range(data.draw(st.integers(0, 6)) if n > 1 else 0):
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        c = data.draw(st.integers(-2, 2))
+        shear = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(n)]
+                 for r in range(n)]
+        inverse = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(n)]
+                   for r in range(n)]
+        g, ginv = g * RationalOperator(shear), RationalOperator(inverse) * ginv
+    return g, ginv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_is_unipotent_matches_char_poly(n, data):
+    # Jordan blocks with one eigenvalue, optionally perturbed in one entry,
+    # then conjugated: unipotent and non-unipotent operators both occur.
+    eigenvalue = data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                            Fraction(1, 2)]))
+    rows = [[eigenvalue if r == s else Fraction(0) for s in range(n)] for r in range(n)]
+    for r in range(n - 1):
+        rows[r][r + 1] = Fraction(data.draw(st.integers(0, 1)))
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] += data.draw(rationals)
+    g, ginv = unimodular_pair(data, n)
+    op = g * RationalOperator(rows) * ginv
+    x_minus_1_to_n = tuple(Fraction((-1) ** k * comb(n, k)) for k in range(n + 1))
+    assert op.is_unipotent() == (op.char_poly() == x_minus_1_to_n)

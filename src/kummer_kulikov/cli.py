@@ -260,6 +260,8 @@ def cmd_monodromy(args) -> int:
         n_op = monodromy.standard_N(args.toric_rank)
     else:
         n_op = monodromy.operator_from_json(_load_json(args.matrix))
+        if n_op.dim != 4:
+            raise SchemaError(f"monodromy operator must be 4x4, got dim {n_op.dim}")
     rank = monodromy.toric_rank_from_N(n_op)
     idx = monodromy.nilpotency_index(monodromy.kummer_monodromy(n_op))
     ktype = monodromy.type_from_index(idx)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, lcm
+from itertools import chain, combinations
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import KulikovType
@@ -40,57 +41,81 @@ _WEDGE_POS = {p: i for i, p in enumerate(WEDGE_BASIS)}
 
 
 class RationalOperator:
-    """Immutable square matrix of exact rationals acting on column vectors."""
+    """Immutable square matrix of exact rationals acting on column vectors.
 
-    __slots__ = ("dim", "entries")
+    Stored as integer numerators ``num`` over one denominator ``den > 0`` with
+    gcd(den, every numerator) = 1.  That form is unique, so equality and hashing
+    compare (num, den), and arithmetic is integer arithmetic plus one gcd."""
+
+    __slots__ = ("dim", "num", "den")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+                for row in entries]
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("operator matrix must be square")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "entries", rows)
+        den = lcm(*(x.denominator for r in rows for x in r))
+        self._store([[x.numerator * (den // x.denominator) for x in r] for r in rows], den)
+
+    @staticmethod
+    def _reduced(num, den: int) -> "RationalOperator":
+        """The operator num/den (integers, den > 0) in lowest terms."""
+        op = object.__new__(RationalOperator)
+        op._store(num, den)
+        return op
+
+    def _store(self, num, den: int) -> None:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num, den = [[x // g for x in r] for r in num], den // g
+        object.__setattr__(self, "dim", len(num))
+        object.__setattr__(self, "num", tuple(map(tuple, num)))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalOperator is immutable")
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
+
     @staticmethod
     def identity(n: int) -> "RationalOperator":
-        return RationalOperator([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RationalOperator._reduced([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def zero(n: int) -> "RationalOperator":
-        return RationalOperator([[0] * n for _ in range(n)])
+        return RationalOperator._reduced([[0] * n for _ in range(n)], 1)
 
     def __add__(self, other: "RationalOperator") -> "RationalOperator":
-        return RationalOperator([[a + b for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(self.entries, other.entries)])
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return RationalOperator._reduced([[a * x + b * y for x, y in zip(r1, r2)]
+                                          for r1, r2 in zip(self.num, other.num)], den)
 
     def __sub__(self, other: "RationalOperator") -> "RationalOperator":
-        return RationalOperator([[a - b for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self) -> "RationalOperator":
-        return RationalOperator([[-a for a in r] for r in self.entries])
+        return RationalOperator._reduced([[-x for x in r] for r in self.num], self.den)
 
     def scale(self, c) -> "RationalOperator":
         c = Fraction(c)
-        return RationalOperator([[c * a for a in r] for r in self.entries])
+        return RationalOperator._reduced([[c.numerator * x for x in r] for r in self.num],
+                                         c.denominator * self.den)
 
     def __mul__(self, other: "RationalOperator") -> "RationalOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        cols = list(zip(*other.entries))
-        return RationalOperator([[sum(r[k] * c[k] for k in range(n)) for c in cols]
-                                 for r in self.entries])
+        cols = tuple(zip(*other.num))
+        return RationalOperator._reduced([[sum(map(mul, r, c)) for c in cols]
+                                          for r in self.num], self.den * other.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(map(any, self.num))
 
     def trace(self) -> Fraction:
-        return sum(self.entries[i][i] for i in range(self.dim))
+        return Fraction(sum(self.num[i][i] for i in range(self.dim)), self.den)
 
     def char_poly(self) -> tuple[Fraction, ...]:
         """Coefficients (1, c1, ..., cn) of x^n + c1 x^(n-1) + ... + cn,
@@ -112,20 +137,15 @@ class RationalOperator:
         return _is_nilpotent(self - RationalOperator.identity(self.dim))
 
     def rank(self) -> int:
-        """Rank over Q; scaling each row by the lcm of its denominators makes
-        it integral without changing the rank."""
-        rows = []
-        for row in self.entries:
-            den = lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (den // x.denominator) for x in row])
-        return IntMatrix(rows, shape=(self.dim, self.dim)).rank()
+        """Rank over Q: that of the numerators, since den is a nonzero scalar."""
+        return IntMatrix(self.num, shape=(self.dim, self.dim)).rank()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalOperator) and self.dim == other.dim
-                and self.entries == other.entries)
+        same_type = isinstance(other, RationalOperator)
+        return same_type and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RationalOperator({[list(map(str, r)) for r in self.entries]!r})"
@@ -190,19 +210,18 @@ def wedge_square(f: RationalOperator) -> RationalOperator:
     """Matrix of ∧²f on the lexicographic basis; entries are 2x2 minors."""
     if f.dim != 4:
         raise ValueError("wedge_square expects a 4x4 operator")
-    e = f.entries
-    rows = []
-    for (k, l) in WEDGE_BASIS:
-        rows.append([e[k][i] * e[l][j] - e[k][j] * e[l][i] for (i, j) in WEDGE_BASIS])
-    return RationalOperator(rows)
+    e = f.num
+    rows = [[e[k][i] * e[l][j] - e[k][j] * e[l][i] for (i, j) in WEDGE_BASIS]
+            for (k, l) in WEDGE_BASIS]
+    return RationalOperator._reduced(rows, f.den ** 2)
 
 
 def wedge_derivation(n_op: RationalOperator) -> RationalOperator:
     """N∧Id + Id∧N on the lexicographic wedge basis."""
     if n_op.dim != 4:
         raise ValueError("wedge_derivation expects a 4x4 operator")
-    e = n_op.entries
-    cols: list[list[Fraction]] = [[Fraction(0)] * 6 for _ in range(6)]
+    e = n_op.num
+    cols = [[0] * 6 for _ in range(6)]
     for ci, (i, j) in enumerate(WEDGE_BASIS):
         # image of e_i ^ e_j: sum_k e[k][i] e_k ^ e_j + sum_l e[l][j] e_i ^ e_l
         for k in range(4):
@@ -213,7 +232,7 @@ def wedge_derivation(n_op: RationalOperator) -> RationalOperator:
             if e[l][j] != 0 and l != i:
                 (a, b), sign = ((i, l), 1) if i < l else ((l, i), -1)
                 cols[ci][_WEDGE_POS[(a, b)]] += sign * e[l][j]
-    return RationalOperator([[cols[c][r] for c in range(6)] for r in range(6)])
+    return RationalOperator._reduced(list(zip(*cols)), n_op.den)
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,17 @@ def test_monodromy_command(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("dim", [0, 2, 5])
+def test_monodromy_matrix_must_be_4x4(tmp_path, capsys, dim):
+    # A nilpotent shift of another size is well-formed JSON but not an N on H^1.
+    shift = [[int(j == i + 1) for j in range(dim)] for i in range(dim)]
+    p = write(tmp_path, "n.json", {"dim": dim, "entries": shift})
+    code, report = run(capsys, "monodromy", "--matrix", p)
+    assert code == 2
+    assert report["kind"] == "SchemaError"
+    assert "4x4" in report["error"]
+
+
 def test_report_with_base_change_table(capsys, d4_path):
     code, report = run(capsys, "report", d4_path, "--base-change-max", "4")
     assert code == 0

@@ -1,8 +1,8 @@
 """Golden CLI corpus: stdout and exit code of fixed commands, byte for byte.
 
 The expected files under ``tests/data/golden/out`` pin the reports of
-``classify``, ``report``, ``fan build``, ``fan check`` and ``complex`` on a
-fixed set of data and fan documents, so that code can be removed or made
+``classify``, ``report``, ``fan build``, ``fan check``, ``complex`` and
+``monodromy`` on a fixed set of data, fan and matrix documents, so that code can be removed or made
 faster while the output stays the same.  Each file holds ``exit N`` on its
 first line, followed by the command's stdout.
 
@@ -26,6 +26,7 @@ OUT = GOLDEN / "out"
 
 DATA = sorted(p.stem for p in INPUTS.glob("d_*.json"))
 FANS = sorted(p.stem for p in INPUTS.glob("f_*.json"))
+MATRICES = sorted(p.stem for p in INPUTS.glob("m_*.json"))
 
 
 def _cases() -> dict[str, list[str]]:
@@ -49,6 +50,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"fan_check__{f}__window_30"] = ["fan", "check", f, "--window", "30"]
         cases[f"complex_dual__{f}"] = ["complex", "dual", f]
         cases[f"complex_quotient__{f}"] = ["complex", "quotient", f]
+    for t in ("0", "1", "2"):
+        cases[f"monodromy__toric_rank_{t}"] = ["monodromy", "--toric-rank", t]
+    for m in MATRICES:
+        cases[f"monodromy__{m}"] = ["monodromy", "--matrix", m]
     return cases
 
 
@@ -57,7 +62,7 @@ CASES = _cases()
 
 def run_case(argv: list[str]) -> str:
     """Run one command in-process; return ``exit N`` and its stdout."""
-    argv = [str(INPUTS / f"{a}.json") if a in DATA or a in FANS else a for a in argv]
+    argv = [str(INPUTS / f"{a}.json") if a in (*DATA, *FANS, *MATRICES) else a for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main([*argv, "--quiet"])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -329,3 +329,141 @@ def test_is_unipotent_matches_char_poly(n, data):
     op = g * RationalOperator(rows) * ginv
     x_minus_1_to_n = tuple(Fraction((-1) ** k * comb(n, k)) for k in range(n + 1))
     assert op.is_unipotent() == (op.char_poly() == x_minus_1_to_n)
+
+
+# -- the integer representation against the former Fraction-per-entry one ----------
+
+class FractionOperator:
+    """The former representation, one Fraction per entry, kept as a reference."""
+
+    def __init__(self, entries):
+        self.entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        self.dim = len(self.entries)
+
+    def __add__(self, other):
+        return FractionOperator([[a + b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return FractionOperator([[a - b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return FractionOperator([[-a for a in r] for r in self.entries])
+
+    def scale(self, c):
+        return FractionOperator([[Fraction(c) * a for a in r] for r in self.entries])
+
+    def __mul__(self, other):
+        cols = list(zip(*other.entries))
+        return FractionOperator([[sum((x * y for x, y in zip(r, c)), Fraction(0))
+                                  for c in cols] for r in self.entries])
+
+    def is_zero(self):
+        return all(x == 0 for r in self.entries for x in r)
+
+    def trace(self):
+        return sum((self.entries[i][i] for i in range(self.dim)), Fraction(0))
+
+    def char_poly(self):
+        n = self.dim
+        identity = FractionOperator([[int(i == j) for j in range(n)] for i in range(n)])
+        coeffs = [Fraction(1)]
+        m = FractionOperator([[0] * n for _ in range(n)])
+        for k in range(1, n + 1):
+            m = self * (m + identity.scale(coeffs[-1]))
+            coeffs.append(-m.trace() / k)
+        return tuple(coeffs)
+
+    def is_unipotent(self):
+        n = self.dim
+        s = self - FractionOperator([[int(i == j) for j in range(n)] for i in range(n)])
+        power = s
+        for _ in range(n - 1):
+            power = power * s
+        return power.is_zero()
+
+    def wedge_square(self):
+        e = self.entries
+        return FractionOperator([[e[k][i] * e[l][j] - e[k][j] * e[l][i]
+                                  for (i, j) in WEDGE_BASIS] for (k, l) in WEDGE_BASIS])
+
+    def wedge_derivation(self):
+        # Column (i, j) is the image of e_i ^ e_j, a bilinear expansion in the basis.
+        e = self.entries
+        cols = [[Fraction(0)] * 6 for _ in range(6)]
+        for ci, (i, j) in enumerate(WEDGE_BASIS):
+            for k in range(4):
+                if k != j:
+                    pos, sign = (WEDGE_BASIS.index((k, j)), 1) if k < j \
+                        else (WEDGE_BASIS.index((j, k)), -1)
+                    cols[ci][pos] += sign * e[k][i]
+            for l in range(4):
+                if l != i:
+                    pos, sign = (WEDGE_BASIS.index((i, l)), 1) if i < l \
+                        else (WEDGE_BASIS.index((l, i)), -1)
+                    cols[ci][pos] += sign * e[l][j]
+        return FractionOperator([[cols[c][r] for c in range(6)] for r in range(6)])
+
+
+small_rationals = st.one_of(st.just(Fraction(0)),
+                            st.fractions(min_value=-6, max_value=6, max_denominator=12))
+nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+
+
+@st.composite
+def rational_rows(draw, n):
+    """An n x n matrix of rationals with some zero rows, each entry given to the
+    constructor as an int (when integral), a Fraction or a "p/q" string."""
+    rows = [[draw(small_rationals) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            rows[i] = [Fraction(0)] * n
+    as_input = draw(st.sampled_from([Fraction, str, lambda x: int(x) if x.denominator == 1
+                                     else x]))
+    return [[as_input(x) for x in r] for r in rows]
+
+
+def assert_canonical(op):
+    assert op.den > 0
+    assert all(type(x) is int for r in op.num for x in r)
+    assert gcd(op.den, *(x for r in op.num for x in r)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_operator_matches_fraction_per_entry_reference(n, data):
+    a_rows, b_rows = data.draw(rational_rows(n)), data.draw(rational_rows(n))
+    a, b = RationalOperator(a_rows), RationalOperator(b_rows)
+    ra, rb = FractionOperator(a_rows), FractionOperator(b_rows)
+    c = data.draw(nonzero_rationals)
+    assert a.entries == ra.entries
+    assert_canonical(a)
+    for new, ref in [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+                     (a.scale(c), ra.scale(c)), (a.scale(0), ra.scale(0))]:
+        assert new.entries == ref.entries
+        assert new.is_zero() == ref.is_zero()
+        assert_canonical(new)
+    assert a.trace() == ra.trace()
+    assert a.rank() == fraction_gauss_jordan_rank(ra)
+    assert a.char_poly() == ra.char_poly()
+    assert a.is_unipotent() == ra.is_unipotent()
+    # The identity plus the strictly upper part of A is unipotent.
+    upper = [[Fraction(int(i == j)) if i >= j else x for j, x in enumerate(r)]
+             for i, r in enumerate(ra.entries)]
+    assert RationalOperator(upper).is_unipotent() and FractionOperator(upper).is_unipotent()
+    # Equal operators have one form: scaling there and back gives A, hash and all.
+    back = a.scale(c).scale(1 / c)
+    assert back == a and hash(back) == hash(a)
+    assert (back.num, back.den) == (a.num, a.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wedges_match_fraction_per_entry_reference(data):
+    rows = data.draw(rational_rows(4))
+    f, ref = RationalOperator(rows), FractionOperator(rows)
+    for new, old in [(wedge_square(f), ref.wedge_square()),
+                     (wedge_derivation(f), ref.wedge_derivation())]:
+        assert new.entries == old.entries
+        assert_canonical(new)

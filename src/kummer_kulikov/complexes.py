@@ -102,7 +102,7 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
             labels[name] = "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
     for k in range(1, t.rank + 1):
         for name, s in zip(cells[k], t.by_dim(k)):
-            faces[name] = tuple(ids[t.canonical_simplex(f)] for f in s.faces())
+            faces[name] = tuple(ids[cf] for cf, _ in t.face_classes[s])
     perms: dict[int, tuple[int, ...]] = {}
     for k in range(t.rank + 1):
         reps = t.by_dim(k)
@@ -159,6 +159,19 @@ def _vertex_degrees(complex_: DeltaComplex) -> dict[str, int]:
     return deg
 
 
+def _reaches_all(adj: dict) -> bool:
+    """Every node of the nonempty graph ``adj`` is reachable from the first."""
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
 def _is_connected(complex_: DeltaComplex) -> bool:
     verts = complex_.cells.get(0, ())
     if not verts:
@@ -168,14 +181,7 @@ def _is_connected(complex_: DeltaComplex) -> bool:
         a, b = complex_.faces[e]
         adj[a].add(b)
         adj[b].add(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+    return _reaches_all(adj)
 
 
 def is_chain(complex_: DeltaComplex) -> bool:
@@ -215,29 +221,22 @@ def _is_simplicial(complex_: DeltaComplex) -> bool:
 def _vertex_links_are_cycles(complex_: DeltaComplex) -> bool:
     # Only called on simplicial complexes; the link of each vertex must be a
     # single cycle in the graph whose nodes are the edges at the vertex and
-    # whose adjacencies come from the triangle corners.
-    for v in complex_.cells.get(0, ()):
-        nodes = [e for e in complex_.cells.get(1, ()) if v in complex_.faces[e]]
-        adj = {e: [] for e in nodes}
-        count = 0
-        for tri in complex_.cells.get(2, ()):
-            at_v = [e for e in complex_.faces[tri] if v in complex_.faces[e]]
-            if len(at_v) == 2:
-                adj[at_v[0]].append(at_v[1])
-                adj[at_v[1]].append(at_v[0])
-                count += 1
-        if not nodes or any(len(nbrs) != 2 for nbrs in adj.values()) or count != len(nodes):
-            return False
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(nodes):
-            return False
-    return True
+    # whose adjacencies come from the triangle corners.  In a simplicial
+    # complex each pair of a triangle's edges meets in one vertex.
+    faces = complex_.faces
+    links: dict[str, dict[str, list[str]]] = {v: {} for v in complex_.cells.get(0, ())}
+    for e in complex_.cells.get(1, ()):
+        for v in faces[e]:
+            links[v][e] = []
+    for tri in complex_.cells.get(2, ()):
+        a, b, c = faces[tri]
+        for e, f in ((a, b), (b, c), (a, c)):
+            v, w = faces[e]
+            link = links[v if v in faces[f] else w]
+            link[e].append(f)
+            link[f].append(e)
+    return all(adj and all(len(nbrs) == 2 for nbrs in adj.values()) and _reaches_all(adj)
+               for adj in links.values())
 
 
 def is_closed_surface(complex_: DeltaComplex) -> bool:

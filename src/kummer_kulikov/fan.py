@@ -15,7 +15,8 @@ because translation preserves the lexicographic order, so H-freeness tests
 one candidate per class.  Unimodularity and the polarization margins are
 invariant under integer shifts and are computed once per simplex shape.
 An explicit window below ``safe_window`` (property (d)) or
-``required_window`` (H-freeness) still needs ``allow_unsafe``.
+``required_window`` (H-freeness) still needs ``allow_unsafe``; with no
+window neither bound is computed, since neither can bind.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change
@@ -51,11 +53,9 @@ class LatticeSimplex:
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices: Iterable[Sequence[int]], _checked: bool = False):
+    def __init__(self, vertices: Iterable[Sequence[int]]):
         verts = tuple(sorted(tuple(int(x) for x in v) for v in vertices))
         object.__setattr__(self, "vertices", verts)
-        if _checked:
-            return
         if not verts:
             raise ValueError("a simplex needs at least one vertex")
         if len(set(verts)) != len(verts):
@@ -77,22 +77,22 @@ class LatticeSimplex:
         return len(self.vertices) - 1
 
     def translate(self, shift: Sequence[int]) -> "LatticeSimplex":
-        return LatticeSimplex([tuple(a + s for a, s in zip(v, shift)) for v in self.vertices],
-                              _checked=True)
+        """S + shift; translation preserves the lexicographic order."""
+        return _simplex(tuple(tuple(map(add, v, shift)) for v in self.vertices))
 
     def negate(self) -> "LatticeSimplex":
-        return LatticeSimplex([tuple(-a for a in v) for v in self.vertices], _checked=True)
+        """−S; negation reverses the lexicographic order."""
+        return _simplex(tuple(tuple(-a for a in v) for v in reversed(self.vertices)))
 
     def faces(self) -> list["LatticeSimplex"]:
         """Codimension-1 faces, in vertex-deletion order."""
         if self.dim == 0:
             return []
-        return [LatticeSimplex(self.vertices[:i] + self.vertices[i + 1:], _checked=True)
-                for i in range(len(self.vertices))]
+        vs = self.vertices
+        return [_simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
 
     def diameter_inf(self) -> int:
-        vs = self.vertices
-        return max((abs(a - b) for v in vs for w in vs for a, b in zip(v, w)), default=0)
+        return max((max(c) - min(c) for c in zip(*self.vertices)), default=0)
 
     def max_coord(self) -> int:
         return max((abs(x) for v in self.vertices for x in v), default=0)
@@ -107,18 +107,29 @@ class LatticeSimplex:
         return f"LatticeSimplex({list(self.vertices)!r})"
 
 
+def _simplex(vertices: tuple[Vector, ...]) -> LatticeSimplex:
+    """A simplex from vertices already sorted, distinct and independent."""
+    s = object.__new__(LatticeSimplex)
+    object.__setattr__(s, "vertices", vertices)
+    return s
+
+
+def _apply(rows: tuple[Vector, ...], x: Sequence[int]) -> Vector:
+    return tuple(sum(map(mul, row, x)) for row in rows)
+
+
 class _CosetMap:
     """Canonical representatives of Z^t modulo the row span of a lattice matrix.
 
     lattice=None means the full lattice Z^t (every point is equivalent to 0).
+    The Smith form U·L^T·V = D gives x ↦ U^{-1}·(U·x mod D); ``u`` and
+    ``uinv`` hold the rows of U and U^{-1}.
     """
 
     def __init__(self, rank: int, lattice: IntMatrix | None):
-        self.rank = rank
         if lattice is None:
             self.diag = (1,) * rank
-            self.u = IntMatrix.identity(rank)
-            self.uinv = IntMatrix.identity(rank)
+            self.u = self.uinv = IntMatrix.identity(rank).entries
             self.index = 1
             return
         if lattice.rows != rank or lattice.cols != rank:
@@ -127,17 +138,16 @@ class _CosetMap:
             raise SingularPairing("translation lattice is degenerate (det = 0)")
         d, u, _ = smith_normal_form(lattice.transpose())
         self.diag = d.diagonal_entries()
-        self.u = u
-        self.uinv = unimodular_inverse(u)
+        self.u = u.entries
+        self.uinv = unimodular_inverse(u).entries
         self.index = math.prod(self.diag)
 
     def canonical_point(self, x: Vector) -> Vector:
-        z = self.u.matvec(x)
-        r = tuple(zi % di for zi, di in zip(z, self.diag))
-        return self.uinv.matvec(r)
+        r = [sum(map(mul, row, x)) % d for row, d in zip(self.u, self.diag)]
+        return _apply(self.uinv, r)
 
     def coset_representatives(self) -> list[Vector]:
-        return [self.uinv.matvec(r) for r in product(*(range(d) for d in self.diag))]
+        return [_apply(self.uinv, r) for r in product(*(range(d) for d in self.diag))]
 
 
 class PeriodicTriangulation:
@@ -148,6 +158,10 @@ class PeriodicTriangulation:
     0..t are stored, closed under faces.  ``lattice=None`` denotes the
     unit-cell form (periodicity lattice Z^t itself), which is how the
     standard triangulations are built before a pairing is attached.
+
+    ``face_classes[S]`` lists, in the vertex-deletion order of ``S.faces()``,
+    the pair (canonical class of the face f, shift with f + shift equal to
+    that class); the closure loop computes each pair once and keeps it.
     """
 
     def __init__(self, rank: int, simplices: Iterable[LatticeSimplex],
@@ -155,20 +169,25 @@ class PeriodicTriangulation:
         self.rank = rank
         self.lattice = lattice
         self._cosets = _CosetMap(rank, lattice)
-        canon = {self.canonical_simplex(s) for s in simplices}
-        queue = list(canon)
+        face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]] = {}
+        queue = list({self.canonical_simplex(s) for s in simplices})
+        seen = set(queue)
         while queue:
             s = queue.pop()
+            pairs = []
             for f in s.faces():
-                cf = self.canonical_simplex(f)
-                if cf not in canon:
-                    canon.add(cf)
+                shift = self.canonical_shift(f)
+                cf = f.translate(shift)
+                pairs.append((cf, shift))
+                if cf not in seen:
+                    seen.add(cf)
                     queue.append(cf)
+            face_classes[s] = tuple(pairs)
+        self.face_classes = face_classes
         self.simplices: tuple[LatticeSimplex, ...] = tuple(
-            sorted(canon, key=lambda s: (s.dim, s.vertices)))
+            sorted(face_classes, key=lambda s: (s.dim, s.vertices)))
         self._by_dim: dict[int, tuple[LatticeSimplex, ...]] = {
             k: tuple(s for s in self.simplices if s.dim == k) for k in range(rank + 1)}
-        self._index = frozenset(self.simplices)
         self.certificates: dict[str, bool] = {}
         # Filled by certify(): the property-(d) and H-freeness violation lists.
         self.violations: dict[str, list[tuple[Vector, LatticeSimplex]]] = {}
@@ -185,7 +204,7 @@ class PeriodicTriangulation:
         return s.translate(self.canonical_shift(s))
 
     def contains_class(self, s: LatticeSimplex) -> bool:
-        return self.canonical_simplex(s) in self._index
+        return self.canonical_simplex(s) in self.face_classes
 
     def by_dim(self, k: int) -> tuple[LatticeSimplex, ...]:
         return self._by_dim.get(k, ())
@@ -286,13 +305,9 @@ def required_window(t: PeriodicTriangulation) -> int:
     return max(safe_window(t), 2 * t.max_vertex_coord() + 1)
 
 
-def _resolve_window(t: PeriodicTriangulation, window: int | None, bound: int,
-                    allow_unsafe: bool) -> int:
-    if window is None:
-        return bound
+def _refuse_small_window(window: int, bound: int, allow_unsafe: bool) -> None:
     if window < bound and not allow_unsafe:
         raise WindowTooSmall(f"window {window} is below the safe bound {bound}")
-    return window
 
 
 def _lattice_translates(t: PeriodicTriangulation, window: int) -> list[Vector]:
@@ -407,9 +422,11 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
     """
     if t.lattice is None:
         raise ValueError("property (d) needs a translation lattice attached")
-    w = _resolve_window(t, window, safe_window(t), allow_unsafe)
-    translates = [(lam, max(abs(x) for x in lam))
-                  for lam in _lattice_translates(t, min(w, t.max_diameter()))]
+    limit = t.max_diameter()
+    if window is not None:
+        _refuse_small_window(window, safe_window(t), allow_unsafe)
+        limit = min(window, limit)
+    translates = [(lam, max(abs(x) for x in lam)) for lam in _lattice_translates(t, limit)]
     out = []
     for s in t.simplices:
         reach = s.diameter_inf()
@@ -431,18 +448,21 @@ def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
     Translation preserves the lexicographic order, so −S = S + λ forces
     λ = lexmin(−S) − lexmin(S): each class has one candidate, kept when it
     is nonzero, within the window and in the translation lattice.  The
-    candidate equals −2·centroid(S), so the default window holds it.
+    candidate equals −2·centroid(S), so with no window every candidate is
+    tested.
     """
     if t.lattice is None:
         raise ValueError("H-freeness needs a translation lattice attached")
-    w = _resolve_window(t, window, required_window(t), allow_unsafe)
+    if window is not None:
+        _refuse_small_window(window, required_window(t), allow_unsafe)
     out = []
     for s in t.simplices:
         if s.dim < 1:
             continue
         neg = s.negate()
         lam = tuple(a - b for a, b in zip(neg.vertices[0], s.vertices[0]))
-        if (any(lam) and max(abs(x) for x in lam) <= w and s.translate(lam) == neg
+        if (any(lam) and (window is None or max(abs(x) for x in lam) <= window)
+                and s.translate(lam) == neg
                 and not any(t.canonical_point(lam))):
             out.append((_lattice_coefficients(t, lam), s))
     return out
@@ -545,11 +565,9 @@ def _wall_neighbors(t: PeriodicTriangulation):
     simplex on the other side.  Yields (top, facet, neighbor) or
     (top, facet, None) when the wall is not interior."""
     walls = []
-    incidence: dict[tuple, list[tuple[LatticeSimplex, Vector]]] = {}
+    incidence: dict[LatticeSimplex, list[tuple[LatticeSimplex, Vector]]] = {}
     for s in t.by_dim(t.rank):
-        for f in s.faces():
-            shift = t.canonical_shift(f)
-            key = f.translate(shift).vertices
+        for f, (key, shift) in zip(s.faces(), t.face_classes[s]):
             walls.append((s, f, shift, key))
             incidence.setdefault(key, []).append((s, shift))
     for s, f, shift, key in walls:

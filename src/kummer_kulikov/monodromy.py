@@ -88,6 +88,8 @@ class RationalOperator:
         return RationalOperator._reduced([[0] * n for _ in range(n)], 1)
 
     def __add__(self, other: "RationalOperator") -> "RationalOperator":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         return RationalOperator._reduced([[a * x + b * y for x, y in zip(r1, r2)]

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kummer_kulikov.complexes as complexes_module
 
 from conftest import make_data
 from kummer_kulikov.complexes import (
     BaseChangeCounts,
     ComponentCounts,
+    DeltaComplex,
     KulikovType,
     base_change_counts,
     classify_kummer_type,
@@ -214,3 +219,82 @@ def test_quotient_of_b2I2_is_tetrahedron():
     edge_sets = {frozenset(e) for e in doc["edges"]}
     assert len(edge_sets) == 6
     assert all(len(e) == 2 for e in edge_sets)
+
+
+# -- the vertex-link predicate ----------------------------------------------------
+
+def quadratic_vertex_links_are_cycles(complex_):
+    """The former per-vertex scan over every edge and triangle, as an oracle."""
+    for v in complex_.cells.get(0, ()):
+        nodes = [e for e in complex_.cells.get(1, ()) if v in complex_.faces[e]]
+        adj = {e: [] for e in nodes}
+        count = 0
+        for tri in complex_.cells.get(2, ()):
+            at_v = [e for e in complex_.faces[tri] if v in complex_.faces[e]]
+            if len(at_v) == 2:
+                adj[at_v[0]].append(at_v[1])
+                adj[at_v[1]].append(at_v[0])
+                count += 1
+        if not nodes or any(len(nbrs) != 2 for nbrs in adj.values()) or count != len(nodes):
+            return False
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(nodes):
+            return False
+    return True
+
+
+def wedge(c1, c2):
+    """Disjoint union of two Δ-complexes with their first vertices identified."""
+    glue = c1.cells[0][0]
+
+    def rename(c, tag):
+        name = {x: f"{tag}{x}" for xs in c.cells.values() for x in xs}
+        name[c.cells[0][0]] = glue
+        return name
+
+    n1, n2 = rename(c1, "a"), rename(c2, "b")
+    cells = {k: tuple(dict.fromkeys([n1[x] for x in c1.cells.get(k, ())]
+                                    + [n2[x] for x in c2.cells.get(k, ())]))
+             for k in range(3)}
+    faces = {n[x]: tuple(n[f] for f in fs)
+             for c, n in ((c1, n1), (c2, n2)) for x, fs in c.faces.items()}
+    return DeltaComplex(cells, faces, {y: y for ys in cells.values() for y in ys})
+
+
+def test_tetrahedra_glued_at_a_vertex_are_not_a_surface():
+    # Simplicial, connected, every edge in two triangles; the link of the
+    # glued vertex is two disjoint 3-cycles.
+    _, _, tetra = build(make_data(2, [[2, 0], [0, 2]]))
+    assert is_closed_surface(tetra)
+    glued = wedge(tetra, tetra)
+    assert [glued.num(k) for k in range(3)] == [7, 12, 8]
+    assert complexes_module._is_simplicial(glued)
+    assert not complexes_module._vertex_links_are_cycles(glued)
+    assert not quadratic_vertex_links_are_cycles(glued)
+    assert not is_closed_surface(glued)
+
+
+even_rank2 = st.tuples(*[st.integers(-3, 3)] * 4).filter(
+    lambda r: r[0] * r[3] != r[1] * r[2] and abs(r[0] * r[3] - r[1] * r[2]) <= 3).map(
+    lambda r: [[2 * (r[0] * r[0] + r[2] * r[2]), 2 * (r[0] * r[1] + r[2] * r[3])],
+               [2 * (r[0] * r[1] + r[2] * r[3]), 2 * (r[1] * r[1] + r[3] * r[3])]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(even_rank2, even_rank2)
+def test_vertex_links_match_quadratic_scan(b1, b2):
+    delta_a, _, delta_x = build(make_data(2, b1))
+    _, _, other_x = build(make_data(2, b2))
+    for c in (delta_a, delta_x, wedge(delta_x, other_x)):
+        if complexes_module._is_simplicial(c):
+            assert (complexes_module._vertex_links_are_cycles(c)
+                    == quadratic_vertex_links_are_cycles(c))
+    glued = wedge(delta_x, other_x)
+    if complexes_module._is_simplicial(glued):
+        assert not is_closed_surface(glued)

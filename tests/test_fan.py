@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from kummer_kulikov.fan import (
     standard_triangulation,
     vertices_complete,
 )
-from kummer_kulikov.lattice import IntMatrix
+from kummer_kulikov.lattice import IntMatrix, smith_normal_form, unimodular_inverse
 
 
 def test_simplex_validation():
@@ -402,3 +404,70 @@ def test_standard_fan_certified_at_nu_2(rows):
     doubled = [[2 * x for x in r] for r in rows]
     certs = certify(developed("standard", doubled))
     assert all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free"))
+
+
+# -- oracles for the sort-free simplices and the carried face map -----------------
+
+JSON_FANS = sorted((Path(__file__).parent / "data" / "golden" / "inputs").glob("f_*.json"))
+
+
+def read_fan(path):
+    return fan_from_json(json.loads(path.read_text()))
+
+
+oracle_fans = st.one_of(fans.map(lambda fan: developed(*fan)),
+                        st.sampled_from(JSON_FANS).map(read_fan))
+
+
+def matrix_canonical_point(lattice, x):
+    """The coset representative by the matrix route: U^{-1}·(U·x mod D)."""
+    d, u, _ = smith_normal_form(lattice.transpose())
+    z = u.matvec(x)
+    return unimodular_inverse(u).matvec(
+        tuple(zi % di for zi, di in zip(z, d.diagonal_entries())))
+
+
+def pairwise_diameter(s):
+    vs = s.vertices
+    return max((abs(a - b) for v in vs for w in vs for a, b in zip(v, w)), default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_fans)
+def test_carried_face_classes_match_recomputation(t):
+    assert set(t.face_classes) == set(t.simplices)
+    for s in t.simplices:
+        pairs = t.face_classes[s]
+        assert pairs == tuple((t.canonical_simplex(f), t.canonical_shift(f))
+                              for f in s.faces())
+        for f, (cf, shift) in zip(s.faces(), pairs):
+            assert f.translate(shift) == cf and cf in t.face_classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_fans, st.lists(st.integers(-40, 40), min_size=2, max_size=2))
+def test_sort_free_simplices_match_sorting_constructor(t, shift):
+    lam = tuple(shift[:t.rank])
+    for s in t.simplices:
+        moved = s.translate(lam)
+        assert moved.vertices == LatticeSimplex(
+            [tuple(a + b for a, b in zip(v, lam)) for v in s.vertices]).vertices
+        assert s.negate().vertices == LatticeSimplex(
+            [tuple(-a for a in v) for v in s.vertices]).vertices
+        vs = moved.vertices
+        expected_faces = [LatticeSimplex(vs[:i] + vs[i + 1:]).vertices
+                          for i in range(len(vs))] if moved.dim else []
+        assert [f.vertices for f in moved.faces()] == expected_faces
+        assert s.diameter_inf() == pairwise_diameter(s)
+        assert moved.negate().diameter_inf() == pairwise_diameter(moved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_fans, st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+                             min_size=1, max_size=8))
+def test_canonical_point_matches_matrix_route(t, points):
+    for p in points:
+        x = p[:t.rank]
+        assert t.canonical_point(x) == matrix_canonical_point(t.lattice, x)
+    for x in {s.vertices[0] for s in t.simplices}:
+        assert t.canonical_point(x) == matrix_canonical_point(t.lattice, x)

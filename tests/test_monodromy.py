@@ -242,6 +242,15 @@ def test_two_torsion_unipotence_equivalence():
         assert p.matrix().is_unipotent() == (tuple(perm) == tuple(range(16)))
 
 
+def test_sum_and_difference_refuse_dimension_mismatch():
+    i3, i4 = RationalOperator.identity(3), RationalOperator.identity(4)
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        for a, b in ((i3, i4), (i4, i3)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(a, b)
+    assert i3 + i3 == i3.scale(2)
+
+
 def test_operator_json_round_trip():
     m = RationalOperator([[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0],
                           [0, 0, Fraction(-3, 7), 0], [0, 0, 0, 2]])

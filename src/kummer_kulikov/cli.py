@@ -8,6 +8,7 @@ human-readable summary goes to stderr unless --quiet is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,8 +85,8 @@ def _axioms_payload(report: degeneration.ValidationReport) -> list[dict]:
 def _classify_payload(d, window=None, unsafe=False) -> tuple[dict, list[str]]:
     nu, tri = fan.auto_scale(d)
     _window_or_usage_error(tri, window, unsafe)
-    # auto_scale certified tri at the default window, where the scans are
-    # exhaustive; any other window scans a subset and finds no violation either.
+    # auto_scale decided tri's certificates exactly, on the unit cell.  A window
+    # would only narrow the scans, so past the safe-bound rule it changes nothing.
     certs = tri.certificates
     delta_a, act = complexes.dual_complex(tri)
     delta_x = complexes.h_quotient(delta_a, act)
@@ -290,7 +291,10 @@ def cmd_report(args) -> int:
     return 0 if all(report["consistency"].values()) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true",
                         help="suppress the stderr summary")

@@ -83,7 +83,9 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
     """Δ_A together with the inversion action.
 
     k-cells are the k-simplex classes of the triangulation; the i-th face of
-    a cell is the class of the simplex with its i-th vertex deleted.
+    a cell is the class of the simplex with its i-th vertex deleted.  Raises
+    UncertifiedFan when some −S is not a class, since the inversion then has
+    no action on the cells.
     """
     needed = ("semistable", "unimodular", "property_d")
     if not all(t.certificates.get(k) for k in needed):
@@ -107,7 +109,13 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
     for k in range(t.rank + 1):
         reps = t.by_dim(k)
         pos = {s: i for i, s in enumerate(reps)}
-        perms[k] = tuple(pos[t.canonical_simplex(s.negate())] for s in reps)
+        images = [pos.get(t.canonical_simplex(s.negate())) for s in reps]
+        if None in images:
+            missing = reps[images.index(None)]
+            raise UncertifiedFan(
+                f"dual complex needs a fan stable under inversion; -S is not a class "
+                f"for S = {[list(v) for v in missing.vertices]}")
+        perms[k] = tuple(images)
     return DeltaComplex(cells, faces, labels), InvolutionAction(perms)
 
 

@@ -17,6 +17,40 @@ invariant under integer shifts and are computed once per simplex shape.
 An explicit window below ``safe_window`` (property (d)) or
 ``required_window`` (H-freeness) still needs ``allow_unsafe``; with no
 window neither bound is computed, since neither can bind.
+
+``certify`` runs the checks on any developed fan; it serves ``fan check``
+and the ``complex`` commands, which read documents.  ``certify_unit_cell``
+decides the same six flags for ``unit.with_lattice(Λ)`` on the unit cell
+alone, so ``auto_scale`` develops only the base change it accepts.  Every
+developed class is s + g for a unit class s (lexmin vertex 0) and a coset
+representative g of Z^t/Λ, and no two of them coincide, because the unit
+classes are distinct modulo Z^t ⊃ Λ.  The six flags agree:
+
+- Property (d) is invariant under translation, so the developed violations
+  are the translates of (λ, s) with λ ∈ Λ∖{0}, ‖λ‖_∞ <= diameter(s) and
+  hull(s) ∩ hull(s + λ) nonempty; λ ∈ Λ iff its canonical point is 0.
+- H-freeness: for S = s + g, λ = lexmin(−S) − lexmin(S) = μ_s − 2g with
+  μ_s = lexmin(−s) = −lexmax(s).  The edge of S from lexmin(S) to lexmax(S)
+  has the same λ, and an edge is symmetric about its midpoint, so S is a
+  fixed class only if that edge is one: it suffices to test the unit edge
+  classes e = [0, v], for which −e = e − v.  Such an e gives a violation
+  iff −v − 2g ∈ Λ∖{0} for some coset representative g.  A g with
+  −v − 2g ∈ Λ exists iff v ∈ 2·Z^t + Λ, that is iff v is congruent mod 2
+  to a sum of rows of Λ: 2^t parity tests.  λ = 0 needs v = −2g, an edge
+  whose midpoint is the origin.  The solutions g form one coset of the
+  2-torsion of Z^t/Λ, so for even v, g = −v/2 is the only one exactly when
+  no Smith invariant of Λ is even and −v/2 is its own coset representative.
+  The standard cell has no such edge, since none has a lattice midpoint.
+- Unimodularity: the developed shapes are the unit shapes.
+- Polarization: a developed wall occurrence (s + g, i) has face class
+  (f_i(s) + z) + (g − z) for the unit class f_i(s) + z of its face, so the
+  occurrences of each developed face class are the translates of those of
+  one unit face class, and the neighbour across a developed wall is the
+  translate of the unit neighbour.  The margins depend only on shapes, so
+  the unit cell gives the same margins, each |Z^t/Λ| times.
+- Semistability and vertex completeness: every vertex is ≡ 0 mod Z^t, so
+  the developed vertex classes are the coset representatives, one per
+  coset exactly when the unit cell has a vertex.
 """
 
 from __future__ import annotations
@@ -560,23 +594,42 @@ def _shape(s: LatticeSimplex) -> tuple[Vector, ...]:
     return tuple(_offset(v, s.vertices[0]) for v in s.vertices)
 
 
+def _opposite_vertices(t: PeriodicTriangulation):
+    """For each top-dimensional representative s, the vertex opposite each
+    wall in the developed simplex on its other side, in the vertex-deletion
+    order of ``s.faces()``; None where the wall is not interior.  Yields
+    (s, opposite vertices).
+
+    A wall is an occurrence (top, face index) of a face class in the carried
+    ``face_classes``.  When its class has exactly one other occurrence
+    (o, j), and z, z_o shift the two occurrences into the class, the
+    neighbour is o + z_o − z and the vertex opposite the wall is
+    o.vertices[j] + z_o − z.
+    """
+    tops = t.by_dim(t.rank)
+    incidence: dict[LatticeSimplex, list[tuple[LatticeSimplex, int, Vector]]] = {}
+    for s in tops:
+        for i, (key, z) in enumerate(t.face_classes[s]):
+            incidence.setdefault(key, []).append((s, i, z))
+    for s in tops:
+        opposite = []
+        for i, (key, z) in enumerate(t.face_classes[s]):
+            others = [(o, j, z_o) for o, j, z_o in incidence[key] if (o, j) != (s, i)]
+            if len(others) == 1:
+                o, j, z_o = others[0]
+                opposite.append(tuple(v + a - b for v, a, b in zip(o.vertices[j], z_o, z)))
+            else:
+                opposite.append(None)
+        yield s, opposite
+
+
 def _wall_neighbors(t: PeriodicTriangulation):
     """For each facet of each top-dimensional representative, the developed
     simplex on the other side.  Yields (top, facet, neighbor) or
     (top, facet, None) when the wall is not interior."""
-    walls = []
-    incidence: dict[LatticeSimplex, list[tuple[LatticeSimplex, Vector]]] = {}
-    for s in t.by_dim(t.rank):
-        for f, (key, shift) in zip(s.faces(), t.face_classes[s]):
-            walls.append((s, f, shift, key))
-            incidence.setdefault(key, []).append((s, shift))
-    for s, f, shift, key in walls:
-        neighbors = []
-        for other, other_shift in incidence[key]:
-            cand = other.translate(tuple(a - b for a, b in zip(other_shift, shift)))
-            if cand != s:
-                neighbors.append(cand)
-        yield s, f, (neighbors[0] if len(neighbors) == 1 else None)
+    for s, opposite in _opposite_vertices(t):
+        for f, w in zip(s.faces(), opposite):
+            yield s, f, (None if w is None else LatticeSimplex([*f.vertices, w]))
 
 
 def _polarization_margins(t: PeriodicTriangulation,
@@ -589,18 +642,19 @@ def _polarization_margins(t: PeriodicTriangulation,
     # shape: its vertices and w relative to the first vertex of s.
     by_shape: dict[tuple, Fraction] = {}
     margins = []
-    for s, f, neighbor in _wall_neighbors(t):
-        if neighbor is None:
+    for s, opposite in _opposite_vertices(t):
+        if None in opposite:
             return None
-        w = next(v for v in neighbor.vertices if v not in set(f.vertices))
-        key = (_shape(s), _offset(w, s.vertices[0]))
-        if key not in by_shape:
-            # Affine interpolation of Q over the vertices of s, evaluated at w.
-            coeffs = solve(IntMatrix([(1,) + v for v in s.vertices]),
-                           [form.value(v) for v in s.vertices])
-            affine_at_w = coeffs[0] + sum(c * x for c, x in zip(coeffs[1:], w))
-            by_shape[key] = form.value(w) - affine_at_w
-        margins.append(by_shape[key])
+        shape = _shape(s)
+        for w in opposite:
+            key = (shape, _offset(w, s.vertices[0]))
+            if key not in by_shape:
+                # Affine interpolation of Q over the vertices of s, evaluated at w.
+                coeffs = solve(IntMatrix([(1,) + v for v in s.vertices]),
+                               [form.value(v) for v in s.vertices])
+                affine_at_w = coeffs[0] + sum(c * x for c, x in zip(coeffs[1:], w))
+                by_shape[key] = form.value(w) - affine_at_w
+            margins.append(by_shape[key])
     return margins
 
 
@@ -631,35 +685,86 @@ def certify(t: PeriodicTriangulation, *, window: int | None = None,
             allow_unsafe: bool = False) -> dict[str, bool]:
     """Run every check and attach the certificate dict to the triangulation,
     and the property-(d) and H-freeness violation lists as ``t.violations``.
-
-    Unimodularity is tested once per simplex shape: (x, h) ↦ (x + hμ, h) is
-    unimodular, so it is invariant under integer shifts.
     """
     violations = {
         "property_d": check_property_d(t, window, allow_unsafe=allow_unsafe),
         "h_free": check_h_freeness(t, window=window, allow_unsafe=allow_unsafe),
     }
+    certs = _certificates(t, not violations["property_d"], not violations["h_free"])
+    t.certificates = dict(certs)
+    t.violations = violations
+    return certs
+
+
+def _certificates(t: PeriodicTriangulation, property_d: bool,
+                  h_free: bool) -> dict[str, bool]:
+    """The certificate dict around the two lattice-dependent flags.
+
+    t is the developed fan or its unit cell, which agree on the other four
+    flags.  Unimodularity is tested once per simplex shape: (x, h) ↦ (x + hμ, h)
+    is unimodular, so it is invariant under integer shifts.
+    """
     shapes = {_shape(s): s for s in t.simplices}
     certs = {
         "semistable": check_semistable(t),
         "unimodular": all(is_unimodular(s) for s in shapes.values()),
-        "property_d": not violations["property_d"],
-        "h_free": not violations["h_free"],
+        "property_d": property_d,
+        "h_free": h_free,
         "vertices_complete": vertices_complete(t),
     }
-    if certs["semistable"] and certs["unimodular"]:
-        certs["polarization"] = _polarization_check(t, default_polarization_form(t.rank))
-    else:
-        certs["polarization"] = False
-    t.certificates = dict(certs)
-    t.violations = violations
+    certs["polarization"] = (certs["semistable"] and certs["unimodular"]
+                             and _polarization_check(t, default_polarization_form(t.rank)))
     return certs
+
+
+def certify_unit_cell(unit: PeriodicTriangulation, lattice: IntMatrix) -> dict[str, bool]:
+    """The certificates ``certify(unit.with_lattice(lattice))`` would give,
+    decided on the classes of the unit cell without developing them.
+
+    The module docstring proves that each flag agrees.  Property (d) tests
+    the nonzero λ ∈ Λ with ‖λ‖_∞ <= diameter(s) for each unit class s, and
+    H-freeness tests the parity of each unit edge against the 2^t sums of
+    rows of Λ.
+    """
+    if unit.lattice is not None:
+        raise ValueError("expected a unit-cell triangulation")
+    rank = unit.rank
+    cosets = _CosetMap(rank, lattice)
+    property_d = not any(
+        any(lam) and not any(cosets.canonical_point(lam))
+        and hulls_intersect(s, s.translate(lam))
+        for s in unit.simplices
+        for lam in product(range(-s.diameter_inf(), s.diameter_inf() + 1), repeat=rank))
+    row_sums = {tuple(sum(row[k] for row, e in zip(lattice.entries, pick) if e) % 2
+                      for k in range(rank))
+                for pick in product((0, 1), repeat=rank)}
+    two_torsion = any(d % 2 == 0 for d in cosets.diag)
+
+    def fixed(v: Vector) -> bool:
+        """Whether the edge class [0, v] is fixed with some λ ∈ Λ∖{0}."""
+        half = tuple(-x // 2 for x in v)
+        return tuple(x % 2 for x in v) in row_sums and (
+            any(x % 2 for x in v) or two_torsion or cosets.canonical_point(half) != half)
+
+    h_free = not any(fixed(e.vertices[1]) for e in unit.by_dim(1))
+    return _certificates(unit, property_d, h_free)
 
 
 def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     """Smallest base-change index ν for which the standard triangulation with
     lattice Λ_(ν·b) passes all four fan checks; the returned triangulation is
     certified for base_change(d, ν).
+
+    Each ν is decided by ``certify_unit_cell`` on the ≤ 6 classes of the
+    standard cell, and only the accepted ν is developed.  Its certificates,
+    with empty violation lists, are attached to the returned triangulation.
+    On the standard cell the proofs of the module docstring read: property
+    (d) tests the nonzero λ ∈ Λ with ‖λ‖_∞ <= 1; H-freeness fails iff an
+    edge direction v ∈ {(1), (1,0), (0,1), (1,1)} lies in 2·Z^t + Λ, and
+    λ ≠ 0 because no edge has a lattice midpoint; the developed shapes, and
+    so unimodularity, are the unit ones; the polarization margins are the
+    unit margins, each repeated once per coset; and the cell has a vertex,
+    so it is semistable and vertex-complete over every Λ.
 
     ν <= 2.  The standard triangulation is semistable and unimodular, and
     its simplices have diameter <= 1.  At ν = 2 every nonzero λ ∈ Λ_(2b)
@@ -672,10 +777,12 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     """
     unit = standard_triangulation(d.rank)
     for nu in (1, 2):
-        scaled = base_change(d, nu)
-        tri = unit.with_lattice(scaled.b)
-        certs = certify(tri)
+        lattice = base_change(d, nu).b
+        certs = certify_unit_cell(unit, lattice)
         if all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free")):
+            tri = unit.with_lattice(lattice)
+            tri.certificates = certs
+            tri.violations = {"property_d": [], "h_free": []}
             return nu, tri
     raise ConsistencyError("the standard triangulation fails certification at ν = 2")
 

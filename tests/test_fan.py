@@ -23,6 +23,7 @@ from kummer_kulikov.fan import (
     PolarizationForm,
     auto_scale,
     certify,
+    certify_unit_cell,
     check_gamma_admissible,
     check_h_freeness,
     check_polarization,
@@ -38,7 +39,7 @@ from kummer_kulikov.fan import (
     standard_triangulation,
     vertices_complete,
 )
-from kummer_kulikov.lattice import IntMatrix, smith_normal_form, unimodular_inverse
+from kummer_kulikov.lattice import IntMatrix, smith_normal_form, solve, unimodular_inverse
 
 
 def test_simplex_validation():
@@ -283,12 +284,12 @@ def test_user_fan_closed_under_faces():
 def test_auto_scale_stops_at_nu_2(monkeypatch):
     tried = []
 
-    def failing_certify(tri, **kwargs):
-        tried.append(tri.lattice)
+    def failing_certify(unit, lattice):
+        tried.append(lattice)
         return {"semistable": True, "unimodular": True, "property_d": False,
                 "h_free": True}
 
-    monkeypatch.setattr(fan_module, "certify", failing_certify)
+    monkeypatch.setattr(fan_module, "certify_unit_cell", failing_certify)
     with pytest.raises(ConsistencyError):
         auto_scale(make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0)))
     assert tried == [IntMatrix([[1, 0], [0, 1]]), IntMatrix([[2, 0], [0, 2]])]
@@ -471,3 +472,127 @@ def test_canonical_point_matches_matrix_route(t, points):
         assert t.canonical_point(x) == matrix_canonical_point(t.lattice, x)
     for x in {s.vertices[0] for s in t.simplices}:
         assert t.canonical_point(x) == matrix_canonical_point(t.lattice, x)
+
+
+# -- the unit-cell route of auto_scale against certify on the developed fan -------
+
+# Unit cells beyond the standard one make every flag fail somewhere: the
+# anti-diagonal cut is not convex for the default form, WIDE is not
+# unimodular, LONG_1 and LONG_2 are symmetric about a lattice point (the
+# λ = 0 case of H-freeness), and an empty cell has no vertex.
+WIDE = [[(0, 0), (1, 0), (2, 3)]]
+LONG_1 = [[(0,), (2,)]]
+LONG_2 = [[(0, 0), (2, 0)], [(0, 0), (0, 1)]]
+UNIT_CELLS = {0: {"standard": None},
+              1: {"standard": None, "long": LONG_1, "empty": []},
+              2: {"standard": None, "anti": ANTI_CELL, "wide": WIDE, "long": LONG_2,
+                  "empty": []}}
+
+
+def unit_cell(rank, name):
+    cell = UNIT_CELLS[rank][name]
+    if cell is None:
+        return standard_triangulation(rank)
+    return PeriodicTriangulation(rank, [LatticeSimplex(s) for s in cell], None)
+
+
+lattices_1 = st.one_of(rank1, st.sampled_from([[[1]], [[-1]], [[2]], [[-3]], [[4]], [[5]]]))
+lattices_2 = st.one_of(
+    rank2,
+    st.integers(1, 12).map(lambda n: [[2, 0], [0, n]]),
+    st.integers(-6, 6).map(lambda k: [[2, k], [0, 2]]),
+    st.sampled_from([[[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[1, 1], [-1, 1]],
+                     [[1, 0], [0, 7]], [[3, 1], [1, 3]], [[4, 2], [2, 6]], [[-2, 0], [1, -3]]]))
+unit_cases = st.one_of(
+    st.tuples(st.just(1), st.sampled_from(sorted(UNIT_CELLS[1])), lattices_1),
+    st.tuples(st.just(2), st.sampled_from(sorted(UNIT_CELLS[2])), lattices_2))
+
+
+def assert_unit_route_matches(rank, name, rows):
+    unit = unit_cell(rank, name)
+    lattice = IntMatrix(rows, shape=(rank, rank))
+    certs = certify_unit_cell(unit, lattice)
+    assert certs == certify(unit.with_lattice(lattice))
+    return certs
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_cases)
+def test_unit_cell_certificates_match_developed(case):
+    assert_unit_route_matches(*case)
+
+
+def test_unit_cell_flags_take_both_values():
+    seen = {}
+    cases = [(0, "standard", [])] + [
+        (rank, name, rows) for rank, lattices in (
+            (1, [[[1]], [[-3]], [[3]], [[4]]]),
+            (2, [[[1, 0], [0, 1]], [[2, 0], [0, 2]], [[3, 1], [1, 3]], [[2, 0], [0, 5]]]))
+        for name in UNIT_CELLS[rank] for rows in lattices]
+    for rank, name, rows in cases:
+        certs = assert_unit_route_matches(rank, name, rows)
+        for flag, value in certs.items():
+            seen.setdefault(flag, set()).add(value)
+    assert seen == {flag: {True, False} for flag in seen}
+    assert len(seen) == 6
+
+
+def test_unit_cell_route_needs_a_unit_cell():
+    t = standard_triangulation(1).with_lattice(IntMatrix([[2]]))
+    with pytest.raises(ValueError):
+        certify_unit_cell(t, IntMatrix([[2]]))
+
+
+# -- the margins against the implementation that paired walls by comparing -------
+# -- translated candidates ------------------------------------------------------
+
+def former_wall_neighbors(t):
+    walls = []
+    incidence = {}
+    for s in t.by_dim(t.rank):
+        for f, (key, shift) in zip(s.faces(), t.face_classes[s]):
+            walls.append((s, f, shift, key))
+            incidence.setdefault(key, []).append((s, shift))
+    for s, f, shift, key in walls:
+        neighbors = []
+        for other, other_shift in incidence[key]:
+            cand = other.translate(tuple(a - b for a, b in zip(other_shift, shift)))
+            if cand != s:
+                neighbors.append(cand)
+        yield s, f, (neighbors[0] if len(neighbors) == 1 else None)
+
+
+def former_margins(t, form):
+    if t.rank == 0:
+        return []
+    by_shape = {}
+    margins = []
+    for s, f, neighbor in former_wall_neighbors(t):
+        if neighbor is None:
+            return None
+        w = next(v for v in neighbor.vertices if v not in set(f.vertices))
+        key = (fan_module._shape(s), fan_module._offset(w, s.vertices[0]))
+        if key not in by_shape:
+            coeffs = solve(IntMatrix([(1,) + v for v in s.vertices]),
+                           [form.value(v) for v in s.vertices])
+            by_shape[key] = form.value(w) - coeffs[0] - sum(
+                c * x for c, x in zip(coeffs[1:], w))
+        margins.append(by_shape[key])
+    return margins
+
+
+def assert_former_pairing(t):
+    form = default_polarization_form(t.rank)
+    assert fan_module._polarization_margins(t, form) == former_margins(t, form)
+    assert list(fan_module._wall_neighbors(t)) == list(former_wall_neighbors(t))
+
+
+@pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)
+def test_margins_match_former_pairing_on_golden_fans(path):
+    assert_former_pairing(read_fan(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fans)
+def test_margins_match_former_pairing(fan):
+    assert_former_pairing(developed(*fan))

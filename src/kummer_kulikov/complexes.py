@@ -94,22 +94,23 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
     cells: dict[int, tuple[str, ...]] = {}
     faces: dict[str, tuple[str, ...]] = {}
     labels: dict[str, str] = {}
-    ids: dict = {}
+    index: dict = {}  # each class's position among the classes of its dimension
     for k in range(t.rank + 1):
         reps = t.by_dim(k)
         names = tuple(f"{_DIM_PREFIX[k]}{i}" for i in range(len(reps)))
         cells[k] = names
-        for name, s in zip(names, reps):
-            ids[s] = name
+        for i, (name, s) in enumerate(zip(names, reps)):
+            index[s] = i
             labels[name] = "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
     for k in range(1, t.rank + 1):
+        below = cells[k - 1]
         for name, s in zip(cells[k], t.by_dim(k)):
-            faces[name] = tuple(ids[cf] for cf, _ in t.face_classes[s])
+            faces[name] = tuple(below[index[cf]] for cf, _ in t.face_classes[s])
     perms: dict[int, tuple[int, ...]] = {}
+    negatives = t.negatives
     for k in range(t.rank + 1):
         reps = t.by_dim(k)
-        pos = {s: i for i, s in enumerate(reps)}
-        images = [pos.get(t.canonical_simplex(s.negate())) for s in reps]
+        images = [index.get(negatives[s]) for s in reps]
         if None in images:
             missing = reps[images.index(None)]
             raise UncertifiedFan(

@@ -24,23 +24,42 @@ decides the same six flags for ``unit.with_lattice(Λ)`` on the unit cell
 alone, so ``auto_scale`` develops only the base change it accepts.  Every
 developed class is s + g for a unit class s (lexmin vertex 0) and a coset
 representative g of Z^t/Λ, and no two of them coincide, because the unit
-classes are distinct modulo Z^t ⊃ Λ.  The six flags agree:
+classes are distinct modulo Z^t ⊃ Λ.
+
+``with_lattice`` develops by arithmetic on residues, with no class made
+canonical again.  Let U·Λ^T·V = D = diag(d_1, ..., d_t) be the Smith form.
+The coset of x ∈ Z^t is its residue ρ(x) = U·x mod D in ∏ Z/d_i, and its
+canonical point is rep[ρ(x)] = U^{-1}·ρ(x); ρ is additive and
+ρ(rep[r]) = r.  So dev[u, r] = u + rep[r] has the canonical lexmin vertex
+rep[r], and is the stored class.
+
+- Face pairs.  Let f + z = uf be the unit pair of the i-th face f of u.
+  The i-th face of dev[u, r] is f + rep[r]; its lexmin is rep[r] − z, of
+  residue r' = (r − U·z) mod D.  Its canonical shift is therefore
+  rep[r'] − rep[r] + z, and the shifted face is uf + rep[r'] = dev[uf, r'].
+- Negatives.  Let −u + w = u* be canonical in the unit cell (w = lexmax u).
+  Then −dev[u, r] = u* − w − rep[r] has lexmin −w − rep[r], of residue
+  r* = (−U·w − r) mod D, so its class is dev[u*, r*].  When −u is not a
+  unit class, −dev[u, r] ≡ −u mod Z^t is no developed class either, since
+  each developed class is congruent mod Z^t to the unit class it came from.
+- Order.  dev[u, r] and dev[u', r'] compare first by rep[r] against
+  rep[r'], and for r = r' as u against u' (translation keeps the order).
+  The sorted classes of dimension k are thus the unit classes of dimension
+  k, in their order, for each representative in lexicographic order.
+
+The six flags agree:
 
 - Property (d) is invariant under translation, so the developed violations
   are the translates of (λ, s) with λ ∈ Λ∖{0}, ‖λ‖_∞ <= diameter(s) and
-  hull(s) ∩ hull(s + λ) nonempty; λ ∈ Λ iff its canonical point is 0.
+  hull(s) ∩ hull(s + λ) nonempty; λ ∈ Λ iff its residue is 0.
 - H-freeness: for S = s + g, λ = lexmin(−S) − lexmin(S) = μ_s − 2g with
   μ_s = lexmin(−s) = −lexmax(s).  The edge of S from lexmin(S) to lexmax(S)
   has the same λ, and an edge is symmetric about its midpoint, so S is a
   fixed class only if that edge is one: it suffices to test the unit edge
-  classes e = [0, v], for which −e = e − v.  Such an e gives a violation
-  iff −v − 2g ∈ Λ∖{0} for some coset representative g.  A g with
-  −v − 2g ∈ Λ exists iff v ∈ 2·Z^t + Λ, that is iff v is congruent mod 2
-  to a sum of rows of Λ: 2^t parity tests.  λ = 0 needs v = −2g, an edge
-  whose midpoint is the origin.  The solutions g form one coset of the
-  2-torsion of Z^t/Λ, so for even v, g = −v/2 is the only one exactly when
-  no Smith invariant of Λ is even and −v/2 is its own coset representative.
-  The standard cell has no such edge, since none has a lattice midpoint.
+  classes e = [0, v], for which −e = e − v.  Such an e gives a fixed class
+  iff −v − 2g ∈ Λ for some coset representative g; λ = 0, a class with
+  −S = S, counts.  Such a g exists iff v ∈ 2·Z^t + Λ, that is iff v is
+  congruent mod 2 to a sum of rows of Λ: 2^t parity tests.
 - Unimodularity: the developed shapes are the unit shapes.
 - Polarization: a developed wall occurrence (s + g, i) has face class
   (f_i(s) + z) + (g − z) for the unit class f_i(s) + z of its face, so the
@@ -51,15 +70,19 @@ classes are distinct modulo Z^t ⊃ Λ.  The six flags agree:
 - Semistability and vertex completeness: every vertex is ≡ 0 mod Z^t, so
   the developed vertex classes are the coset representatives, one per
   coset exactly when the unit cell has a vertex.
+
+These four flags do not depend on Λ, so each unit cell's are computed once
+per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import add, mul
+from itertools import chain, product
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change
@@ -176,12 +199,44 @@ class _CosetMap:
         self.uinv = unimodular_inverse(u).entries
         self.index = math.prod(self.diag)
 
+    def residue(self, x: Sequence[int]) -> list[int]:
+        """U·x mod D: the coset of x, zero exactly on the lattice."""
+        return [sum(map(mul, row, x)) % d for row, d in zip(self.u, self.diag)]
+
     def canonical_point(self, x: Vector) -> Vector:
-        r = [sum(map(mul, row, x)) % d for row, d in zip(self.u, self.diag)]
-        return _apply(self.uinv, r)
+        return _apply(self.uinv, self.residue(x))
 
     def coset_representatives(self) -> list[Vector]:
+        """U^{-1}·r for every residue r, listed by residue index (the order
+        of ``product``, last coordinate fastest)."""
         return [_apply(self.uinv, r) for r in product(*(range(d) for d in self.diag))]
+
+    def shifts(self, z: Vector) -> list[Vector]:
+        """For each residue index of r, the canonical shift of rep[r] − z.
+
+        Let U·z = a + D·m with a = ρ(z).  The residue of rep[r] − z is
+        r' = r − a + D·b, where b_i = 1 if r_i < a_i and 0 otherwise, so the
+        shift rep[r'] − rep[r] + z = U^{-1}·(r' − r + U·z) = U^{-1}·D·(m + b)
+        is one of 2^t vectors, shared by the cosets with the same b.
+        """
+        uz = _apply(self.u, z)
+        a = [x % d for x, d in zip(uz, self.diag)]
+        vectors = [_apply(self.uinv, [x - ai + d * bi
+                                      for x, ai, d, bi in zip(uz, a, self.diag, b)])
+                   for b in product((0, 1), repeat=len(a))]
+        pattern = [0]
+        for ai, d in zip(a, self.diag):
+            carries = [r < ai for r in range(d)]
+            pattern = [2 * i + c for i in pattern for c in carries]
+        return list(map(vectors.__getitem__, pattern))
+
+    def index_map(self, c: Sequence[int], sign: int) -> list[int]:
+        """For each residue index of r, the index of (sign·r + c) mod D."""
+        out = [0]
+        for ci, d in zip(c, self.diag):
+            digits = [(sign * r + ci) % d for r in range(d)]
+            out = [i * d + x for i in out for x in digits]
+        return out
 
 
 class PeriodicTriangulation:
@@ -196,12 +251,11 @@ class PeriodicTriangulation:
     ``face_classes[S]`` lists, in the vertex-deletion order of ``S.faces()``,
     the pair (canonical class of the face f, shift with f + shift equal to
     that class); the closure loop computes each pair once and keeps it.
+    ``negatives[S]`` is the class of −S, or None when −S is not a class.
     """
 
     def __init__(self, rank: int, simplices: Iterable[LatticeSimplex],
                  lattice: IntMatrix | None):
-        self.rank = rank
-        self.lattice = lattice
         self._cosets = _CosetMap(rank, lattice)
         face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]] = {}
         queue = list({self.canonical_simplex(s) for s in simplices})
@@ -217,14 +271,32 @@ class PeriodicTriangulation:
                     seen.add(cf)
                     queue.append(cf)
             face_classes[s] = tuple(pairs)
+        ordered = sorted(face_classes, key=lambda s: (s.dim, s.vertices))
+        self._fill(rank, lattice, face_classes,
+                   {k: tuple(s for s in ordered if s.dim == k) for k in range(rank + 1)}, None)
+
+    def _fill(self, rank: int, lattice: IntMatrix | None,
+              face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]],
+              by_dim: dict[int, tuple[LatticeSimplex, ...]],
+              negatives: dict[LatticeSimplex, LatticeSimplex | None] | None) -> None:
+        self.rank = rank
+        self.lattice = lattice
         self.face_classes = face_classes
-        self.simplices: tuple[LatticeSimplex, ...] = tuple(
-            sorted(face_classes, key=lambda s: (s.dim, s.vertices)))
-        self._by_dim: dict[int, tuple[LatticeSimplex, ...]] = {
-            k: tuple(s for s in self.simplices if s.dim == k) for k in range(rank + 1)}
+        self._by_dim = by_dim
+        self.simplices: tuple[LatticeSimplex, ...] = tuple(chain.from_iterable(by_dim.values()))
+        self._negatives = negatives
         self.certificates: dict[str, bool] = {}
         # Filled by certify(): the property-(d) and H-freeness violation lists.
         self.violations: dict[str, list[tuple[Vector, LatticeSimplex]]] = {}
+
+    @property
+    def negatives(self) -> dict[LatticeSimplex, LatticeSimplex | None]:
+        """Carried by ``with_lattice``; otherwise computed on first use."""
+        if self._negatives is None:
+            classes = self.face_classes
+            self._negatives = {s: (n if (n := self.canonical_simplex(s.negate())) in classes
+                                   else None) for s in self.simplices}
+        return self._negatives
 
     def canonical_point(self, x: Vector) -> Vector:
         return self._cosets.canonical_point(x)
@@ -247,15 +319,51 @@ class PeriodicTriangulation:
         return self._cosets.index
 
     def with_lattice(self, lattice: IntMatrix) -> "PeriodicTriangulation":
-        """Develop a unit-cell triangulation over the cosets of Z^t modulo Λ_b."""
+        """Develop a unit-cell triangulation over the cosets of Z^t modulo Λ_b.
+
+        The classes are dev[u, r] = u + rep[r], for each unit class u and
+        residue r; their face pairs, negatives and order are read off the
+        unit cell's by residue arithmetic (see the module docstring).
+        """
         if self.lattice is not None:
             raise ValueError("triangulation already has a lattice attached")
-        cosets = _CosetMap(self.rank, lattice).coset_representatives()
-        developed = [s.translate(g) for s in self.simplices for g in cosets]
-        t = PeriodicTriangulation(self.rank, developed, lattice)
-        expected = len(self.simplices) * len(cosets)
-        if len(t.simplices) != expected:
+        cosets = _CosetMap(self.rank, lattice)
+        reps = cosets.coset_representatives()
+        n = len(reps)
+        # blocks[u][r] is dev[u, r] = u + rep[r], built one vertex column at a time.
+        blocks = {u: list(map(_simplex, zip(*[[tuple(map(add, v, g)) for g in reps]
+                                               for v in u.vertices])))
+                  for u in self.simplices}
+
+        @functools.cache
+        def moved(v: Vector, sign: int) -> list[int]:
+            """r ↦ (sign·r − U·v) mod D, by residue index."""
+            return cosets.index_map([-x for x in cosets.residue(v)], sign)
+
+        shifts = functools.cache(cosets.shifts)
+
+        def face_column(uf: LatticeSimplex, z: Vector) -> list:
+            """(dev[uf, r'], z + rep[r'] − rep[r]) for every r."""
+            return list(zip(map(blocks[uf].__getitem__, moved(z, 1)), shifts(z)))
+
+        face_classes = {}
+        negatives = {}
+        for u, block in blocks.items():
+            columns = [face_column(uf, z) for uf, z in self.face_classes[u]]
+            face_classes.update(zip(block, zip(*columns)) if columns else dict.fromkeys(block, ()))
+            star = self.negatives[u]
+            negatives.update(zip(block, [None] * n if star is None else
+                                 map(blocks[star].__getitem__, moved(u.vertices[-1], -1))))
+        if len(face_classes) != n * len(blocks):
             raise ValueError("unit-cell classes collapsed while developing")
+        order = sorted(range(n), key=reps.__getitem__)
+        by_dim = {}
+        for k in range(self.rank + 1):
+            units = [blocks[u] for u in self.by_dim(k)]
+            by_dim[k] = tuple(block[r] for r in order for block in units)
+        t = PeriodicTriangulation.__new__(PeriodicTriangulation)
+        t._cosets = cosets
+        t._fill(self.rank, lattice, face_classes, by_dim, negatives)
         return t
 
     def max_diameter(self) -> int:
@@ -301,6 +409,10 @@ def standard_triangulation(t: int) -> PeriodicTriangulation:
     else:
         raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
     return PeriodicTriangulation(t, reps, None)
+
+
+# auto_scale only reads the cell, so one per rank serves every call.
+_standard_cell = functools.cache(standard_triangulation)
 
 
 def is_unimodular(s: LatticeSimplex) -> bool:
@@ -473,17 +585,16 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
 def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
                      allow_unsafe: bool = False) -> list[tuple[Vector, LatticeSimplex]]:
     """Fixed classes of the inversion: pairs (y, S) with dim S >= 1 and
-    -S = S + b(y,-).  Empty for even pairings; the odd control b = (3)
-    produces -[1,2] = [1,2] - 3.
+    -S = S + b(y,-), y = 0 included.  Empty for even pairings; the odd
+    control b = (3) produces -[1,2] = [1,2] - 3.
 
     y is reported in coordinates relative to the lattice's row basis, which
     are the Y-coordinates whenever the lattice is the row lattice of b.
 
     Translation preserves the lexicographic order, so −S = S + λ forces
     λ = lexmin(−S) − lexmin(S): each class has one candidate, kept when it
-    is nonzero, within the window and in the translation lattice.  The
-    candidate equals −2·centroid(S), so with no window every candidate is
-    tested.
+    is within the window and in the translation lattice.  The candidate
+    equals −2·centroid(S), so with no window every candidate is tested.
     """
     if t.lattice is None:
         raise ValueError("H-freeness needs a translation lattice attached")
@@ -495,9 +606,9 @@ def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
             continue
         neg = s.negate()
         lam = tuple(a - b for a, b in zip(neg.vertices[0], s.vertices[0]))
-        if (any(lam) and (window is None or max(abs(x) for x in lam) <= window)
+        if ((window is None or max(abs(x) for x in lam) <= window)
                 and s.translate(lam) == neg
-                and not any(t.canonical_point(lam))):
+                and not any(t._cosets.residue(lam))):
             out.append((_lattice_coefficients(t, lam), s))
     return out
 
@@ -507,20 +618,15 @@ def vertices_complete(t: PeriodicTriangulation) -> bool:
     return len(t.by_dim(0)) == t.class_index()
 
 
-def check_gamma_admissible(t: PeriodicTriangulation, y_radius: int = 3) -> bool:
-    """The developed fan is stable under S_(y,h) for ‖y‖_∞ <= y_radius, h = ±1."""
+def check_gamma_admissible(t: PeriodicTriangulation) -> bool:
+    """The developed fan is stable under every S_(y,h), h = ±1.
+
+    Classes are stored modulo Λ, so stability under translation holds by
+    construction; what remains is that −S is a class for every class S.
+    """
     if t.lattice is None:
         raise ValueError("Γ-admissibility needs a translation lattice attached")
-    n = t.rank
-    w = t.lattice
-    for y in product(range(-y_radius, y_radius + 1), repeat=n):
-        lam = tuple(sum(y[i] * w.entries[i][j] for i in range(n)) for j in range(n))
-        for h in (1, -1):
-            for s in t.simplices:
-                image = (s if h == 1 else s.negate()).translate(lam)
-                if not t.contains_class(image):
-                    return False
-    return True
+    return None not in t.negatives.values()
 
 
 # -- polarization surrogate ----------------------------------------------------
@@ -690,64 +796,67 @@ def certify(t: PeriodicTriangulation, *, window: int | None = None,
         "property_d": check_property_d(t, window, allow_unsafe=allow_unsafe),
         "h_free": check_h_freeness(t, window=window, allow_unsafe=allow_unsafe),
     }
-    certs = _certificates(t, not violations["property_d"], not violations["h_free"])
+    certs = _certificates(_lattice_free_flags(t), not violations["property_d"],
+                          not violations["h_free"])
     t.certificates = dict(certs)
     t.violations = violations
     return certs
 
 
-def _certificates(t: PeriodicTriangulation, property_d: bool,
-                  h_free: bool) -> dict[str, bool]:
-    """The certificate dict around the two lattice-dependent flags.
+def _lattice_free_flags(t: PeriodicTriangulation) -> tuple[bool, bool, bool, bool]:
+    """(semistable, unimodular, vertices_complete, polarization).
 
-    t is the developed fan or its unit cell, which agree on the other four
+    t is the developed fan or its unit cell, which agree on these four
     flags.  Unimodularity is tested once per simplex shape: (x, h) ↦ (x + hμ, h)
     is unimodular, so it is invariant under integer shifts.
     """
-    shapes = {_shape(s): s for s in t.simplices}
-    certs = {
-        "semistable": check_semistable(t),
-        "unimodular": all(is_unimodular(s) for s in shapes.values()),
-        "property_d": property_d,
-        "h_free": h_free,
-        "vertices_complete": vertices_complete(t),
-    }
-    certs["polarization"] = (certs["semistable"] and certs["unimodular"]
-                             and _polarization_check(t, default_polarization_form(t.rank)))
-    return certs
+    semistable = check_semistable(t)
+    unimodular = all(is_unimodular(s) for s in {_shape(s): s for s in t.simplices}.values())
+    polarization = (semistable and unimodular
+                    and _polarization_check(t, default_polarization_form(t.rank)))
+    return semistable, unimodular, vertices_complete(t), polarization
+
+
+@functools.cache
+def _unit_cell_flags(rank: int,
+                     classes: tuple[LatticeSimplex, ...]) -> tuple[bool, bool, bool, bool]:
+    """``_lattice_free_flags`` of the unit cell with these classes, computed
+    once per process."""
+    return _lattice_free_flags(PeriodicTriangulation(rank, classes, None))
+
+
+def _certificates(flags: tuple[bool, bool, bool, bool], property_d: bool,
+                  h_free: bool) -> dict[str, bool]:
+    """The certificate dict: the lattice-free flags around the two others."""
+    semistable, unimodular, complete, polarization = flags
+    return {"semistable": semistable, "unimodular": unimodular, "property_d": property_d,
+            "h_free": h_free, "vertices_complete": complete, "polarization": polarization}
 
 
 def certify_unit_cell(unit: PeriodicTriangulation, lattice: IntMatrix) -> dict[str, bool]:
     """The certificates ``certify(unit.with_lattice(lattice))`` would give,
     decided on the classes of the unit cell without developing them.
 
-    The module docstring proves that each flag agrees.  Property (d) tests
-    the nonzero λ ∈ Λ with ‖λ‖_∞ <= diameter(s) for each unit class s, and
-    H-freeness tests the parity of each unit edge against the 2^t sums of
-    rows of Λ.
+    The module docstring proves that each flag agrees.  Only two depend on
+    Λ: property (d) tests the nonzero λ ∈ Λ with ‖λ‖_∞ <= diameter(s) for
+    each unit class s, and H-freeness tests the parity of each unit edge
+    against the 2^t sums of rows of Λ.
     """
     if unit.lattice is not None:
         raise ValueError("expected a unit-cell triangulation")
     rank = unit.rank
     cosets = _CosetMap(rank, lattice)
     property_d = not any(
-        any(lam) and not any(cosets.canonical_point(lam))
+        any(lam) and not any(cosets.residue(lam))
         and hulls_intersect(s, s.translate(lam))
         for s in unit.simplices
         for lam in product(range(-s.diameter_inf(), s.diameter_inf() + 1), repeat=rank))
     row_sums = {tuple(sum(row[k] for row, e in zip(lattice.entries, pick) if e) % 2
                       for k in range(rank))
                 for pick in product((0, 1), repeat=rank)}
-    two_torsion = any(d % 2 == 0 for d in cosets.diag)
-
-    def fixed(v: Vector) -> bool:
-        """Whether the edge class [0, v] is fixed with some λ ∈ Λ∖{0}."""
-        half = tuple(-x // 2 for x in v)
-        return tuple(x % 2 for x in v) in row_sums and (
-            any(x % 2 for x in v) or two_torsion or cosets.canonical_point(half) != half)
-
-    h_free = not any(fixed(e.vertices[1]) for e in unit.by_dim(1))
-    return _certificates(unit, property_d, h_free)
+    # The edge class [0, v] is fixed iff v ∈ 2·Z^t + Λ.
+    h_free = not any(tuple(x % 2 for x in e.vertices[1]) in row_sums for e in unit.by_dim(1))
+    return _certificates(_unit_cell_flags(rank, unit.simplices), property_d, h_free)
 
 
 def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
@@ -760,11 +869,12 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     with empty violation lists, are attached to the returned triangulation.
     On the standard cell the proofs of the module docstring read: property
     (d) tests the nonzero λ ∈ Λ with ‖λ‖_∞ <= 1; H-freeness fails iff an
-    edge direction v ∈ {(1), (1,0), (0,1), (1,1)} lies in 2·Z^t + Λ, and
-    λ ≠ 0 because no edge has a lattice midpoint; the developed shapes, and
-    so unimodularity, are the unit ones; the polarization margins are the
-    unit margins, each repeated once per coset; and the cell has a vertex,
-    so it is semistable and vertex-complete over every Λ.
+    edge direction v ∈ {(1), (1,0), (0,1), (1,1)} lies in 2·Z^t + Λ; the
+    developed shapes, and so unimodularity, are the unit ones; the
+    polarization margins are the unit margins, each repeated once per
+    coset; and the cell has a vertex, so it is semistable and
+    vertex-complete over every Λ.  These four flags and the cell itself
+    are computed once per rank and process.
 
     ν <= 2.  The standard triangulation is semistable and unimodular, and
     its simplices have diameter <= 1.  At ν = 2 every nonzero λ ∈ Λ_(2b)
@@ -775,7 +885,7 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     all three collinear.  So H-freeness holds too, as it must for the even
     pairing 2b.
     """
-    unit = standard_triangulation(d.rank)
+    unit = _standard_cell(d.rank)
     for nu in (1, 2):
         lattice = base_change(d, nu).b
         certs = certify_unit_cell(unit, lattice)

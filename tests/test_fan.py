@@ -41,6 +41,8 @@ from kummer_kulikov.fan import (
 )
 from kummer_kulikov.lattice import IntMatrix, smith_normal_form, solve, unimodular_inverse
 
+GOLDEN_INPUTS = Path(__file__).parent / "data" / "golden" / "inputs"
+
 
 def test_simplex_validation():
     with pytest.raises(ValueError):
@@ -193,7 +195,9 @@ def test_gamma_admissibility_window():
     for b_rows, rank in [([[2, 0], [0, 2]], 2), ([[4, 2], [2, 6]], 2), ([[4]], 1)]:
         d = make_data(rank, b_rows)
         _, t = auto_scale(d)
-        assert check_gamma_admissible(t, y_radius=3)
+        assert check_gamma_admissible(t)
+    # The asymmetric cut: −S is not a class for the square cut differently at (0, 0).
+    assert not check_gamma_admissible(read_fan(GOLDEN_INPUTS / "f_asym_cut_22.json"))
 
 
 def test_polarization_examples():
@@ -330,8 +334,9 @@ def scan_property_d(t, window):
 
 
 def scan_h_freeness(t, window):
-    """The full-window H-freeness scan: every translate, every class."""
-    points = lattice_points(t.lattice.entries, window)
+    """The full-window H-freeness scan: every translate, λ = 0 included, every class."""
+    zero = (0,) * t.rank
+    points = [(zero, zero)] + lattice_points(t.lattice.entries, window)
     out = []
     for s in t.simplices:
         if s.dim < 1:
@@ -409,7 +414,7 @@ def test_standard_fan_certified_at_nu_2(rows):
 
 # -- oracles for the sort-free simplices and the carried face map -----------------
 
-JSON_FANS = sorted((Path(__file__).parent / "data" / "golden" / "inputs").glob("f_*.json"))
+JSON_FANS = sorted(GOLDEN_INPUTS.glob("f_*.json"))
 
 
 def read_fan(path):
@@ -541,6 +546,83 @@ def test_unit_cell_route_needs_a_unit_cell():
     t = standard_triangulation(1).with_lattice(IntMatrix([[2]]))
     with pytest.raises(ValueError):
         certify_unit_cell(t, IntMatrix([[2]]))
+
+
+def test_h_freeness_does_not_depend_on_the_basis():
+    # [0, 2] developed over 3Z: the class [2, 4] has −S = S − 6, and over the
+    # basis (−3) its representative [−1, 1] has −S = S, which counts too.
+    unit = unit_cell(1, "long")
+    for rows, expected in (([[3]], [((-2,), LatticeSimplex([(2,), (4,)]))]),
+                           ([[-3]], [((0,), LatticeSimplex([(-1,), (1,)]))])):
+        t = unit.with_lattice(IntMatrix(rows))
+        assert check_h_freeness(t) == expected
+        assert not certify(t)["h_free"]
+        assert not certify_unit_cell(unit, IntMatrix(rows))["h_free"]
+
+
+def test_unit_cell_flags_are_fresh_dicts():
+    unit = standard_triangulation(2)
+    first = certify_unit_cell(unit, IntMatrix([[2, 0], [0, 2]]))
+    first["polarization"] = False
+    assert certify_unit_cell(unit, IntMatrix([[2, 0], [0, 2]]))["polarization"]
+
+
+# -- the residue development against developing by canonical points -------------
+
+def develop_by_canonical_points(unit, lattice):
+    """The former ``with_lattice``: translate every unit class by every coset
+    representative and make the result canonical through ``__init__``."""
+    reps = fan_module._CosetMap(unit.rank, lattice).coset_representatives()
+    t = PeriodicTriangulation(unit.rank, [s.translate(g) for s in unit.simplices for g in reps],
+                              lattice)
+    assert len(t.simplices) == len(unit.simplices) * len(reps)
+    return t
+
+
+def negatives_by_canonical_points(t):
+    negated = {s: t.canonical_simplex(s.negate()) for s in t.simplices}
+    return {s: (n if n in t.face_classes else None) for s, n in negated.items()}
+
+
+def assert_residue_route_matches(unit, lattice):
+    t = unit.with_lattice(lattice)
+    expected = develop_by_canonical_points(unit, lattice)
+    assert t.simplices == expected.simplices
+    assert [t.by_dim(k) for k in range(t.rank + 1)] == [
+        expected.by_dim(k) for k in range(t.rank + 1)]
+    assert t.face_classes == expected.face_classes
+    assert t.negatives == expected.negatives == negatives_by_canonical_points(expected)
+    assert t == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fans.map(lambda fan: (len(fan[1]), fan[0] if fan[0] == "anti" else "standard",
+                                       fan[1])),
+                 unit_cases))
+def test_residue_development_matches_canonical_points(case):
+    rank, name, rows = case
+    assert_residue_route_matches(unit_cell(rank, name), IntMatrix(rows, shape=(rank, rank)))
+
+
+@pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)
+def test_residue_development_on_golden_fans(path):
+    # Each golden fan's classes taken modulo Z^t, developed over its lattice.
+    doc = read_fan(path)
+    unit = PeriodicTriangulation(doc.rank, doc.simplices, None)
+    assert_residue_route_matches(unit, doc.lattice)
+    # A fan read from a document computes its negatives on first use.
+    assert doc.negatives == negatives_by_canonical_points(doc)
+
+
+def test_residue_development_edge_cases():
+    assert_residue_route_matches(standard_triangulation(0), IntMatrix([], shape=(0, 0)))
+    assert_residue_route_matches(unit_cell(2, "empty"), IntMatrix([[2, 1], [0, 3]]))
+    # −WIDE is no unit class, so no developed class has a negative.
+    wide = unit_cell(2, "wide")
+    assert_residue_route_matches(wide, IntMatrix([[3, 1], [1, 3]]))
+    t = wide.with_lattice(IntMatrix([[3, 1], [1, 3]]))
+    assert [t.negatives[s] for s in t.by_dim(2)] == [None] * 8
+    assert not check_gamma_admissible(t)
 
 
 # -- the margins against the implementation that paired walls by comparing -------

@@ -11,8 +11,11 @@ involution may identify faces of a single cell.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import Counter
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .degeneration import DegenerationData, base_change, is_even
@@ -24,7 +27,7 @@ from .errors import (
     UncertifiedFan,
     UnsupportedRank,
 )
-from .fan import PeriodicTriangulation
+from .fan import LatticeSimplex, PeriodicTriangulation
 from .lattice import component_group, two_torsion_order
 
 
@@ -37,19 +40,64 @@ class KulikovType(enum.Enum):
 _DIM_PREFIX = {0: "v", 1: "e", 2: "t"}
 
 
+def _names(k: int, n: int) -> tuple[str, ...]:
+    prefix = _DIM_PREFIX[k]
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+class _Labels(Mapping):
+    """The labels of a complex's cells, each formatted when it is read.
+
+    ``label(k, i)`` formats the label of the i-th k-cell of ``cells``.
+    """
+
+    def __init__(self, cells: dict[int, tuple[str, ...]],
+                 label: Callable[[int, int], str]):
+        self._cells = cells
+        self._label = label
+
+    @functools.cached_property
+    def _where(self) -> dict[str, tuple[int, int]]:
+        return {c: (k, i) for k, names in self._cells.items() for i, c in enumerate(names)}
+
+    def __getitem__(self, name: str) -> str:
+        return self._label(*self._where[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self._cells.values())
+
+    def __len__(self) -> int:
+        return sum(map(len, self._cells.values()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(eq=True)
 class DeltaComplex:
-    """Cells with ordered face maps, dimensions 0..2."""
+    """Cells with ordered face maps, dimensions 0..2.
+
+    ``labels`` may be any mapping from cell names to strings; the complexes
+    built here format each label only when it is read.
+    """
 
     cells: dict[int, tuple[str, ...]]
     faces: dict[str, tuple[str, ...]]
-    labels: dict[str, str]
+    labels: Mapping[str, str]
 
     def num(self, k: int) -> int:
         return len(self.cells.get(k, ()))
 
-    def index_of(self, k: int) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.cells.get(k, ()))}
+    @functools.cached_property
+    def boundary(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """For k >= 1, the faces of each k-cell, in order, as positions
+        among the (k−1)-cells."""
+        out = {}
+        for k in range(1, max(self.cells, default=0) + 1):
+            below = {c: i for i, c in enumerate(self.cells.get(k - 1, ()))}
+            out[k] = tuple(tuple(map(below.__getitem__, self.faces[c]))
+                           for c in self.cells.get(k, ()))
+        return out
 
 
 @dataclass(eq=True)
@@ -66,17 +114,18 @@ class InvolutionAction:
             if any(perm[perm[i]] != i for i in range(n)):
                 raise ValueError(f"dimension {k}: square is not the identity")
         # Face compatibility: act(faces(c)) = faces(act(c)) as multisets.
-        for k in (1, 2):
-            ids = complex_.cells.get(k, ())
-            sub = complex_.index_of(k - 1)
-            sub_ids = complex_.cells.get(k - 1, ())
-            perm = self.perms.get(k, ())
-            sub_perm = self.perms.get(k - 1, ())
-            for i, c in enumerate(ids):
-                image = ids[perm[i]]
-                mapped = Counter(sub_ids[sub_perm[sub[f]]] for f in complex_.faces[c])
-                if mapped != Counter(complex_.faces[image]):
-                    raise ValueError(f"involution does not commute with faces at {c}")
+        for k, rows in complex_.boundary.items():
+            perm = self.perms.get(k, range(len(rows)))
+            sub = self.perms.get(k - 1)
+            for i, row in enumerate(rows):
+                mapped = sorted(row if sub is None else map(sub.__getitem__, row))
+                if mapped != sorted(rows[perm[i]]):
+                    raise ValueError("involution does not commute with faces at "
+                                     f"{complex_.cells[k][i]}")
+
+
+def _simplex_label(s: LatticeSimplex) -> str:
+    return "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
 
 
 def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionAction]:
@@ -85,73 +134,68 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
     k-cells are the k-simplex classes of the triangulation; the i-th face of
     a cell is the class of the simplex with its i-th vertex deleted.  Raises
     UncertifiedFan when some −S is not a class, since the inversion then has
-    no action on the cells.
+    no action on the cells.  A cell's label lists the vertices of its class.
     """
     needed = ("semistable", "unimodular", "property_d")
     if not all(t.certificates.get(k) for k in needed):
         raise UncertifiedFan(
             f"dual complex needs passing certificates {needed}; run certify() first")
-    cells: dict[int, tuple[str, ...]] = {}
+    reps = {k: t.by_dim(k) for k in range(t.rank + 1)}
+    position = {}  # each class's position among the classes of its dimension
+    for classes in reps.values():
+        position.update(zip(classes, range(len(classes))))
+    cells = {k: _names(k, len(classes)) for k, classes in reps.items()}
     faces: dict[str, tuple[str, ...]] = {}
-    labels: dict[str, str] = {}
-    index: dict = {}  # each class's position among the classes of its dimension
-    for k in range(t.rank + 1):
-        reps = t.by_dim(k)
-        names = tuple(f"{_DIM_PREFIX[k]}{i}" for i in range(len(reps)))
-        cells[k] = names
-        for i, (name, s) in enumerate(zip(names, reps)):
-            index[s] = i
-            labels[name] = "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
     for k in range(1, t.rank + 1):
         below = cells[k - 1]
-        for name, s in zip(cells[k], t.by_dim(k)):
-            faces[name] = tuple(below[index[cf]] for cf, _ in t.face_classes[s])
+        for name, s in zip(cells[k], reps[k]):
+            faces[name] = tuple(below[position[cf]] for cf, _ in t.face_classes[s])
     perms: dict[int, tuple[int, ...]] = {}
     negatives = t.negatives
-    for k in range(t.rank + 1):
-        reps = t.by_dim(k)
-        images = [index.get(negatives[s]) for s in reps]
+    for k, classes in reps.items():
+        images = [position.get(negatives[s]) for s in classes]
         if None in images:
-            missing = reps[images.index(None)]
+            missing = classes[images.index(None)]
             raise UncertifiedFan(
                 f"dual complex needs a fan stable under inversion; -S is not a class "
                 f"for S = {[list(v) for v in missing.vertices]}")
         perms[k] = tuple(images)
+    labels = _Labels(cells, lambda k, i: _simplex_label(reps[k][i]))
     return DeltaComplex(cells, faces, labels), InvolutionAction(perms)
 
 
 def h_quotient(complex_: DeltaComplex, act: InvolutionAction) -> DeltaComplex:
-    """Quotient Δ-complex by the involution; identifications are permitted."""
+    """Quotient Δ-complex by the involution; identifications are permitted.
+
+    Each quotient cell is an orbit {i, perm[i]}, recorded as the pair of its
+    parent cells; its label is theirs, joined by " ~ " when they differ.
+    """
     act.validate(complex_)
-    orbit_of: dict[str, str] = {}
-    cells: dict[int, tuple[str, ...]] = {}
-    labels: dict[str, str] = {}
+    orbits: dict[int, list[tuple[int, int]]] = {}
+    orbit_of: dict[int, list[int]] = {}  # parent position -> quotient position
     for k, names in complex_.cells.items():
-        perm = act.perms.get(k, tuple(range(len(names))))
-        new_names = []
-        for i, name in enumerate(names):
-            j = perm[i]
-            if j < i:
-                continue
-            q = f"{_DIM_PREFIX[k]}{len(new_names)}"
-            new_names.append(q)
-            orbit_of[name] = q
-            orbit_of[names[j]] = q
-            if j == i:
-                labels[q] = complex_.labels[name]
-            else:
-                labels[q] = complex_.labels[name] + " ~ " + complex_.labels[names[j]]
-        cells[k] = tuple(new_names)
+        perm = act.perms.get(k, range(len(names)))
+        pairs = orbits[k] = []
+        where = orbit_of[k] = [0] * len(names)
+        for i, j in enumerate(perm):
+            if j >= i:
+                where[i] = where[j] = len(pairs)
+                pairs.append((i, j))
+    cells = {k: _names(k, len(pairs)) for k, pairs in orbits.items()}
     faces: dict[str, tuple[str, ...]] = {}
-    seen = set()
-    for k in (1, 2):
-        for name in complex_.cells.get(k, ()):
-            q = orbit_of[name]
-            if q in seen:
-                continue
-            seen.add(q)
-            faces[q] = tuple(orbit_of[f] for f in complex_.faces[name])
-    return DeltaComplex(cells, faces, labels)
+    for k, rows in complex_.boundary.items():
+        below, to_orbit = cells[k - 1], orbit_of[k - 1]
+        for name, (i, _) in zip(cells[k], orbits[k]):
+            faces[name] = tuple(below[to_orbit[f]] for f in rows[i])
+    parent_cells, parent_labels = complex_.cells, complex_.labels
+
+    def label(k: int, q: int) -> str:
+        i, j = orbits[k][q]
+        if i == j:
+            return parent_labels[parent_cells[k][i]]
+        return parent_labels[parent_cells[k][i]] + " ~ " + parent_labels[parent_cells[k][j]]
+
+    return DeltaComplex(cells, faces, _Labels(cells, label))
 
 
 def euler_characteristic(complex_: DeltaComplex) -> int:
@@ -341,11 +385,11 @@ def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:
 
 
 def complex_to_json(complex_: DeltaComplex) -> dict:
-    vidx = complex_.index_of(0)
-    eidx = complex_.index_of(1)
+    labels = dict(complex_.labels)
+    boundary = complex_.boundary
     return {
-        "vertices": [complex_.labels[v] for v in complex_.cells.get(0, ())],
-        "edges": [[vidx[a] for a in complex_.faces[e]] for e in complex_.cells.get(1, ())],
-        "triangles": [[eidx[a] for a in complex_.faces[t]] for t in complex_.cells.get(2, ())],
-        "labels": dict(complex_.labels),
+        "vertices": [labels[v] for v in complex_.cells.get(0, ())],
+        "edges": [list(row) for row in boundary.get(1, ())],
+        "triangles": [list(row) for row in boundary.get(2, ())],
+        "labels": labels,
     }

@@ -11,9 +11,10 @@ The certification checks scan only as far as short proofs require.  A
 translate λ with hull(S) ∩ hull(S + λ) nonempty is a difference of two
 points of hull(S), so property (d) needs λ with ‖λ‖_∞ <= diameter(S) only.
 A fixed class −S = S + λ of the inversion forces λ = lexmin(−S) − lexmin(S),
-because translation preserves the lexicographic order, so H-freeness tests
-one candidate per class.  Unimodularity and the polarization margins are
-invariant under integer shifts and are computed once per simplex shape.
+because translation preserves the lexicographic order, so H-freeness reads
+whether each class is its own carried negative.  Unimodularity and the
+polarization margins are invariant under integer shifts and are computed
+once per simplex shape.
 An explicit window below ``safe_window`` (property (d)) or
 ``required_window`` (H-freeness) still needs ``allow_unsafe``; with no
 window neither bound is computed, since neither can bind.
@@ -108,11 +109,12 @@ Vector = tuple[int, ...]
 class LatticeSimplex:
     """A lattice simplex: 1 to t+1 distinct, affinely independent points of Z^t."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_hash")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         verts = tuple(sorted(tuple(int(x) for x in v) for v in vertices))
-        object.__setattr__(self, "vertices", verts)
+        _set_vertices(self, verts)
+        _set_hash(self, hash(verts))
         if not verts:
             raise ValueError("a simplex needs at least one vertex")
         if len(set(verts)) != len(verts):
@@ -158,16 +160,22 @@ class LatticeSimplex:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LatticeSimplex({list(self.vertices)!r})"
 
 
+# The slot setters, which bypass the immutability guard of __setattr__.
+_set_vertices = LatticeSimplex.vertices.__set__
+_set_hash = LatticeSimplex._hash.__set__
+
+
 def _simplex(vertices: tuple[Vector, ...]) -> LatticeSimplex:
     """A simplex from vertices already sorted, distinct and independent."""
     s = object.__new__(LatticeSimplex)
-    object.__setattr__(s, "vertices", vertices)
+    _set_vertices(s, vertices)
+    _set_hash(s, hash(vertices))
     return s
 
 
@@ -260,13 +268,17 @@ class PeriodicTriangulation:
         face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]] = {}
         queue = list({self.canonical_simplex(s) for s in simplices})
         seen = set(queue)
+        zero = (0,) * rank
         while queue:
             s = queue.pop()
-            pairs = []
-            for f in s.faces():
+            pairs = [(f, zero) for f in s.faces()]
+            if pairs:
+                # s is canonical, and the i-th face for i >= 1 keeps the lexmin
+                # vertex s.vertices[0], so it is its own class with shift 0.
+                f = pairs[0][0]
                 shift = self.canonical_shift(f)
-                cf = f.translate(shift)
-                pairs.append((cf, shift))
+                pairs[0] = (f.translate(shift), shift)
+            for cf, _ in pairs:
                 if cf not in seen:
                     seen.add(cf)
                     queue.append(cf)
@@ -592,23 +604,23 @@ def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
     are the Y-coordinates whenever the lattice is the row lattice of b.
 
     Translation preserves the lexicographic order, so −S = S + λ forces
-    λ = lexmin(−S) − lexmin(S): each class has one candidate, kept when it
-    is within the window and in the translation lattice.  The candidate
-    equals −2·centroid(S), so with no window every candidate is tested.
+    λ = lexmin(−S) − lexmin(S), and the canonical class S is fixed exactly
+    when it is its own carried negative.  A fixed class is kept when its λ
+    is within the window.  λ equals −2·centroid(S), so with no window every
+    fixed class is reported.
     """
     if t.lattice is None:
         raise ValueError("H-freeness needs a translation lattice attached")
     if window is not None:
         _refuse_small_window(window, required_window(t), allow_unsafe)
+    negatives = t.negatives
     out = []
     for s in t.simplices:
-        if s.dim < 1:
+        if s.dim < 1 or negatives[s] != s:
             continue
-        neg = s.negate()
-        lam = tuple(a - b for a, b in zip(neg.vertices[0], s.vertices[0]))
-        if ((window is None or max(abs(x) for x in lam) <= window)
-                and s.translate(lam) == neg
-                and not any(t._cosets.residue(lam))):
+        # lexmin(−S) = −lexmax(S).
+        lam = tuple(-a - b for a, b in zip(s.vertices[-1], s.vertices[0]))
+        if window is None or max(abs(x) for x in lam) <= window:
             out.append((_lattice_coefficients(t, lam), s))
     return out
 

@@ -9,6 +9,7 @@ from kummer_kulikov.complexes import (
     BaseChangeCounts,
     ComponentCounts,
     DeltaComplex,
+    InvolutionAction,
     KulikovType,
     base_change_counts,
     classify_kummer_type,
@@ -80,6 +81,51 @@ def test_involution_is_valid():
         act.validate(delta_a)  # raises on failure
         for k, perm in act.perms.items():
             assert all(perm[perm[i]] == i for i in range(len(perm)))
+
+
+@pytest.mark.parametrize("rank, b_rows", [(2, [[2, 0], [0, 2]]), (1, [[4]])])
+def test_involution_validate_rejects(rank, b_rows):
+    _, t = auto_scale(make_data(rank, b_rows))
+    delta_a, act = dual_complex(t)
+
+    def altered(k, perm):
+        return InvolutionAction({**act.perms, k: tuple(perm)})
+
+    n = delta_a.num(0)
+    with pytest.raises(ValueError, match="not a permutation"):
+        altered(0, [0] * n).validate(delta_a)
+    with pytest.raises(ValueError, match="not a permutation"):
+        altered(0, range(n - 1)).validate(delta_a)
+    with pytest.raises(ValueError, match="square is not the identity"):
+        altered(0, [1, 2, 0, *range(3, n)]).validate(delta_a)
+    # The identity on the top cells is a permutation and an involution, but
+    # the inversion fixes no top cell: on (4) it swaps the vertex classes 1
+    # and 3 and so every edge; on diag(2, 2) it fixes no edge, so it moves
+    # the edges of every triangle.
+    top = delta_a.num(rank)
+    assert all(act.perms[rank][i] != i for i in range(top))
+    with pytest.raises(ValueError, match="does not commute with faces"):
+        altered(rank, range(top)).validate(delta_a)
+    act.validate(delta_a)
+
+
+def test_labels_are_formatted_when_read(monkeypatch):
+    formatted = []
+    label = complexes_module._simplex_label
+    monkeypatch.setattr(complexes_module, "_simplex_label",
+                        lambda s: formatted.append(s) or label(s))
+    delta_a, act, delta_x = build(make_data(1, [[4]]))
+    assert formatted == []
+    assert delta_x.labels["v1"] == "(1) ~ (3)"
+    assert len(formatted) == 2
+    assert delta_a.labels == {"v0": "(0)", "v1": "(1)", "v2": "(2)", "v3": "(3)",
+                              "e0": "(0)|(1)", "e1": "(1)|(2)", "e2": "(2)|(3)",
+                              "e3": "(3)|(4)"}
+    assert dict(delta_x.labels) == {"v0": "(0)", "v1": "(1) ~ (3)", "v2": "(2)",
+                                    "e0": "(0)|(1) ~ (3)|(4)", "e1": "(1)|(2) ~ (2)|(3)"}
+    assert delta_x.boundary == {1: ((1, 0), (2, 1))}
+    assert delta_x == DeltaComplex(dict(delta_x.cells), dict(delta_x.faces),
+                                   dict(delta_x.labels))
 
 
 def test_euler_characteristic_examples():

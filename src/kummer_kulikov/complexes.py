@@ -73,31 +73,35 @@ class _Labels(Mapping):
         return repr(dict(self))
 
 
+Boundary = dict[int, tuple[tuple[int, ...], ...]]
+
+
 @dataclass(eq=True)
 class DeltaComplex:
     """Cells with ordered face maps, dimensions 0..2.
 
     ``labels`` may be any mapping from cell names to strings; the complexes
-    built here format each label only when it is read.
+    built here format each label only when it is read.  ``boundary`` gives,
+    for k >= 1, the faces of each k-cell, in order, as positions among the
+    (k−1)-cells; the complexes built here pass the positions they hold, and
+    otherwise it is derived from ``faces``.
     """
 
     cells: dict[int, tuple[str, ...]]
     faces: dict[str, tuple[str, ...]]
     labels: Mapping[str, str]
+    boundary: Boundary | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.boundary is None:
+            self.boundary = {}
+            for k in range(1, max(self.cells, default=0) + 1):
+                below = {c: i for i, c in enumerate(self.cells.get(k - 1, ()))}
+                self.boundary[k] = tuple(tuple(map(below.__getitem__, self.faces[c]))
+                                         for c in self.cells.get(k, ()))
 
     def num(self, k: int) -> int:
         return len(self.cells.get(k, ()))
-
-    @functools.cached_property
-    def boundary(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """For k >= 1, the faces of each k-cell, in order, as positions
-        among the (k−1)-cells."""
-        out = {}
-        for k in range(1, max(self.cells, default=0) + 1):
-            below = {c: i for i, c in enumerate(self.cells.get(k - 1, ()))}
-            out[k] = tuple(tuple(map(below.__getitem__, self.faces[c]))
-                           for c in self.cells.get(k, ()))
-        return out
 
 
 @dataclass(eq=True)
@@ -145,11 +149,9 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
     for classes in reps.values():
         position.update(zip(classes, range(len(classes))))
     cells = {k: _names(k, len(classes)) for k, classes in reps.items()}
-    faces: dict[str, tuple[str, ...]] = {}
-    for k in range(1, t.rank + 1):
-        below = cells[k - 1]
-        for name, s in zip(cells[k], reps[k]):
-            faces[name] = tuple(below[position[cf]] for cf, _ in t.face_classes[s])
+    boundary = {k: tuple(tuple(position[cf] for cf, _ in t.face_classes[s]) for s in reps[k])
+                for k in range(1, t.rank + 1)}
+    faces = _face_names(cells, boundary)
     perms: dict[int, tuple[int, ...]] = {}
     negatives = t.negatives
     for k, classes in reps.items():
@@ -161,7 +163,17 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
                 f"for S = {[list(v) for v in missing.vertices]}")
         perms[k] = tuple(images)
     labels = _Labels(cells, lambda k, i: _simplex_label(reps[k][i]))
-    return DeltaComplex(cells, faces, labels), InvolutionAction(perms)
+    return DeltaComplex(cells, faces, labels, boundary), InvolutionAction(perms)
+
+
+def _face_names(cells: dict[int, tuple[str, ...]],
+                boundary: Boundary) -> dict[str, tuple[str, ...]]:
+    """The faces of each cell by name, from their positions."""
+    faces = {}
+    for k, rows in boundary.items():
+        below = cells[k - 1]
+        faces.update(zip(cells[k], [tuple(map(below.__getitem__, row)) for row in rows]))
+    return faces
 
 
 def h_quotient(complex_: DeltaComplex, act: InvolutionAction) -> DeltaComplex:
@@ -182,11 +194,8 @@ def h_quotient(complex_: DeltaComplex, act: InvolutionAction) -> DeltaComplex:
                 where[i] = where[j] = len(pairs)
                 pairs.append((i, j))
     cells = {k: _names(k, len(pairs)) for k, pairs in orbits.items()}
-    faces: dict[str, tuple[str, ...]] = {}
-    for k, rows in complex_.boundary.items():
-        below, to_orbit = cells[k - 1], orbit_of[k - 1]
-        for name, (i, _) in zip(cells[k], orbits[k]):
-            faces[name] = tuple(below[to_orbit[f]] for f in rows[i])
+    boundary = {k: tuple(tuple(map(orbit_of[k - 1].__getitem__, rows[i])) for i, _ in orbits[k])
+                for k, rows in complex_.boundary.items()}
     parent_cells, parent_labels = complex_.cells, complex_.labels
 
     def label(k: int, q: int) -> str:
@@ -195,7 +204,7 @@ def h_quotient(complex_: DeltaComplex, act: InvolutionAction) -> DeltaComplex:
             return parent_labels[parent_cells[k][i]]
         return parent_labels[parent_cells[k][i]] + " ~ " + parent_labels[parent_cells[k][j]]
 
-    return DeltaComplex(cells, faces, _Labels(cells, label))
+    return DeltaComplex(cells, _face_names(cells, boundary), _Labels(cells, label), boundary)
 
 
 def euler_characteristic(complex_: DeltaComplex) -> int:

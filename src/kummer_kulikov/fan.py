@@ -72,8 +72,23 @@ The six flags agree:
   the developed vertex classes are the coset representatives, one per
   coset exactly when the unit cell has a vertex.
 
-These four flags do not depend on Λ, so each unit cell's are computed once
-per process.
+These four flags do not depend on Λ, so they are cached per unit cell, and
+``certify`` reads a development's off its unit cell.
+
+``fan_from_json`` reads a document through ``with_lattice`` when it can.
+Each listed simplex S is u + x for its shape u (lexmin vertex 0) and
+x = lexmin(S).  The unit cell of the distinct shapes develops to the classes
+dev[u, r], and the class of S is dev[u, ρ(x)], because translation keeps the
+lexmin vertex.  ``PeriodicTriangulation(rank, simplices, Λ)`` stores the set
+C of the listed classes closed under faces.  It orders C by (dim, vertices);
+its face pairs are (class of f, canonical shift of f) and its negatives the
+class of −S when that lies in C.  Each is a function of C and Λ alone, and
+``with_lattice`` gives the same functions of its own classes (above).  So a
+document whose C is the developed class set *is* the development, with the
+same order, face pairs and negatives.  C lies inside that set, since it is
+closed under the developed face pairs, which are the canonical ones; the two
+are equal exactly when the walk from the listed classes over those face
+pairs reaches every developed class.
 """
 
 from __future__ import annotations
@@ -211,6 +226,13 @@ class _CosetMap:
         """U·x mod D: the coset of x, zero exactly on the lattice."""
         return [sum(map(mul, row, x)) % d for row, d in zip(self.u, self.diag)]
 
+    def residue_index(self, x: Sequence[int]) -> int:
+        """The index of ρ(x) in the order of ``coset_representatives``."""
+        i = 0
+        for r, d in zip(self.residue(x), self.diag):
+            i = i * d + r
+        return i
+
     def canonical_point(self, x: Vector) -> Vector:
         return _apply(self.uinv, self.residue(x))
 
@@ -285,18 +307,23 @@ class PeriodicTriangulation:
             face_classes[s] = tuple(pairs)
         ordered = sorted(face_classes, key=lambda s: (s.dim, s.vertices))
         self._fill(rank, lattice, face_classes,
-                   {k: tuple(s for s in ordered if s.dim == k) for k in range(rank + 1)}, None)
+                   {k: tuple(s for s in ordered if s.dim == k) for k in range(rank + 1)},
+                   None, None)
 
     def _fill(self, rank: int, lattice: IntMatrix | None,
               face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]],
               by_dim: dict[int, tuple[LatticeSimplex, ...]],
-              negatives: dict[LatticeSimplex, LatticeSimplex | None] | None) -> None:
+              negatives: dict[LatticeSimplex, LatticeSimplex | None] | None,
+              unit_blocks: dict[LatticeSimplex, list[LatticeSimplex]] | None) -> None:
         self.rank = rank
         self.lattice = lattice
         self.face_classes = face_classes
         self._by_dim = by_dim
         self.simplices: tuple[LatticeSimplex, ...] = tuple(chain.from_iterable(by_dim.values()))
         self._negatives = negatives
+        # For a fan developed by ``with_lattice``: each class u of the unit
+        # cell, in its order, with dev[u, r] by residue index r.  Else None.
+        self._unit_blocks = unit_blocks
         self.certificates: dict[str, bool] = {}
         # Filled by certify(): the property-(d) and H-freeness violation lists.
         self.violations: dict[str, list[tuple[Vector, LatticeSimplex]]] = {}
@@ -375,11 +402,16 @@ class PeriodicTriangulation:
             by_dim[k] = tuple(block[r] for r in order for block in units)
         t = PeriodicTriangulation.__new__(PeriodicTriangulation)
         t._cosets = cosets
-        t._fill(self.rank, lattice, face_classes, by_dim, negatives)
+        t._fill(self.rank, lattice, face_classes, by_dim, negatives, blocks)
         return t
 
+    @functools.cached_property
+    def diameters(self) -> tuple[int, ...]:
+        """``diameter_inf`` of each class, in the order of ``simplices``."""
+        return tuple(s.diameter_inf() for s in self.simplices)
+
     def max_diameter(self) -> int:
-        return max((s.diameter_inf() for s in self.simplices), default=0)
+        return max(self.diameters, default=0)
 
     def max_vertex_coord(self) -> int:
         return max((s.max_coord() for s in self.simplices), default=0)
@@ -586,8 +618,7 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
         limit = min(window, limit)
     translates = [(lam, max(abs(x) for x in lam)) for lam in _lattice_translates(t, limit)]
     out = []
-    for s in t.simplices:
-        reach = s.diameter_inf()
+    for s, reach in zip(t.simplices, t.diameters):
         for lam, norm in translates:
             if norm <= reach and hulls_intersect(s, s.translate(lam)):
                 out.append((lam, s))
@@ -803,13 +834,17 @@ def certify(t: PeriodicTriangulation, *, window: int | None = None,
             allow_unsafe: bool = False) -> dict[str, bool]:
     """Run every check and attach the certificate dict to the triangulation,
     and the property-(d) and H-freeness violation lists as ``t.violations``.
+
+    A fan developed by ``with_lattice`` takes the four lattice-free flags
+    from its unit cell, with which they agree (module docstring).
     """
     violations = {
         "property_d": check_property_d(t, window, allow_unsafe=allow_unsafe),
         "h_free": check_h_freeness(t, window=window, allow_unsafe=allow_unsafe),
     }
-    certs = _certificates(_lattice_free_flags(t), not violations["property_d"],
-                          not violations["h_free"])
+    blocks = t._unit_blocks
+    flags = _lattice_free_flags(t) if blocks is None else _unit_cell_flags(t.rank, tuple(blocks))
+    certs = _certificates(flags, not violations["property_d"], not violations["h_free"])
     t.certificates = dict(certs)
     t.violations = violations
     return certs
@@ -829,11 +864,12 @@ def _lattice_free_flags(t: PeriodicTriangulation) -> tuple[bool, bool, bool, boo
     return semistable, unimodular, vertices_complete(t), polarization
 
 
-@functools.cache
+# Bounded, since fan documents bring unit cells from outside the program.
+@functools.lru_cache(maxsize=64)
 def _unit_cell_flags(rank: int,
                      classes: tuple[LatticeSimplex, ...]) -> tuple[bool, bool, bool, bool]:
     """``_lattice_free_flags`` of the unit cell with these classes, computed
-    once per process."""
+    once per process for each of the 64 cells used most recently."""
     return _lattice_free_flags(PeriodicTriangulation(rank, classes, None))
 
 
@@ -926,6 +962,12 @@ def fan_to_json(t: PeriodicTriangulation) -> dict:
 
 
 def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
+    """The fan of a document: the development of the unit cell of its
+    simplices' shapes when that is the document's fan, else the constructor's.
+
+    Validity is translation-invariant, so the first simplex of each shape is
+    validated, and a bad one is reported as the constructor would report it.
+    """
     if not isinstance(doc, Mapping):
         raise SchemaError("fan document must be a JSON object")
     rank = doc.get("rank")
@@ -940,18 +982,52 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
     raw_simplices = doc.get("simplices")
     if not isinstance(raw_simplices, list):
         raise SchemaError("field 'simplices' must be a list of simplices")
-    simplices = []
+    shapes: dict[tuple[Vector, ...], LatticeSimplex] = {}
+    listed = []  # (shape, lexmin vertex) of each simplex
     for raw in raw_simplices:
         if (not isinstance(raw, list) or not raw
                 or any(not isinstance(v, list) or len(v) != rank for v in raw)
                 or any(not isinstance(x, int) or isinstance(x, bool) for v in raw for x in v)):
             raise SchemaError("each simplex must be a nonempty list of rank-length "
                               "integer vectors")
-        try:
-            simplices.append(LatticeSimplex(raw))
-        except ValueError as exc:
-            raise SchemaError(f"bad simplex {raw}: {exc}") from exc
+        verts = sorted(map(tuple, raw))
+        lexmin = verts[0]
+        shape = tuple(tuple(map(sub, v, lexmin)) for v in verts)
+        if shape not in shapes:
+            try:
+                LatticeSimplex(raw)
+            except ValueError as exc:
+                raise SchemaError(f"bad simplex {raw}: {exc}") from exc
+            shapes[shape] = _simplex(shape)
+        listed.append((shapes[shape], lexmin))
     try:
-        return PeriodicTriangulation(rank, simplices, IntMatrix(raw_lattice, shape=(rank, rank)))
+        lattice = IntMatrix(raw_lattice, shape=(rank, rank))
+        return (_development(rank, list(shapes.values()), listed, lattice)
+                or PeriodicTriangulation(rank, [u.translate(x) for u, x in listed], lattice))
     except (ValueError, SingularPairing) as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def _development(rank: int, shapes: list[LatticeSimplex],
+                 listed: list[tuple[LatticeSimplex, Vector]],
+                 lattice: IntMatrix) -> PeriodicTriangulation | None:
+    """``unit.with_lattice(lattice)`` for the unit cell of the shapes, if
+    its classes are those of the listed simplices u + x closed under faces,
+    and so the constructor's triangulation (module docstring); else None.
+    """
+    unit = PeriodicTriangulation(rank, shapes, None)
+    # The listed classes closed under faces number at most their nonempty
+    # faces; a development with more classes is not the document's fan.
+    if len(unit.simplices) * abs(lattice.det()) > sum(2 ** len(u.vertices) - 1
+                                                      for u, _ in listed):
+        return None
+    t = unit.with_lattice(lattice)
+    blocks, index = t._unit_blocks, functools.cache(t._cosets.residue_index)
+    reached = {blocks[u][index(x)] for u, x in listed}
+    queue = list(reached)
+    while queue:
+        for f, _ in t.face_classes[queue.pop()]:
+            if f not in reached:
+                reached.add(f)
+                queue.append(f)
+    return t if len(reached) == len(t.simplices) else None

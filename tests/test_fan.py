@@ -517,7 +517,12 @@ def assert_unit_route_matches(rank, name, rows):
     unit = unit_cell(rank, name)
     lattice = IntMatrix(rows, shape=(rank, rank))
     certs = certify_unit_cell(unit, lattice)
-    assert certs == certify(unit.with_lattice(lattice))
+    t = unit.with_lattice(lattice)
+    assert certs == certify(t)
+    # certify reads a development's lattice-free flags off its unit cell;
+    # the developed classes give the same.
+    assert fan_module._lattice_free_flags(t) == tuple(
+        certs[k] for k in ("semistable", "unimodular", "vertices_complete", "polarization"))
     return certs
 
 
@@ -595,10 +600,14 @@ def assert_residue_route_matches(unit, lattice):
     assert t == expected
 
 
+# (rank, unit cell name, lattice rows) for the fans above and the unit cases.
+cell_cases = st.one_of(
+    fans.map(lambda fan: (len(fan[1]), fan[0] if fan[0] == "anti" else "standard", fan[1])),
+    unit_cases)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(fans.map(lambda fan: (len(fan[1]), fan[0] if fan[0] == "anti" else "standard",
-                                       fan[1])),
-                 unit_cases))
+@given(cell_cases)
 def test_residue_development_matches_canonical_points(case):
     rank, name, rows = case
     assert_residue_route_matches(unit_cell(rank, name), IntMatrix(rows, shape=(rank, rank)))
@@ -610,7 +619,7 @@ def test_residue_development_on_golden_fans(path):
     doc = read_fan(path)
     unit = PeriodicTriangulation(doc.rank, doc.simplices, None)
     assert_residue_route_matches(unit, doc.lattice)
-    # A fan read from a document computes its negatives on first use.
+    # A document the constructor reads computes its negatives on first use.
     assert doc.negatives == negatives_by_canonical_points(doc)
 
 
@@ -678,3 +687,102 @@ def test_margins_match_former_pairing_on_golden_fans(path):
 @given(fans)
 def test_margins_match_former_pairing(fan):
     assert_former_pairing(developed(*fan))
+
+
+# -- documents that are developments, read by fan_from_json, against the -------
+# -- constructor on the same simplices ----------------------------------------
+
+SQUARE_CUTS = ([[(0, 0), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]],
+               [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]])
+
+
+def flip_a_diagonal(t, classes, rng):
+    """The given classes of t, with one unit square's two triangles replaced
+    by the other cut of that square; unchanged when t cuts no square."""
+    if t.rank != 2 or not t.by_dim(0):
+        return classes
+    corner = rng.choice(t.by_dim(0)).vertices[0]
+    for old, new in (SQUARE_CUTS, SQUARE_CUTS[::-1]):
+        cut = [LatticeSimplex(s).translate(corner) for s in old]
+        if all(t.contains_class(s) for s in cut):
+            gone = {t.canonical_simplex(s) for s in cut}
+            return ([s for s in classes if s not in gone]
+                    + [LatticeSimplex(s).translate(corner) for s in new])
+    return classes
+
+
+def document_listing(t, rows, rng, damage):
+    """Simplices listing t's classes, or its top classes only, each as a
+    random translate by the lattice, with a common integer shift, some of
+    them twice, shuffled; ``damage`` alters the listed classes first."""
+    rank = t.rank
+    classes = list(t.simplices) if rng.random() < 0.5 else list(t.by_dim(rank))
+    if damage == "drop" and classes:
+        classes.pop(rng.randrange(len(classes)))
+    elif damage == "flip":
+        classes = flip_a_diagonal(t, classes, rng)
+    elif damage == "extra" and rank:
+        v = tuple(rng.randint(-5, 5) for _ in range(rank))
+        classes.append(LatticeSimplex([(0,) * rank, v if any(v) else (7,) * rank]))
+    classes += rng.sample(classes, rng.randint(0, min(3, len(classes))))
+    common = tuple(rng.randint(-9, 9) for _ in range(rank))
+    listing = []
+    for s in classes:
+        y = [rng.randint(-2, 2) for _ in range(rank)]
+        shift = tuple(c + sum(yi * row[j] for yi, row in zip(y, rows))
+                      for j, c in enumerate(common))
+        vertices = [list(v) for v in s.translate(shift).vertices]
+        rng.shuffle(vertices)
+        listing.append(vertices)
+    rng.shuffle(listing)
+    return listing
+
+
+document_cases = st.tuples(cell_cases, st.sampled_from([None, None, "drop", "flip", "extra"]),
+                           st.randoms(use_true_random=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(document_cases)
+def test_document_matches_constructor(case):
+    (rank, name, rows), damage, rng = case
+    lattice = IntMatrix(rows, shape=(rank, rank))
+    listing = document_listing(unit_cell(rank, name).with_lattice(lattice), rows, rng, damage)
+    got = fan_from_json({"rank": rank, "lattice": rows, "simplices": listing})
+    expected = PeriodicTriangulation(rank, [LatticeSimplex(s) for s in listing], lattice)
+    assert got.simplices == expected.simplices
+    assert [got.by_dim(k) for k in range(rank + 1)] == [
+        expected.by_dim(k) for k in range(rank + 1)]
+    assert got.face_classes == expected.face_classes
+    assert got.negatives == expected.negatives
+    assert certify(got) == certify(expected)
+    assert got.violations == expected.violations
+
+
+@pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)
+def test_document_route(path):
+    # Every golden fan is a development of its unit cell but the two repros,
+    # which the constructor reads.
+    t = read_fan(path)
+    repro = path.stem in ("f_one_triangle_22", "f_asym_cut_22")
+    assert (t._unit_blocks is None) == repro
+
+
+def test_document_schema_error_names_the_first_bad_simplex():
+    good = [[0, 0], [1, 0]]
+    repeated = [[2, 3], [2, 3]]
+    dependent = [[1, 1], [2, 2], [3, 3]]
+    messages = {
+        "repeated": "bad simplex [[2, 3], [2, 3]]: repeated vertices: ((2, 3), (2, 3))",
+        "dependent": "bad simplex [[1, 1], [2, 2], [3, 3]]: vertices are affinely "
+                     "dependent: ((1, 1), (2, 2), (3, 3))",
+    }
+    for listing, expected in (
+            ([good, repeated, dependent], messages["repeated"]),
+            ([good, dependent, repeated], messages["dependent"]),
+            # A translate of a bad simplex after it: the first one is named.
+            ([dependent, [[5, 6], [6, 7], [4, 5]]], messages["dependent"]),
+            ([repeated, [[0, 1], [0, 1]]], messages["repeated"])):
+        with pytest.raises(SchemaError) as info:
+            fan_from_json({"rank": 2, "lattice": [[2, 0], [0, 2]], "simplices": listing})
+        assert str(info.value) == expected

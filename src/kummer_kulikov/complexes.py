@@ -139,31 +139,25 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
     a cell is the class of the simplex with its i-th vertex deleted.  Raises
     UncertifiedFan when some −S is not a class, since the inversion then has
     no action on the cells.  A cell's label lists the vertices of its class.
+    The boundary and the involution are the fan's position ``tables``, so
+    no class is built unless a label is read.
     """
     needed = ("semistable", "unimodular", "property_d")
     if not all(t.certificates.get(k) for k in needed):
         raise UncertifiedFan(
             f"dual complex needs passing certificates {needed}; run certify() first")
-    reps = {k: t.by_dim(k) for k in range(t.rank + 1)}
-    position = {}  # each class's position among the classes of its dimension
-    for classes in reps.values():
-        position.update(zip(classes, range(len(classes))))
-    cells = {k: _names(k, len(classes)) for k, classes in reps.items()}
-    boundary = {k: tuple(tuple(position[cf] for cf, _ in t.face_classes[s]) for s in reps[k])
-                for k in range(1, t.rank + 1)}
-    faces = _face_names(cells, boundary)
-    perms: dict[int, tuple[int, ...]] = {}
-    negatives = t.negatives
-    for k, classes in reps.items():
-        images = [position.get(negatives[s]) for s in classes]
+    faces, negatives = t.tables
+    cells = {k: _names(k, len(images)) for k, images in negatives.items()}
+    for k, images in negatives.items():
         if None in images:
-            missing = classes[images.index(None)]
+            missing = t.by_dim(k)[images.index(None)]
             raise UncertifiedFan(
                 f"dual complex needs a fan stable under inversion; -S is not a class "
                 f"for S = {[list(v) for v in missing.vertices]}")
-        perms[k] = tuple(images)
-    labels = _Labels(cells, lambda k, i: _simplex_label(reps[k][i]))
-    return DeltaComplex(cells, faces, labels, boundary), InvolutionAction(perms)
+    boundary = dict(faces)
+    labels = _Labels(cells, lambda k, i: _simplex_label(t.by_dim(k)[i]))
+    return (DeltaComplex(cells, _face_names(cells, boundary), labels, boundary),
+            InvolutionAction(dict(negatives)))
 
 
 def _face_names(cells: dict[int, tuple[str, ...]],

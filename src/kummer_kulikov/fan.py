@@ -19,48 +19,56 @@ An explicit window below ``safe_window`` (property (d)) or
 ``required_window`` (H-freeness) still needs ``allow_unsafe``; with no
 window neither bound is computed, since neither can bind.
 
-``certify`` runs the checks on any developed fan; it serves ``fan check``
-and the ``complex`` commands, which read documents.  ``certify_unit_cell``
-decides the same six flags for ``unit.with_lattice(Λ)`` on the unit cell
-alone, so ``auto_scale`` develops only the base change it accepts.  Every
-developed class is s + g for a unit class s (lexmin vertex 0) and a coset
-representative g of Z^t/Λ, and no two of them coincide, because the unit
-classes are distinct modulo Z^t ⊃ Λ.
+``certify`` runs the checks on any fan: ``auto_scale`` certifies
+``unit.with_lattice(Λ)``, and ``fan check`` and the ``complex`` commands
+certify documents.  Every developed class is s + g for a unit class s
+(lexmin vertex 0) and a coset representative g of Z^t/Λ, and no two of
+them coincide: equal classes have equal lexmin vertices g, and then equal
+unit classes.  So a development has |Z^t/Λ| classes per unit class.
 
 ``with_lattice`` develops by arithmetic on residues, with no class made
 canonical again.  Let U·Λ^T·V = D = diag(d_1, ..., d_t) be the Smith form.
 The coset of x ∈ Z^t is its residue ρ(x) = U·x mod D in ∏ Z/d_i, and its
 canonical point is rep[ρ(x)] = U^{-1}·ρ(x); ρ is additive and
 ρ(rep[r]) = r.  So dev[u, r] = u + rep[r] has the canonical lexmin vertex
-rep[r], and is the stored class.
+rep[r], and is the stored class.  A development is carried as its unit
+cell and integer tables (``tables``), and builds no developed simplex until
+``simplices``, ``by_dim``, ``face_classes`` or ``negatives`` is read.
 
 - Face pairs.  Let f + z = uf be the unit pair of the i-th face f of u.
   The i-th face of dev[u, r] is f + rep[r]; its lexmin is rep[r] − z, of
-  residue r' = (r − U·z) mod D.  Its canonical shift is therefore
+  residue r' = (r − U·z) mod D = moved(z, 1)[r], where moved(v, sign)
+  maps r to (sign·r − U·v) mod D.  Its canonical shift is therefore
   rep[r'] − rep[r] + z, and the shifted face is uf + rep[r'] = dev[uf, r'].
 - Negatives.  Let −u + w = u* be canonical in the unit cell (w = lexmax u).
   Then −dev[u, r] = u* − w − rep[r] has lexmin −w − rep[r], of residue
-  r* = (−U·w − r) mod D, so its class is dev[u*, r*].  When −u is not a
-  unit class, −dev[u, r] ≡ −u mod Z^t is no developed class either, since
-  each developed class is congruent mod Z^t to the unit class it came from.
+  r* = (−U·w − r) mod D = moved(w, −1)[r], so its class is dev[u*, r*].
+  When −u is not a unit class, −dev[u, r] ≡ −u mod Z^t is no developed
+  class either, since each developed class is congruent mod Z^t to the
+  unit class it came from.
 - Order.  dev[u, r] and dev[u', r'] compare first by rep[r] against
   rep[r'], and for r = r' as u against u' (translation keeps the order).
   The sorted classes of dimension k are thus the unit classes of dimension
-  k, in their order, for each representative in lexicographic order.
+  k, in their order, for each representative in lexicographic order:
+  dev[u, r] is at position ord(r)·m_k + j(u), where ord(r) is the rank of
+  rep[r] among the representatives, m_k the number of unit k-classes and
+  j(u) the index of u among them.  ``tables`` holds, for each k-class by
+  position, the positions of its faces and of its negative.
 
-The six flags agree:
+The six flags agree, and the violation lists equal those of the scans over
+every developed class, in the order of ``simplices``:
 
-- Property (d) is invariant under translation, so the developed violations
-  are the translates of (λ, s) with λ ∈ Λ∖{0}, ‖λ‖_∞ <= diameter(s) and
-  hull(s) ∩ hull(s + λ) nonempty; λ ∈ Λ iff its residue is 0.
-- H-freeness: for S = s + g, λ = lexmin(−S) − lexmin(S) = μ_s − 2g with
-  μ_s = lexmin(−s) = −lexmax(s).  The edge of S from lexmin(S) to lexmax(S)
-  has the same λ, and an edge is symmetric about its midpoint, so S is a
-  fixed class only if that edge is one: it suffices to test the unit edge
-  classes e = [0, v], for which −e = e − v.  Such an e gives a fixed class
-  iff −v − 2g ∈ Λ for some coset representative g; λ = 0, a class with
-  −S = S, counts.  Such a g exists iff v ∈ 2·Z^t + Λ, that is iff v is
-  congruent mod 2 to a sum of rows of Λ: 2^t parity tests.
+- Property (d) is invariant under translation: dev[u, r] meets its
+  translate by λ iff u does, for the same λ ∈ Λ∖{0} (λ ∈ Λ iff its residue
+  is 0), and diameter(dev[u, r]) = diameter(u).  So the scan's list holds
+  (λ, dev[u, r]) for every residue r of each unit violation (λ, u), with
+  ‖λ‖_∞ <= min(window, diameter(u)).  The scan visits the classes by
+  position and, for each, the λ in lexicographic order; ``certify`` sorts
+  the same pairs by the same keys.
+- H-freeness: dev[u, r] is its own negative iff u* = u and r* = r, that is
+  moved(w, −1)[r] = r for w = lexmax(u).  Its λ is
+  lexmin(−S) − lexmin(S) = −w − 2·rep[r], and only these fixed classes are
+  built, in the order of their positions.
 - Unimodularity: the developed shapes are the unit shapes.
 - Polarization: a developed wall occurrence (s + g, i) has face class
   (f_i(s) + z) + (g − z) for the unit class f_i(s) + z of its face, so the
@@ -73,22 +81,26 @@ The six flags agree:
   coset exactly when the unit cell has a vertex.
 
 These four flags do not depend on Λ, so they are cached per unit cell, and
-``certify`` reads a development's off its unit cell.
+``certify`` reads a development's off its unit cell.  The largest vertex
+coordinate of a development is max(max v_i + max g_i, −(min v_i + min g_i))
+over coordinates i, unit vertices v and representatives g, since every pair
+(v, g) occurs.
 
-``fan_from_json`` reads a document through ``with_lattice`` when it can.
-Each listed simplex S is u + x for its shape u (lexmin vertex 0) and
+``fan_from_json`` reads a document as a development when it can.  Each
+listed simplex S is u + x for its shape u (lexmin vertex 0) and
 x = lexmin(S).  The unit cell of the distinct shapes develops to the classes
 dev[u, r], and the class of S is dev[u, ρ(x)], because translation keeps the
 lexmin vertex.  ``PeriodicTriangulation(rank, simplices, Λ)`` stores the set
 C of the listed classes closed under faces.  It orders C by (dim, vertices);
 its face pairs are (class of f, canonical shift of f) and its negatives the
 class of −S when that lies in C.  Each is a function of C and Λ alone, and
-``with_lattice`` gives the same functions of its own classes (above).  So a
+a development gives the same functions of its own classes (above).  So a
 document whose C is the developed class set *is* the development, with the
 same order, face pairs and negatives.  C lies inside that set, since it is
 closed under the developed face pairs, which are the canonical ones; the two
-are equal exactly when the walk from the listed classes over those face
-pairs reaches every developed class.
+are equal exactly when the walk from the listed pairs (u, ρ(x)) over the
+face pairs (u, r) -> (uf, moved(z, 1)[r]), top dimension down, reaches
+every pair.
 """
 
 from __future__ import annotations
@@ -207,6 +219,7 @@ class _CosetMap:
     """
 
     def __init__(self, rank: int, lattice: IntMatrix | None):
+        self.lattice = lattice
         if lattice is None:
             self.diag = (1,) * rank
             self.u = self.uinv = IntMatrix.identity(rank).entries
@@ -241,30 +254,11 @@ class _CosetMap:
         of ``product``, last coordinate fastest)."""
         return [_apply(self.uinv, r) for r in product(*(range(d) for d in self.diag))]
 
-    def shifts(self, z: Vector) -> list[Vector]:
-        """For each residue index of r, the canonical shift of rep[r] − z.
-
-        Let U·z = a + D·m with a = ρ(z).  The residue of rep[r] − z is
-        r' = r − a + D·b, where b_i = 1 if r_i < a_i and 0 otherwise, so the
-        shift rep[r'] − rep[r] + z = U^{-1}·(r' − r + U·z) = U^{-1}·D·(m + b)
-        is one of 2^t vectors, shared by the cosets with the same b.
-        """
-        uz = _apply(self.u, z)
-        a = [x % d for x, d in zip(uz, self.diag)]
-        vectors = [_apply(self.uinv, [x - ai + d * bi
-                                      for x, ai, d, bi in zip(uz, a, self.diag, b)])
-                   for b in product((0, 1), repeat=len(a))]
-        pattern = [0]
-        for ai, d in zip(a, self.diag):
-            carries = [r < ai for r in range(d)]
-            pattern = [2 * i + c for i in pattern for c in carries]
-        return list(map(vectors.__getitem__, pattern))
-
-    def index_map(self, c: Sequence[int], sign: int) -> list[int]:
-        """For each residue index of r, the index of (sign·r + c) mod D."""
+    def moved(self, v: Vector, sign: int) -> list[int]:
+        """For each residue index of r, the index of (sign·r − U·v) mod D."""
         out = [0]
-        for ci, d in zip(c, self.diag):
-            digits = [(sign * r + ci) % d for r in range(d)]
+        for c, d in zip(self.residue(v), self.diag):
+            digits = [(sign * r - c) % d for r in range(d)]
             out = [i * d + x for i in out for x in digits]
         return out
 
@@ -282,11 +276,14 @@ class PeriodicTriangulation:
     the pair (canonical class of the face f, shift with f + shift equal to
     that class); the closure loop computes each pair once and keeps it.
     ``negatives[S]`` is the class of −S, or None when −S is not a class.
+    A development (``with_lattice``) builds ``simplices``, ``by_dim``,
+    ``face_classes`` and ``negatives`` from its unit cell and ``tables``
+    when they are first read.
     """
 
     def __init__(self, rank: int, simplices: Iterable[LatticeSimplex],
                  lattice: IntMatrix | None):
-        self._cosets = _CosetMap(rank, lattice)
+        self._fill(rank, _CosetMap(rank, lattice), None)
         face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]] = {}
         queue = list({self.canonical_simplex(s) for s in simplices})
         seen = set(queue)
@@ -306,36 +303,97 @@ class PeriodicTriangulation:
                     queue.append(cf)
             face_classes[s] = tuple(pairs)
         ordered = sorted(face_classes, key=lambda s: (s.dim, s.vertices))
-        self._fill(rank, lattice, face_classes,
-                   {k: tuple(s for s in ordered if s.dim == k) for k in range(rank + 1)},
-                   None, None)
-
-    def _fill(self, rank: int, lattice: IntMatrix | None,
-              face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]],
-              by_dim: dict[int, tuple[LatticeSimplex, ...]],
-              negatives: dict[LatticeSimplex, LatticeSimplex | None] | None,
-              unit_blocks: dict[LatticeSimplex, list[LatticeSimplex]] | None) -> None:
-        self.rank = rank
-        self.lattice = lattice
         self.face_classes = face_classes
-        self._by_dim = by_dim
-        self.simplices: tuple[LatticeSimplex, ...] = tuple(chain.from_iterable(by_dim.values()))
-        self._negatives = negatives
-        # For a fan developed by ``with_lattice``: each class u of the unit
-        # cell, in its order, with dev[u, r] by residue index r.  Else None.
-        self._unit_blocks = unit_blocks
+        self._by_dim = {k: tuple(s for s in ordered if s.dim == k) for k in range(rank + 1)}
+
+    def _fill(self, rank: int, cosets: _CosetMap, unit: PeriodicTriangulation | None) -> None:
+        self.rank = rank
+        self.lattice = cosets.lattice
+        self._cosets = cosets
+        # The unit cell of a development; None for a fan from the constructor.
+        self._unit = unit
         self.certificates: dict[str, bool] = {}
         # Filled by certify(): the property-(d) and H-freeness violation lists.
         self.violations: dict[str, list[tuple[Vector, LatticeSimplex]]] = {}
 
-    @property
+    @functools.cached_property
+    def _by_dim(self) -> dict[int, tuple[LatticeSimplex, ...]]:
+        # Set by the constructor.  A development's k-class at position
+        # q·m_k + j is the j-th unit k-class plus the q-th representative.
+        return {k: tuple(u.translate(g) for g in self._reps for u in self._unit.by_dim(k))
+                for k in range(self.rank + 1)}
+
+    @functools.cached_property
+    def simplices(self) -> tuple[LatticeSimplex, ...]:
+        return tuple(chain.from_iterable(self._by_dim.values()))
+
+    @functools.cached_property
+    def face_classes(self) -> dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]]:
+        # Set by the constructor; a development reads its face positions.
+        out = dict.fromkeys(self.by_dim(0), ())
+        for k, rows in self.tables[0].items():
+            below = self.by_dim(k - 1)
+            for s, row in zip(self.by_dim(k), rows):
+                vs = s.vertices
+                # The face without vertex i has the lexmin vs[0], or vs[1] for i = 0.
+                out[s] = tuple((f, tuple(map(sub, f.vertices[0], vs[1 if i == 0 else 0])))
+                               for i, f in enumerate(map(below.__getitem__, row)))
+        return out
+
+    @functools.cached_property
     def negatives(self) -> dict[LatticeSimplex, LatticeSimplex | None]:
-        """Carried by ``with_lattice``; otherwise computed on first use."""
-        if self._negatives is None:
+        if self._unit is None:
             classes = self.face_classes
-            self._negatives = {s: (n if (n := self.canonical_simplex(s.negate())) in classes
-                                   else None) for s in self.simplices}
-        return self._negatives
+            return {s: (n if (n := self.canonical_simplex(s.negate())) in classes else None)
+                    for s in self.simplices}
+        out = {}
+        for k, images in self.tables[1].items():
+            classes = self.by_dim(k)
+            out.update(zip(classes, (None if p is None else classes[p] for p in images)))
+        return out
+
+    @functools.cached_property
+    def tables(self) -> tuple[dict[int, tuple[tuple[int, ...], ...]],
+                              dict[int, tuple[int | None, ...]]]:
+        """(faces, negatives) by position among the classes of a dimension.
+
+        faces[k][p], for k >= 1, lists the positions of the faces of
+        by_dim(k)[p] among the (k−1)-classes, in the order of ``faces()``;
+        negatives[k][p] is the position of its negative, or None.  A
+        development computes them from its unit cell by residue arithmetic
+        (module docstring); a fan from the constructor reads its dicts.
+        """
+        unit, rank = self._unit, self.rank
+        if unit is None:
+            position = {s: i for k in range(rank + 1) for i, s in enumerate(self.by_dim(k))}
+            return ({k: tuple(tuple(position[f] for f, _ in self.face_classes[s])
+                              for s in self.by_dim(k)) for k in range(1, rank + 1)},
+                    {k: tuple(map(position.get, map(self.negatives.get, self.by_dim(k))))
+                     for k in range(rank + 1)})
+        n = len(self._reps)
+        moved = functools.cache(self._moved)
+        index = {u: j for k in range(rank + 1) for j, u in enumerate(unit.by_dim(k))}
+        faces, negatives = {}, {}
+        for k in range(rank + 1):
+            units = unit.by_dim(k)
+            m, below = len(units), len(unit.by_dim(k - 1))
+            face_rows, images = [()] * (n * m), [None] * (n * m)
+            for j, u in enumerate(units):
+                columns = [[q * below + index[f] for q in moved(z, 1)]
+                           for f, z in unit.face_classes[u]]
+                if columns:
+                    face_rows[j::m] = zip(*columns)
+                if (star := unit.negatives[u]) is not None:
+                    images[j::m] = [q * m + index[star] for q in moved(u.vertices[-1], -1)]
+            if k:
+                faces[k] = tuple(face_rows)
+            negatives[k] = tuple(images)
+        return faces, negatives
+
+    def _moved(self, v: Vector, sign: int) -> list[int]:
+        """For each q, ord of moved(v, sign)[r] for the residue r of ord q."""
+        moved, ords = self._cosets.moved(v, sign), self._ord
+        return [ords[moved[r]] for r in self._order]
 
     def canonical_point(self, x: Vector) -> Vector:
         return self._cosets.canonical_point(x)
@@ -361,48 +419,23 @@ class PeriodicTriangulation:
         """Develop a unit-cell triangulation over the cosets of Z^t modulo Λ_b.
 
         The classes are dev[u, r] = u + rep[r], for each unit class u and
-        residue r; their face pairs, negatives and order are read off the
-        unit cell's by residue arithmetic (see the module docstring).
+        residue r; their order, face pairs and negatives are read off the
+        unit cell's by residue arithmetic (see the module docstring).  No
+        two coincide, because the unit classes all have the lexmin vertex 0,
+        which ``lattice is None`` guarantees.
         """
         if self.lattice is not None:
             raise ValueError("triangulation already has a lattice attached")
-        cosets = _CosetMap(self.rank, lattice)
-        reps = cosets.coset_representatives()
-        n = len(reps)
-        # blocks[u][r] is dev[u, r] = u + rep[r], built one vertex column at a time.
-        blocks = {u: list(map(_simplex, zip(*[[tuple(map(add, v, g)) for g in reps]
-                                               for v in u.vertices])))
-                  for u in self.simplices}
+        return self._develop(_CosetMap(self.rank, lattice))
 
-        @functools.cache
-        def moved(v: Vector, sign: int) -> list[int]:
-            """r ↦ (sign·r − U·v) mod D, by residue index."""
-            return cosets.index_map([-x for x in cosets.residue(v)], sign)
-
-        shifts = functools.cache(cosets.shifts)
-
-        def face_column(uf: LatticeSimplex, z: Vector) -> list:
-            """(dev[uf, r'], z + rep[r'] − rep[r]) for every r."""
-            return list(zip(map(blocks[uf].__getitem__, moved(z, 1)), shifts(z)))
-
-        face_classes = {}
-        negatives = {}
-        for u, block in blocks.items():
-            columns = [face_column(uf, z) for uf, z in self.face_classes[u]]
-            face_classes.update(zip(block, zip(*columns)) if columns else dict.fromkeys(block, ()))
-            star = self.negatives[u]
-            negatives.update(zip(block, [None] * n if star is None else
-                                 map(blocks[star].__getitem__, moved(u.vertices[-1], -1))))
-        if len(face_classes) != n * len(blocks):
-            raise ValueError("unit-cell classes collapsed while developing")
-        order = sorted(range(n), key=reps.__getitem__)
-        by_dim = {}
-        for k in range(self.rank + 1):
-            units = [blocks[u] for u in self.by_dim(k)]
-            by_dim[k] = tuple(block[r] for r in order for block in units)
+    def _develop(self, cosets: _CosetMap) -> "PeriodicTriangulation":
         t = PeriodicTriangulation.__new__(PeriodicTriangulation)
-        t._cosets = cosets
-        t._fill(self.rank, lattice, face_classes, by_dim, negatives, blocks)
+        t._fill(self.rank, cosets, self)
+        reps = cosets.coset_representatives()
+        # _order lists the residue indices by rep; _ord[r] is the rank of rep[r].
+        t._order = sorted(range(len(reps)), key=reps.__getitem__)
+        t._reps = list(map(reps.__getitem__, t._order))
+        t._ord = sorted(range(len(reps)), key=t._order.__getitem__)
         return t
 
     @functools.cached_property
@@ -411,10 +444,16 @@ class PeriodicTriangulation:
         return tuple(s.diameter_inf() for s in self.simplices)
 
     def max_diameter(self) -> int:
-        return max(self.diameters, default=0)
+        # A development's classes are translates of its unit classes.
+        return max((self._unit or self).diameters, default=0)
 
     def max_vertex_coord(self) -> int:
-        return max((s.max_coord() for s in self.simplices), default=0)
+        if self._unit is None:
+            return max((s.max_coord() for s in self.simplices), default=0)
+        # Every vertex is v + g for a unit vertex v and a representative g.
+        unit_vertices = chain.from_iterable(u.vertices for u in self._unit.simplices)
+        return max((max(max(vs) + max(gs), -min(vs) - min(gs))
+                    for vs, gs in zip(zip(*unit_vertices), zip(*self._reps))), default=0)
 
     def lattice_max(self) -> int:
         if self.lattice is None:
@@ -608,7 +647,9 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
     A violating λ is p − q with p, q ∈ hull(S), so ‖λ‖_∞ <= diameter(S).
     The scan therefore covers ‖λ‖_∞ <= min(window, largest diameter) and
     tests S only against translates within its own diameter; any window
-    at or above that reach gives the same list.
+    at or above that reach gives the same list.  A development is scanned
+    on its unit cell, and each unit violation is listed at every residue
+    (module docstring).
     """
     if t.lattice is None:
         raise ValueError("property (d) needs a translation lattice attached")
@@ -617,12 +658,15 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
         _refuse_small_window(window, safe_window(t), allow_unsafe)
         limit = min(window, limit)
     translates = [(lam, max(abs(x) for x in lam)) for lam in _lattice_translates(t, limit)]
-    out = []
-    for s, reach in zip(t.simplices, t.diameters):
-        for lam, norm in translates:
-            if norm <= reach and hulls_intersect(s, s.translate(lam)):
-                out.append((lam, s))
-    return out
+
+    def hits(s: LatticeSimplex, reach: int) -> list[Vector]:
+        return [lam for lam, norm in translates
+                if norm <= reach and hulls_intersect(s, s.translate(lam))]
+
+    if t._unit is None:
+        return [(lam, s) for s, reach in zip(t.simplices, t.diameters) for lam in hits(s, reach)]
+    unit_hits = {u: hits(u, u.diameter_inf()) for u in t._unit.simplices}
+    return _developed(t, lambda u: [(q, lam) for q in range(len(t._reps)) for lam in unit_hits[u]])
 
 
 def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
@@ -638,22 +682,47 @@ def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
     λ = lexmin(−S) − lexmin(S), and the canonical class S is fixed exactly
     when it is its own carried negative.  A fixed class is kept when its λ
     is within the window.  λ equals −2·centroid(S), so with no window every
-    fixed class is reported.
+    fixed class is reported.  A development finds its fixed classes on the
+    unit cell (module docstring).
     """
     if t.lattice is None:
         raise ValueError("H-freeness needs a translation lattice attached")
     if window is not None:
         _refuse_small_window(window, required_window(t), allow_unsafe)
-    negatives = t.negatives
+    unit = t._unit
+    if unit is None:
+        negatives = t.negatives
+        fixed = [s for s in t.simplices if s.dim >= 1 and negatives[s] == s]
+    else:
+        def fixed_residues(u: LatticeSimplex) -> list[tuple[int, None]]:
+            # dev[u, q] is its own negative iff u* = u and moved(lexmax u, −1) fixes q.
+            if u.dim < 1 or unit.negatives[u] != u:
+                return []
+            return [(q, None) for q, image in enumerate(t._moved(u.vertices[-1], -1))
+                    if image == q]
+
+        fixed = [s for _, s in _developed(t, fixed_residues)]
     out = []
-    for s in t.simplices:
-        if s.dim < 1 or negatives[s] != s:
-            continue
+    for s in fixed:
         # lexmin(−S) = −lexmax(S).
         lam = tuple(-a - b for a, b in zip(s.vertices[-1], s.vertices[0]))
         if window is None or max(abs(x) for x in lam) <= window:
             out.append((_lattice_coefficients(t, lam), s))
     return out
+
+
+def _developed(t: PeriodicTriangulation, found) -> list[tuple[object, LatticeSimplex]]:
+    """[(payload, dev[u, q])] in the order of ``t.simplices``, for the pairs
+    (q, payload) in ``found(u)`` for each unit class u: dev[u, q] is u plus
+    the q-th representative, at position q·m_k + j(u) among the k-classes.
+    The sort is stable, so the payloads of one class keep their order."""
+    rows = []
+    for k in range(t.rank + 1):
+        units = t._unit.by_dim(k)
+        for j, u in enumerate(units):
+            rows += [((k, q * len(units) + j), payload, u, q) for q, payload in found(u)]
+    rows.sort(key=lambda row: row[0])
+    return [(payload, u.translate(t._reps[q])) for _, payload, u, q in rows]
 
 
 def vertices_complete(t: PeriodicTriangulation) -> bool:
@@ -669,7 +738,7 @@ def check_gamma_admissible(t: PeriodicTriangulation) -> bool:
     """
     if t.lattice is None:
         raise ValueError("Γ-admissibility needs a translation lattice attached")
-    return None not in t.negatives.values()
+    return all(None not in images for images in t.tables[1].values())
 
 
 # -- polarization surrogate ----------------------------------------------------
@@ -835,15 +904,16 @@ def certify(t: PeriodicTriangulation, *, window: int | None = None,
     """Run every check and attach the certificate dict to the triangulation,
     and the property-(d) and H-freeness violation lists as ``t.violations``.
 
-    A fan developed by ``with_lattice`` takes the four lattice-free flags
-    from its unit cell, with which they agree (module docstring).
+    A development takes the four lattice-free flags from its unit cell,
+    with which they agree, and its violation lists are found on the unit
+    cell (module docstring).
     """
     violations = {
         "property_d": check_property_d(t, window, allow_unsafe=allow_unsafe),
         "h_free": check_h_freeness(t, window=window, allow_unsafe=allow_unsafe),
     }
-    blocks = t._unit_blocks
-    flags = _lattice_free_flags(t) if blocks is None else _unit_cell_flags(t.rank, tuple(blocks))
+    unit = t._unit
+    flags = _lattice_free_flags(t) if unit is None else _unit_cell_flags(t.rank, unit.simplices)
     certs = _certificates(flags, not violations["property_d"], not violations["h_free"])
     t.certificates = dict(certs)
     t.violations = violations
@@ -881,44 +951,18 @@ def _certificates(flags: tuple[bool, bool, bool, bool], property_d: bool,
             "h_free": h_free, "vertices_complete": complete, "polarization": polarization}
 
 
-def certify_unit_cell(unit: PeriodicTriangulation, lattice: IntMatrix) -> dict[str, bool]:
-    """The certificates ``certify(unit.with_lattice(lattice))`` would give,
-    decided on the classes of the unit cell without developing them.
-
-    The module docstring proves that each flag agrees.  Only two depend on
-    Λ: property (d) tests the nonzero λ ∈ Λ with ‖λ‖_∞ <= diameter(s) for
-    each unit class s, and H-freeness tests the parity of each unit edge
-    against the 2^t sums of rows of Λ.
-    """
-    if unit.lattice is not None:
-        raise ValueError("expected a unit-cell triangulation")
-    rank = unit.rank
-    cosets = _CosetMap(rank, lattice)
-    property_d = not any(
-        any(lam) and not any(cosets.residue(lam))
-        and hulls_intersect(s, s.translate(lam))
-        for s in unit.simplices
-        for lam in product(range(-s.diameter_inf(), s.diameter_inf() + 1), repeat=rank))
-    row_sums = {tuple(sum(row[k] for row, e in zip(lattice.entries, pick) if e) % 2
-                      for k in range(rank))
-                for pick in product((0, 1), repeat=rank)}
-    # The edge class [0, v] is fixed iff v ∈ 2·Z^t + Λ.
-    h_free = not any(tuple(x % 2 for x in e.vertices[1]) in row_sums for e in unit.by_dim(1))
-    return _certificates(_unit_cell_flags(rank, unit.simplices), property_d, h_free)
-
-
 def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     """Smallest base-change index ν for which the standard triangulation with
     lattice Λ_(ν·b) passes all four fan checks; the returned triangulation is
     certified for base_change(d, ν).
 
-    Each ν is decided by ``certify_unit_cell`` on the ≤ 6 classes of the
-    standard cell, and only the accepted ν is developed.  Its certificates,
-    with empty violation lists, are attached to the returned triangulation.
-    On the standard cell the proofs of the module docstring read: property
-    (d) tests the nonzero λ ∈ Λ with ‖λ‖_∞ <= 1; H-freeness fails iff an
-    edge direction v ∈ {(1), (1,0), (0,1), (1,1)} lies in 2·Z^t + Λ; the
-    developed shapes, and so unimodularity, are the unit ones; the
+    Each ν is decided by ``certify`` on the development of the standard
+    cell, which reads the ≤ 6 classes of the cell and builds no developed
+    simplex when every check passes.  On the standard cell the proofs of
+    the module docstring read: property (d) tests the nonzero λ ∈ Λ with
+    ‖λ‖_∞ <= 1; H-freeness fails iff an edge [0, v] with v ∈ {(1), (1,0),
+    (0,1), (1,1)} is fixed at some residue; the developed shapes, and so
+    unimodularity, are the unit ones; the
     polarization margins are the unit margins, each repeated once per
     coset; and the cell has a vertex, so it is semistable and
     vertex-complete over every Λ.  These four flags and the cell itself
@@ -935,12 +979,9 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     """
     unit = _standard_cell(d.rank)
     for nu in (1, 2):
-        lattice = base_change(d, nu).b
-        certs = certify_unit_cell(unit, lattice)
+        tri = unit.with_lattice(base_change(d, nu).b)
+        certs = certify(tri)
         if all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free")):
-            tri = unit.with_lattice(lattice)
-            tri.certificates = certs
-            tri.violations = {"property_d": [], "h_free": []}
             return nu, tri
     raise ConsistencyError("the standard triangulation fails certification at ν = 2")
 
@@ -967,6 +1008,9 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
 
     Validity is translation-invariant, so the first simplex of each shape is
     validated, and a bad one is reported as the constructor would report it.
+    The schema is checked in one pass over the whole listing; only a listing
+    that fails it is checked simplex by simplex, so that the first bad
+    simplex, by schema or by geometry, is named.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("fan document must be a JSON object")
@@ -984,8 +1028,9 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
         raise SchemaError("field 'simplices' must be a list of simplices")
     shapes: dict[tuple[Vector, ...], LatticeSimplex] = {}
     listed = []  # (shape, lexmin vertex) of each simplex
+    well_formed = _well_formed(raw_simplices, rank)
     for raw in raw_simplices:
-        if (not isinstance(raw, list) or not raw
+        if not well_formed and (not isinstance(raw, list) or not raw
                 or any(not isinstance(v, list) or len(v) != rank for v in raw)
                 or any(not isinstance(x, int) or isinstance(x, bool) for v in raw for x in v)):
             raise SchemaError("each simplex must be a nonempty list of rank-length "
@@ -1008,12 +1053,23 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
         raise SchemaError(str(exc)) from exc
 
 
+def _well_formed(raw_simplices: list, rank: int) -> bool:
+    """Every simplex is a nonempty list of rank-length lists of ints: each
+    test is one pass in C over the listing, its vectors or their entries."""
+    if not (set(map(type, raw_simplices)) <= {list} and all(raw_simplices)):
+        return False
+    vectors = list(chain.from_iterable(raw_simplices))
+    return (set(map(type, vectors)) <= {list} and set(map(len, vectors)) <= {rank}
+            and set(map(type, chain.from_iterable(vectors))) <= {int})
+
+
 def _development(rank: int, shapes: list[LatticeSimplex],
                  listed: list[tuple[LatticeSimplex, Vector]],
                  lattice: IntMatrix) -> PeriodicTriangulation | None:
     """``unit.with_lattice(lattice)`` for the unit cell of the shapes, if
     its classes are those of the listed simplices u + x closed under faces,
     and so the constructor's triangulation (module docstring); else None.
+    The walk runs on pairs (unit class, residue index) before developing.
     """
     unit = PeriodicTriangulation(rank, shapes, None)
     # The listed classes closed under faces number at most their nonempty
@@ -1021,13 +1077,16 @@ def _development(rank: int, shapes: list[LatticeSimplex],
     if len(unit.simplices) * abs(lattice.det()) > sum(2 ** len(u.vertices) - 1
                                                       for u, _ in listed):
         return None
-    t = unit.with_lattice(lattice)
-    blocks, index = t._unit_blocks, functools.cache(t._cosets.residue_index)
-    reached = {blocks[u][index(x)] for u, x in listed}
-    queue = list(reached)
-    while queue:
-        for f, _ in t.face_classes[queue.pop()]:
-            if f not in reached:
-                reached.add(f)
-                queue.append(f)
-    return t if len(reached) == len(t.simplices) else None
+    cosets = _CosetMap(rank, lattice)
+    index, moved = functools.cache(cosets.residue_index), functools.cache(cosets.moved)
+    reached = {u: set() for u in unit.simplices}
+    for u, x in listed:
+        reached[u].add(index(x))
+    # The faces of a k-class are (k−1)-classes: one pass, top dimension down.
+    for k in range(rank, 0, -1):
+        for u in unit.by_dim(k):
+            for f, z in unit.face_classes[u]:
+                reached[f].update(map(moved(z, 1).__getitem__, reached[u]))
+    if any(len(residues) != cosets.index for residues in reached.values()):
+        return None
+    return unit._develop(cosets)

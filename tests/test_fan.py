@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kummer_kulikov.cli as cli_module
+import kummer_kulikov.complexes as complexes_module
 import kummer_kulikov.fan as fan_module
 from conftest import make_data
 from kummer_kulikov.degeneration import base_change, is_even
@@ -23,7 +25,6 @@ from kummer_kulikov.fan import (
     PolarizationForm,
     auto_scale,
     certify,
-    certify_unit_cell,
     check_gamma_admissible,
     check_h_freeness,
     check_polarization,
@@ -288,12 +289,12 @@ def test_user_fan_closed_under_faces():
 def test_auto_scale_stops_at_nu_2(monkeypatch):
     tried = []
 
-    def failing_certify(unit, lattice):
-        tried.append(lattice)
+    def failing_certify(t):
+        tried.append(t.lattice)
         return {"semistable": True, "unimodular": True, "property_d": False,
                 "h_free": True}
 
-    monkeypatch.setattr(fan_module, "certify_unit_cell", failing_certify)
+    monkeypatch.setattr(fan_module, "certify", failing_certify)
     with pytest.raises(ConsistencyError):
         auto_scale(make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0)))
     assert tried == [IntMatrix([[1, 0], [0, 1]]), IntMatrix([[2, 0], [0, 2]])]
@@ -316,6 +317,8 @@ def developed(kind, rows):
 def lattice_points(rows, window):
     """Every (λ, y) with λ = y·rows nonzero and ‖λ‖_∞ <= window, sorted by λ."""
     n = len(rows)
+    if n == 0:
+        return []
     adj = [[1]] if n == 1 else [[rows[1][1], -rows[0][1]], [-rows[1][0], rows[0][0]]]
     det = IntMatrix(rows, shape=(n, n)).det()
     out = []
@@ -379,8 +382,11 @@ fans = st.one_of(
                      ("standard", [[1, 0], [0, 9]]), ("anti", [[2, 0], [1, 8]])]))
 
 
+windows = st.one_of(st.none(), st.integers(0, 12))  # None: each check's own bound
+
+
 @settings(max_examples=60, deadline=None)
-@given(fans, st.one_of(st.none(), st.integers(0, 12)))
+@given(fans, windows)
 def test_bounded_checks_match_full_window_scans(fan, window):
     kind, rows = fan
     t = developed(kind, rows)
@@ -479,7 +485,7 @@ def test_canonical_point_matches_matrix_route(t, points):
         assert t.canonical_point(x) == matrix_canonical_point(t.lattice, x)
 
 
-# -- the unit-cell route of auto_scale against certify on the developed fan -------
+# -- unit cells and lattices --------------------------------------------------------
 
 # Unit cells beyond the standard one make every flag fail somewhere: the
 # anti-diagonal cut is not convex for the default form, WIDE is not
@@ -513,65 +519,6 @@ unit_cases = st.one_of(
     st.tuples(st.just(2), st.sampled_from(sorted(UNIT_CELLS[2])), lattices_2))
 
 
-def assert_unit_route_matches(rank, name, rows):
-    unit = unit_cell(rank, name)
-    lattice = IntMatrix(rows, shape=(rank, rank))
-    certs = certify_unit_cell(unit, lattice)
-    t = unit.with_lattice(lattice)
-    assert certs == certify(t)
-    # certify reads a development's lattice-free flags off its unit cell;
-    # the developed classes give the same.
-    assert fan_module._lattice_free_flags(t) == tuple(
-        certs[k] for k in ("semistable", "unimodular", "vertices_complete", "polarization"))
-    return certs
-
-
-@settings(max_examples=80, deadline=None)
-@given(unit_cases)
-def test_unit_cell_certificates_match_developed(case):
-    assert_unit_route_matches(*case)
-
-
-def test_unit_cell_flags_take_both_values():
-    seen = {}
-    cases = [(0, "standard", [])] + [
-        (rank, name, rows) for rank, lattices in (
-            (1, [[[1]], [[-3]], [[3]], [[4]]]),
-            (2, [[[1, 0], [0, 1]], [[2, 0], [0, 2]], [[3, 1], [1, 3]], [[2, 0], [0, 5]]]))
-        for name in UNIT_CELLS[rank] for rows in lattices]
-    for rank, name, rows in cases:
-        certs = assert_unit_route_matches(rank, name, rows)
-        for flag, value in certs.items():
-            seen.setdefault(flag, set()).add(value)
-    assert seen == {flag: {True, False} for flag in seen}
-    assert len(seen) == 6
-
-
-def test_unit_cell_route_needs_a_unit_cell():
-    t = standard_triangulation(1).with_lattice(IntMatrix([[2]]))
-    with pytest.raises(ValueError):
-        certify_unit_cell(t, IntMatrix([[2]]))
-
-
-def test_h_freeness_does_not_depend_on_the_basis():
-    # [0, 2] developed over 3Z: the class [2, 4] has −S = S − 6, and over the
-    # basis (−3) its representative [−1, 1] has −S = S, which counts too.
-    unit = unit_cell(1, "long")
-    for rows, expected in (([[3]], [((-2,), LatticeSimplex([(2,), (4,)]))]),
-                           ([[-3]], [((0,), LatticeSimplex([(-1,), (1,)]))])):
-        t = unit.with_lattice(IntMatrix(rows))
-        assert check_h_freeness(t) == expected
-        assert not certify(t)["h_free"]
-        assert not certify_unit_cell(unit, IntMatrix(rows))["h_free"]
-
-
-def test_unit_cell_flags_are_fresh_dicts():
-    unit = standard_triangulation(2)
-    first = certify_unit_cell(unit, IntMatrix([[2, 0], [0, 2]]))
-    first["polarization"] = False
-    assert certify_unit_cell(unit, IntMatrix([[2, 0], [0, 2]]))["polarization"]
-
-
 # -- the residue development against developing by canonical points -------------
 
 def develop_by_canonical_points(unit, lattice):
@@ -595,6 +542,7 @@ def assert_residue_route_matches(unit, lattice):
     assert t.simplices == expected.simplices
     assert [t.by_dim(k) for k in range(t.rank + 1)] == [
         expected.by_dim(k) for k in range(t.rank + 1)]
+    assert t.tables == expected.tables
     assert t.face_classes == expected.face_classes
     assert t.negatives == expected.negatives == negatives_by_canonical_points(expected)
     assert t == expected
@@ -632,6 +580,124 @@ def test_residue_development_edge_cases():
     t = wide.with_lattice(IntMatrix([[3, 1], [1, 3]]))
     assert [t.negatives[s] for s in t.by_dim(2)] == [None] * 8
     assert not check_gamma_admissible(t)
+
+
+# -- certify on a development against the oracle: the classes made canonical ----
+# -- one by one and scanned over the full window -----------------------------------
+
+def assert_unit_route_matches(rank, name, rows, window=None):
+    """certify on the development, which finds its violations on the unit
+    cell, against the constructor's fan on every developed class and the
+    full-window scans of that fan."""
+    unit = unit_cell(rank, name)
+    lattice = IntMatrix(rows, shape=(rank, rank))
+    t = unit.with_lattice(lattice)
+    certs = certify(t, window=window, allow_unsafe=True)
+    expected = develop_by_canonical_points(unit, lattice)
+    assert certs == certify(expected, window=window, allow_unsafe=True)
+    wd = safe_window(expected) if window is None else window
+    wh = required_window(expected) if window is None else window
+    assert t.violations == expected.violations == {
+        "property_d": scan_property_d(expected, wd), "h_free": scan_h_freeness(expected, wh)}
+    # certify reads a development's lattice-free flags off its unit cell;
+    # the developed classes give the same.
+    assert fan_module._lattice_free_flags(t) == tuple(
+        certs[k] for k in ("semistable", "unimodular", "vertices_complete", "polarization"))
+    return certs
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell_cases, windows)
+def test_unit_cell_certificates_match_developed(case, window):
+    assert_unit_route_matches(*case, window=window)
+
+
+def test_unit_cell_flags_take_both_values():
+    seen = {}
+    cases = [(0, "standard", [])] + [
+        (rank, name, rows) for rank, lattices in (
+            (1, [[[1]], [[-3]], [[3]], [[4]]]),
+            (2, [[[1, 0], [0, 1]], [[2, 0], [0, 2]], [[3, 1], [1, 3]], [[2, 0], [0, 5]]]))
+        for name in UNIT_CELLS[rank] for rows in lattices]
+    for rank, name, rows in cases:
+        certs = assert_unit_route_matches(rank, name, rows)
+        for flag, value in certs.items():
+            seen.setdefault(flag, set()).add(value)
+    assert seen == {flag: {True, False} for flag in seen}
+    assert len(seen) == 6
+
+
+def test_unit_cell_route_needs_a_unit_cell():
+    t = standard_triangulation(1).with_lattice(IntMatrix([[2]]))
+    with pytest.raises(ValueError):
+        t.with_lattice(IntMatrix([[2]]))
+
+
+def test_h_freeness_does_not_depend_on_the_basis():
+    # [0, 2] developed over 3Z: the class [2, 4] has −S = S − 6, and over the
+    # basis (−3) its representative [−1, 1] has −S = S, which counts too.
+    unit = unit_cell(1, "long")
+    for rows, expected in (([[3]], [((-2,), LatticeSimplex([(2,), (4,)]))]),
+                           ([[-3]], [((0,), LatticeSimplex([(-1,), (1,)]))])):
+        t = unit.with_lattice(IntMatrix(rows))
+        assert check_h_freeness(t) == expected
+        assert not certify(t)["h_free"]
+
+
+def test_unit_cell_flags_are_fresh_dicts():
+    unit = standard_triangulation(2)
+    first = certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))
+    first["polarization"] = False
+    assert certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))["polarization"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_cases)
+def test_development_bounds_match_class_scans(case):
+    # max_diameter and max_vertex_coord read the unit cell and the
+    # representatives; the scans read every developed class.
+    rank, name, rows = case
+    t = unit_cell(rank, name).with_lattice(IntMatrix(rows, shape=(rank, rank)))
+    diameter, coord = t.max_diameter(), t.max_vertex_coord()
+    assert diameter == max((s.diameter_inf() for s in t.simplices), default=0)
+    assert coord == max((s.max_coord() for s in t.simplices), default=0)
+
+
+# -- the dual complex on the position tables against one built from the dicts ----
+
+def dual_from_dicts(t):
+    """Boundary, involution and labels of Δ_A from the classes and the
+    ``face_classes`` and ``negatives`` dicts, position by position."""
+    classes = {k: t.by_dim(k) for k in range(t.rank + 1)}
+    position = {s: i for group in classes.values() for i, s in enumerate(group)}
+    boundary = {k: tuple(tuple(position[f] for f, _ in t.face_classes[s]) for s in classes[k])
+                for k in range(1, t.rank + 1)}
+    perms = {k: tuple(position[t.negatives[s]] for s in group) for k, group in classes.items()}
+    labels = ["|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
+              for s in t.simplices]
+    return boundary, perms, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_cases)
+def test_table_dual_complex_matches_dicts(case):
+    rank, name, rows = case
+    unit, lattice = unit_cell(rank, name), IntMatrix(rows, shape=(rank, rank))
+    t = unit.with_lattice(lattice)
+    certs = certify(t)
+    if not all(certs[k] for k in ("semistable", "unimodular", "property_d")):
+        return
+    expected = develop_by_canonical_points(unit, lattice)
+    certify(expected)
+    if None in expected.negatives.values():
+        for fan in (t, expected):
+            with pytest.raises(UncertifiedFan):
+                complexes_module.dual_complex(fan)
+        return
+    oracle = dual_from_dicts(expected)
+    for fan in (t, expected):
+        delta, act = complexes_module.dual_complex(fan)
+        assert (delta.boundary, act.perms, list(delta.labels.values())) == oracle
 
 
 # -- the margins against the implementation that paired walls by comparing -------
@@ -739,13 +805,15 @@ def document_listing(t, rows, rng, damage):
 
 
 document_cases = st.tuples(cell_cases, st.sampled_from([None, None, "drop", "flip", "extra"]),
-                           st.randoms(use_true_random=False))
+                           st.randoms(use_true_random=False), windows)
 
 
 @settings(max_examples=80, deadline=None)
 @given(document_cases)
 def test_document_matches_constructor(case):
-    (rank, name, rows), damage, rng = case
+    # The oracle is the constructor's fan on the listed simplices, each class
+    # made canonical, and the full-window scans of that fan.
+    (rank, name, rows), damage, rng, window = case
     lattice = IntMatrix(rows, shape=(rank, rank))
     listing = document_listing(unit_cell(rank, name).with_lattice(lattice), rows, rng, damage)
     got = fan_from_json({"rank": rank, "lattice": rows, "simplices": listing})
@@ -755,8 +823,12 @@ def test_document_matches_constructor(case):
         expected.by_dim(k) for k in range(rank + 1)]
     assert got.face_classes == expected.face_classes
     assert got.negatives == expected.negatives
-    assert certify(got) == certify(expected)
-    assert got.violations == expected.violations
+    assert certify(got, window=window, allow_unsafe=True) == certify(
+        expected, window=window, allow_unsafe=True)
+    wd = safe_window(expected) if window is None else window
+    wh = required_window(expected) if window is None else window
+    assert got.violations == expected.violations == {
+        "property_d": scan_property_d(expected, wd), "h_free": scan_h_freeness(expected, wh)}
 
 
 @pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)
@@ -765,7 +837,7 @@ def test_document_route(path):
     # which the constructor reads.
     t = read_fan(path)
     repro = path.stem in ("f_one_triangle_22", "f_asym_cut_22")
-    assert (t._unit_blocks is None) == repro
+    assert (t._unit is None) == repro
 
 
 def test_document_schema_error_names_the_first_bad_simplex():
@@ -786,3 +858,50 @@ def test_document_schema_error_names_the_first_bad_simplex():
         with pytest.raises(SchemaError) as info:
             fan_from_json({"rank": 2, "lattice": [[2, 0], [0, 2]], "simplices": listing})
         assert str(info.value) == expected
+
+
+def test_document_schema_and_geometric_errors_in_either_order():
+    # The one-pass schema check fails on these listings, and the simplex by
+    # simplex check then names the first bad simplex, whichever kind it is.
+    dependent = [[1, 1], [2, 2], [3, 3]]
+    geometric = ("bad simplex [[1, 1], [2, 2], [3, 3]]: vertices are affinely "
+                 "dependent: ((1, 1), (2, 2), (3, 3))")
+    schema = "each simplex must be a nonempty list of rank-length integer vectors"
+    for malformed in ([[0, 0], [1]], [[0, True], [1, 0]], [[0, 0.5], [1, 0]], [], "x",
+                      [{"x": 0}, [1, 0]], 7):
+        for listing, expected in (([[[0, 0], [1, 0]], dependent, malformed], geometric),
+                                  ([[[0, 0], [1, 0]], malformed, dependent], schema)):
+            with pytest.raises(SchemaError) as info:
+                fan_from_json({"rank": 2, "lattice": [[2, 0], [0, 2]], "simplices": listing})
+            assert str(info.value) == expected
+
+
+def test_classify_and_fan_check_build_no_developed_simplex(monkeypatch, tmp_path, capsys):
+    # Every developed class would be built through _simplex: (1000) develops
+    # 2,000 classes and diag(8,8) 384.
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    datum = {n: write(f"d{n}.json", {"rank": 1, "phi": [[1]], "b": [[n]]}) for n in (4, 1000)}
+    document = {n: write(f"f{n}.json", fan_to_json(standard_triangulation(2).with_lattice(
+        IntMatrix([[n, 0], [0, n]])))) for n in (2, 8)}
+    built = []
+    simplex = fan_module._simplex
+    monkeypatch.setattr(fan_module, "_simplex", lambda vertices: built.append(vertices)
+                        or simplex(vertices))
+
+    def count(*argv):
+        built.clear()
+        assert cli_module.main([*argv, "--quiet"]) == 0
+        capsys.readouterr()
+        return len(built)
+
+    # The first call of each command builds the standard cell or the flags
+    # of a document's unit cell, which the process keeps.
+    count("classify", datum[4])
+    assert count("classify", datum[1000]) == 0
+    count("fan", "check", document[2])
+    # A document's unit cell is read from its simplices, whatever |det b|.
+    assert count("fan", "check", document[8]) == count("fan", "check", document[2]) < 64

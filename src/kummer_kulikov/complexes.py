@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .degeneration import DegenerationData, base_change, is_even
@@ -37,37 +38,38 @@ class KulikovType(enum.Enum):
     III = "III"
 
 
-_DIM_PREFIX = {0: "v", 1: "e", 2: "t"}
+_PREFIXES = "vet"
+_NAME = re.compile(f"([{_PREFIXES}])(0|[1-9][0-9]*)")
 
 
 def _names(k: int, n: int) -> tuple[str, ...]:
-    prefix = _DIM_PREFIX[k]
+    prefix = _PREFIXES[k]
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
 class _Labels(Mapping):
-    """The labels of a complex's cells, each formatted when it is read.
+    """The labels of a complex's cells by name, each formatted when it is read.
 
-    ``label(k, i)`` formats the label of the i-th k-cell of ``cells``.
+    The i-th k-cell is named ``"vet"[k] + str(i)``, and its label is
+    ``label(k, i)``.
     """
 
-    def __init__(self, cells: dict[int, tuple[str, ...]],
-                 label: Callable[[int, int], str]):
-        self._cells = cells
+    def __init__(self, counts: dict[int, int], label: Callable[[int, int], str]):
+        self._counts = counts
         self._label = label
 
-    @functools.cached_property
-    def _where(self) -> dict[str, tuple[int, int]]:
-        return {c: (k, i) for k, names in self._cells.items() for i, c in enumerate(names)}
-
     def __getitem__(self, name: str) -> str:
-        return self._label(*self._where[name])
+        match = _NAME.fullmatch(name) if isinstance(name, str) else None
+        k, i = (_PREFIXES.index(match[1]), int(match[2])) if match else (0, -1)
+        if not 0 <= i < self._counts.get(k, 0):
+            raise KeyError(name)
+        return self._label(k, i)
 
     def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(self._cells.values())
+        return chain.from_iterable(_names(k, n) for k, n in self._counts.items())
 
     def __len__(self) -> int:
-        return sum(map(len, self._cells.values()))
+        return sum(self._counts.values())
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -76,32 +78,45 @@ class _Labels(Mapping):
 Boundary = dict[int, tuple[tuple[int, ...], ...]]
 
 
-@dataclass(eq=True)
+@dataclass(eq=False)
 class DeltaComplex:
-    """Cells with ordered face maps, dimensions 0..2.
+    """Cells with ordered face maps, dimensions 0..2, on integer positions.
 
-    ``labels`` may be any mapping from cell names to strings; the complexes
-    built here format each label only when it is read.  ``boundary`` gives,
-    for k >= 1, the faces of each k-cell, in order, as positions among the
-    (k−1)-cells; the complexes built here pass the positions they hold, and
-    otherwise it is derived from ``faces``.
+    ``counts[k]`` is the number of k-cells.  ``boundary[k]``, for k >= 1,
+    lists the k+1 faces of each k-cell, in order, as positions among the
+    (k−1)-cells: the ends of edge e are ``boundary[1][e]`` and the edges of
+    triangle τ are ``boundary[2][τ]``.  ``label(k, i)`` formats the label of
+    the i-th k-cell.  ``cells``, ``faces`` and ``labels`` view the same data
+    by cell name (``"v0"``, ``"e3"``, ``"t1"``) and are built when first read.
+    Two complexes are equal when their counts, boundaries and labels are.
     """
 
-    cells: dict[int, tuple[str, ...]]
-    faces: dict[str, tuple[str, ...]]
-    labels: Mapping[str, str]
-    boundary: Boundary | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.boundary is None:
-            self.boundary = {}
-            for k in range(1, max(self.cells, default=0) + 1):
-                below = {c: i for i, c in enumerate(self.cells.get(k - 1, ()))}
-                self.boundary[k] = tuple(tuple(map(below.__getitem__, self.faces[c]))
-                                         for c in self.cells.get(k, ()))
+    counts: dict[int, int]
+    boundary: Boundary
+    label: Callable[[int, int], str] = field(repr=False)
 
     def num(self, k: int) -> int:
-        return len(self.cells.get(k, ()))
+        return self.counts.get(k, 0)
+
+    @functools.cached_property
+    def cells(self) -> dict[int, tuple[str, ...]]:
+        return {k: _names(k, n) for k, n in self.counts.items()}
+
+    @functools.cached_property
+    def faces(self) -> dict[str, tuple[str, ...]]:
+        cells = self.cells
+        return {name: tuple(cells[k - 1][f] for f in row)
+                for k, rows in self.boundary.items() for name, row in zip(cells[k], rows)}
+
+    @functools.cached_property
+    def labels(self) -> Mapping[str, str]:
+        return _Labels(self.counts, self.label)
+
+    def __eq__(self, other):
+        if not isinstance(other, DeltaComplex):
+            return NotImplemented
+        return ((self.counts, self.boundary, self.labels)
+                == (other.counts, other.boundary, other.labels))
 
 
 @dataclass(eq=True)
@@ -115,17 +130,25 @@ class InvolutionAction:
             n = complex_.num(k)
             if sorted(perm) != list(range(n)):
                 raise ValueError(f"dimension {k}: not a permutation of {n} cells")
-            if any(perm[perm[i]] != i for i in range(n)):
+            if list(map(perm.__getitem__, perm)) != list(range(n)):
                 raise ValueError(f"dimension {k}: square is not the identity")
-        # Face compatibility: act(faces(c)) = faces(act(c)) as multisets.
+        # Face compatibility: act(faces(c)) = faces(act(c)) as multisets.  On
+        # Δ_A face j of −S is −(face t−j of S), so the mapped row reversed is
+        # the image's row; the multisets are compared only when that fails.
         for k, rows in complex_.boundary.items():
             perm = self.perms.get(k, range(len(rows)))
-            sub = self.perms.get(k - 1)
-            for i, row in enumerate(rows):
-                mapped = sorted(row if sub is None else map(sub.__getitem__, row))
-                if mapped != sorted(rows[perm[i]]):
+            mapped = _map_rows(self.perms.get(k - 1, range(complex_.num(k - 1))), rows, -1)
+            if mapped == list(map(rows.__getitem__, perm)):
+                continue
+            for i, row in enumerate(mapped):
+                if sorted(row) != sorted(rows[perm[i]]):
                     raise ValueError("involution does not commute with faces at "
                                      f"{complex_.cells[k][i]}")
+
+
+def _map_rows(where: Sequence[int], rows, step: int = 1) -> list[tuple[int, ...]]:
+    """Each row read with ``step`` (−1 reverses it), its entries p replaced by where[p]."""
+    return list(zip(*[[where[p] for p in column] for column in list(zip(*rows))[::step]]))
 
 
 def _simplex_label(s: LatticeSimplex) -> str:
@@ -147,97 +170,81 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
         raise UncertifiedFan(
             f"dual complex needs passing certificates {needed}; run certify() first")
     faces, negatives = t.tables
-    cells = {k: _names(k, len(images)) for k, images in negatives.items()}
     for k, images in negatives.items():
         if None in images:
             missing = t.by_dim(k)[images.index(None)]
             raise UncertifiedFan(
                 f"dual complex needs a fan stable under inversion; -S is not a class "
                 f"for S = {[list(v) for v in missing.vertices]}")
-    boundary = dict(faces)
-    labels = _Labels(cells, lambda k, i: _simplex_label(t.by_dim(k)[i]))
-    return (DeltaComplex(cells, _face_names(cells, boundary), labels, boundary),
+    counts = {k: len(images) for k, images in negatives.items()}
+    return (DeltaComplex(counts, dict(faces), lambda k, i: _simplex_label(t.by_dim(k)[i])),
             InvolutionAction(dict(negatives)))
-
-
-def _face_names(cells: dict[int, tuple[str, ...]],
-                boundary: Boundary) -> dict[str, tuple[str, ...]]:
-    """The faces of each cell by name, from their positions."""
-    faces = {}
-    for k, rows in boundary.items():
-        below = cells[k - 1]
-        faces.update(zip(cells[k], [tuple(map(below.__getitem__, row)) for row in rows]))
-    return faces
 
 
 def h_quotient(complex_: DeltaComplex, act: InvolutionAction) -> DeltaComplex:
     """Quotient Δ-complex by the involution; identifications are permitted.
 
-    Each quotient cell is an orbit {i, perm[i]}, recorded as the pair of its
-    parent cells; its label is theirs, joined by " ~ " when they differ.
+    Each quotient cell is an orbit {i, perm[i]}, recorded by its least parent
+    position i; its label is theirs, joined by " ~ " when they differ.
     """
     act.validate(complex_)
-    orbits: dict[int, list[tuple[int, int]]] = {}
+    perms = {k: act.perms.get(k, range(n)) for k, n in complex_.counts.items()}
+    firsts: dict[int, list[int]] = {}  # quotient position -> least parent position
     orbit_of: dict[int, list[int]] = {}  # parent position -> quotient position
-    for k, names in complex_.cells.items():
-        perm = act.perms.get(k, range(len(names)))
-        pairs = orbits[k] = []
-        where = orbit_of[k] = [0] * len(names)
-        for i, j in enumerate(perm):
-            if j >= i:
-                where[i] = where[j] = len(pairs)
-                pairs.append((i, j))
-    cells = {k: _names(k, len(pairs)) for k, pairs in orbits.items()}
-    boundary = {k: tuple(tuple(map(orbit_of[k - 1].__getitem__, rows[i])) for i, _ in orbits[k])
+    for k, perm in perms.items():
+        first = firsts[k] = [i for i, j in enumerate(perm) if i <= j]
+        where = orbit_of[k] = [0] * len(perm)
+        for q, i in enumerate(first):
+            where[i] = where[perm[i]] = q
+    boundary = {k: tuple(_map_rows(orbit_of[k - 1], map(rows.__getitem__, firsts[k])))
                 for k, rows in complex_.boundary.items()}
-    parent_cells, parent_labels = complex_.cells, complex_.labels
+    parent = complex_.label
 
     def label(k: int, q: int) -> str:
-        i, j = orbits[k][q]
-        if i == j:
-            return parent_labels[parent_cells[k][i]]
-        return parent_labels[parent_cells[k][i]] + " ~ " + parent_labels[parent_cells[k][j]]
+        i = firsts[k][q]
+        j = perms[k][i]
+        return parent(k, i) if i == j else parent(k, i) + " ~ " + parent(k, j)
 
-    return DeltaComplex(cells, _face_names(cells, boundary), _Labels(cells, label), boundary)
+    return DeltaComplex({k: len(first) for k, first in firsts.items()}, boundary, label)
 
 
 def euler_characteristic(complex_: DeltaComplex) -> int:
-    return sum((-1) ** k * len(names) for k, names in complex_.cells.items())
+    return sum((-1) ** k * n for k, n in complex_.counts.items())
 
 
 # -- structural predicates -------------------------------------------------------
+#
+# They run on positions: a graph is a list of adjacency lists indexed by node.
 
-def _vertex_degrees(complex_: DeltaComplex) -> dict[str, int]:
-    deg = {v: 0 for v in complex_.cells.get(0, ())}
-    for e in complex_.cells.get(1, ()):
-        for v in complex_.faces[e]:
-            deg[v] += 1
-    return deg
+def _vertex_degrees(complex_: DeltaComplex) -> list[int]:
+    ends = Counter(chain.from_iterable(complex_.boundary.get(1, ())))
+    return [ends[v] for v in range(complex_.num(0))]
 
 
-def _reaches_all(adj: dict) -> bool:
-    """Every node of the nonempty graph ``adj`` is reachable from the first."""
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
+def _components(adj: list[list[int]]) -> int:
+    """The number of connected components of the graph ``adj``."""
+    seen = [False] * len(adj)
+    count = 0
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
 
 
 def _is_connected(complex_: DeltaComplex) -> bool:
-    verts = complex_.cells.get(0, ())
-    if not verts:
-        return False
-    adj = {v: set() for v in verts}
-    for e in complex_.cells.get(1, ()):
-        a, b = complex_.faces[e]
-        adj[a].add(b)
-        adj[b].add(a)
-    return _reaches_all(adj)
+    adj = [[] for _ in range(complex_.num(0))]
+    for a, b in complex_.boundary.get(1, ()):
+        adj[a].append(b)
+        adj[b].append(a)
+    return _components(adj) == 1
 
 
 def is_chain(complex_: DeltaComplex) -> bool:
@@ -245,54 +252,45 @@ def is_chain(complex_: DeltaComplex) -> bool:
     if complex_.num(2) != 0 or not _is_connected(complex_):
         return False
     deg = _vertex_degrees(complex_)
-    if any(d > 2 for d in deg.values()):
-        return False
-    return sum(1 for d in deg.values() if d <= 1) == 2
-
-
-def _triangle_vertices(complex_: DeltaComplex, tri: str) -> set[str]:
-    out: set[str] = set()
-    for e in complex_.faces[tri]:
-        out.update(complex_.faces[e])
-    return out
+    return max(deg) <= 2 and deg.count(0) + deg.count(1) == 2
 
 
 def _is_simplicial(complex_: DeltaComplex) -> bool:
-    edge_sets = []
-    for e in complex_.cells.get(1, ()):
-        a, b = complex_.faces[e]
-        if a == b:
-            return False
-        edge_sets.append(frozenset((a, b)))
-    if len(set(edge_sets)) != len(edge_sets):
+    edges = complex_.boundary.get(1, ())
+    if any(a == b for a, b in edges):
         return False
-    tri_sets = []
-    for tri in complex_.cells.get(2, ()):
-        if len(set(complex_.faces[tri])) != 3 or len(_triangle_vertices(complex_, tri)) != 3:
+    if len({(a, b) if a < b else (b, a) for a, b in edges}) != len(edges):
+        return False
+    triangles = complex_.boundary.get(2, ())
+    corners = set()
+    for x, y, z in triangles:
+        vertices = frozenset((*edges[x], *edges[y], *edges[z]))
+        if x == y or y == z or x == z or len(vertices) != 3:
             return False
-        tri_sets.append(frozenset(_triangle_vertices(complex_, tri)))
-    return len(set(tri_sets)) == len(tri_sets)
+        corners.add(vertices)
+    return len(corners) == len(triangles)
 
 
 def _vertex_links_are_cycles(complex_: DeltaComplex) -> bool:
     # Only called on simplicial complexes; the link of each vertex must be a
     # single cycle in the graph whose nodes are the edges at the vertex and
-    # whose adjacencies come from the triangle corners.  In a simplicial
-    # complex each pair of a triangle's edges meets in one vertex.
-    faces = complex_.faces
-    links: dict[str, dict[str, list[str]]] = {v: {} for v in complex_.cells.get(0, ())}
-    for e in complex_.cells.get(1, ()):
-        for v in faces[e]:
-            links[v][e] = []
-    for tri in complex_.cells.get(2, ()):
-        a, b, c = faces[tri]
-        for e, f in ((a, b), (b, c), (a, c)):
-            v, w = faces[e]
-            link = links[v if v in faces[f] else w]
-            link[e].append(f)
-            link[f].append(e)
-    return all(adj and all(len(nbrs) == 2 for nbrs in adj.values()) and _reaches_all(adj)
-               for adj in links.values())
+    # whose adjacencies come from the triangle corners.  Node 2e + s is edge
+    # e at its end boundary[1][e][s]; a corner joins two nodes at the same
+    # vertex, so the links are cycles iff every node has two neighbours and
+    # the components are as many as the vertices, each of which has an edge.
+    # In a simplicial complex each pair of a triangle's edges meets in one
+    # vertex.
+    edges = complex_.boundary.get(1, ())
+    link = [[] for _ in range(2 * len(edges))]
+    for x, y, z in complex_.boundary.get(2, ()):
+        for e, f in ((x, y), (y, z), (x, z)):
+            a, b = edges[e]
+            c, d = edges[f]
+            p, q = (2 * e, 2 * f + (c != a)) if a in (c, d) else (2 * e + 1, 2 * f + (c != b))
+            link[p].append(q)
+            link[q].append(p)
+    return (all(len(nbrs) == 2 for nbrs in link) and 0 not in _vertex_degrees(complex_)
+            and _components(link) == complex_.num(0))
 
 
 def is_closed_surface(complex_: DeltaComplex) -> bool:
@@ -300,10 +298,8 @@ def is_closed_surface(complex_: DeltaComplex) -> bool:
     complexes the vertex links are additionally required to be cycles."""
     if complex_.num(2) == 0 or not _is_connected(complex_):
         return False
-    incidence = Counter()
-    for tri in complex_.cells.get(2, ()):
-        incidence.update(complex_.faces[tri])
-    if any(incidence.get(e, 0) != 2 for e in complex_.cells.get(1, ())):
+    incidence = Counter(chain.from_iterable(complex_.boundary.get(2, ())))
+    if len(incidence) != complex_.num(1) or set(incidence.values()) != {2}:
         return False
     if _is_simplicial(complex_):
         return _vertex_links_are_cycles(complex_)
@@ -388,10 +384,11 @@ def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:
 
 
 def complex_to_json(complex_: DeltaComplex) -> dict:
-    labels = dict(complex_.labels)
-    boundary = complex_.boundary
+    label, boundary = complex_.label, complex_.boundary
+    labels = {name: label(k, i) for k, n in complex_.counts.items()
+              for i, name in enumerate(_names(k, n))}
     return {
-        "vertices": [labels[v] for v in complex_.cells.get(0, ())],
+        "vertices": list(islice(labels.values(), complex_.num(0))),
         "edges": [list(row) for row in boundary.get(1, ())],
         "triangles": [list(row) for row in boundary.get(2, ())],
         "labels": labels,

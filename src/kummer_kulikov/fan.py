@@ -379,12 +379,12 @@ class PeriodicTriangulation:
             m, below = len(units), len(unit.by_dim(k - 1))
             face_rows, images = [()] * (n * m), [None] * (n * m)
             for j, u in enumerate(units):
-                columns = [[q * below + index[f] for q in moved(z, 1)]
-                           for f, z in unit.face_classes[u]]
+                columns = [[q * below + i for q in moved(z, 1)]
+                           for i, z in [(index[f], z) for f, z in unit.face_classes[u]]]
                 if columns:
                     face_rows[j::m] = zip(*columns)
-                if (star := unit.negatives[u]) is not None:
-                    images[j::m] = [q * m + index[star] for q in moved(u.vertices[-1], -1)]
+                if (i := index.get(unit.negatives[u])) is not None:
+                    images[j::m] = [q * m + i for q in moved(u.vertices[-1], -1)]
             if k:
                 faces[k] = tuple(face_rows)
             negatives[k] = tuple(images)

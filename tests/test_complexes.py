@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
 
 from conftest import make_data
@@ -27,7 +30,7 @@ from kummer_kulikov.errors import (
     UncertifiedFan,
     UnsupportedRank,
 )
-from kummer_kulikov.fan import auto_scale, standard_triangulation
+from kummer_kulikov.fan import auto_scale, fan_to_json, standard_triangulation
 from kummer_kulikov.lattice import IntMatrix, component_group, two_torsion_order
 
 
@@ -109,6 +112,62 @@ def test_involution_validate_rejects(rank, b_rows):
     act.validate(delta_a)
 
 
+def _with_triangles(complex_, triangles):
+    counts = {**complex_.counts, 2: len(triangles)}
+    return DeltaComplex(counts, {**complex_.boundary, 2: tuple(triangles)}, complex_.label)
+
+
+def test_involution_validate_falls_back_to_face_multisets():
+    # On Δ_A the inversion maps each face row, reversed, onto its image's
+    # row.  Rotating one row breaks that comparison but keeps every multiset
+    # of faces, so validate must still accept; repeating an edge breaks both.
+    _, t = auto_scale(make_data(2, [[2, 0], [0, 2]]))
+    delta_a, act = dual_complex(t)
+    perm, sub = act.perms[2], act.perms[1]
+
+    def reversed_rows_match(c):
+        rows = c.boundary[2]
+        return [tuple(sub[e] for e in reversed(row)) for row in rows] == [rows[j] for j in perm]
+
+    rows = list(delta_a.boundary[2])
+    assert reversed_rows_match(delta_a)
+    j = perm[0]
+    rows[j] = rows[j][1:] + rows[j][:1]
+    rotated = _with_triangles(delta_a, rows)
+    assert not reversed_rows_match(rotated)
+    act.validate(rotated)
+    x, _, z = rows[j]
+    rows[j] = (x, x, z)
+    # The first row whose image is row j is row 0.
+    with pytest.raises(ValueError, match="does not commute with faces at t0$"):
+        act.validate(_with_triangles(delta_a, rows))
+
+
+def test_classify_and_report_build_no_cell_name(monkeypatch, tmp_path, capsys):
+    # Cell names are built only through _names, for the name views and the
+    # labels of a complex document.
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    named = []
+    names = complexes_module._names
+    monkeypatch.setattr(complexes_module, "_names", lambda k, n: named.append(k) or names(k, n))
+    data = [write("d2.json", {"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[4, 2], [2, 6]]}),
+            write("d1.json", {"rank": 1, "phi": [[1]], "b": [[8]]}),
+            write("d0.json", {"rank": 0, "phi": [], "b": []})]
+    for path in data:
+        for argv in (["classify", path], ["report", path]):
+            assert cli_module.main([*argv, "--quiet"]) == 0
+    assert named == []
+    document = write("f.json", fan_to_json(standard_triangulation(2).with_lattice(
+        IntMatrix([[2, 0], [0, 2]]))))
+    assert cli_module.main(["complex", "quotient", document, "--quiet"]) == 0
+    capsys.readouterr()
+    assert named == [0, 1, 2]
+
+
 def test_labels_are_formatted_when_read(monkeypatch):
     formatted = []
     label = complexes_module._simplex_label
@@ -124,8 +183,11 @@ def test_labels_are_formatted_when_read(monkeypatch):
     assert dict(delta_x.labels) == {"v0": "(0)", "v1": "(1) ~ (3)", "v2": "(2)",
                                     "e0": "(0)|(1) ~ (3)|(4)", "e1": "(1)|(2) ~ (2)|(3)"}
     assert delta_x.boundary == {1: ((1, 0), (2, 1))}
-    assert delta_x == DeltaComplex(dict(delta_x.cells), dict(delta_x.faces),
-                                   dict(delta_x.labels))
+    names = {0: ["(0)", "(1) ~ (3)", "(2)"], 1: ["(0)|(1) ~ (3)|(4)", "(1)|(2) ~ (2)|(3)"]}
+    assert delta_x == DeltaComplex({0: 3, 1: 2}, {1: ((1, 0), (2, 1))}, lambda k, i: names[k][i])
+    assert delta_x != DeltaComplex({0: 3, 1: 2}, {1: ((1, 0), (2, 1))}, lambda k, i: "x")
+    assert delta_x.cells == {0: ("v0", "v1", "v2"), 1: ("e0", "e1")}
+    assert delta_x.faces == {"e0": ("v1", "v0"), "e1": ("v2", "v1")}
 
 
 def test_euler_characteristic_examples():
@@ -297,20 +359,16 @@ def quadratic_vertex_links_are_cycles(complex_):
 
 def wedge(c1, c2):
     """Disjoint union of two Δ-complexes with their first vertices identified."""
-    glue = c1.cells[0][0]
+    def place(k, p):  # the position of c2's p-th k-cell in the wedge
+        if k == 0:
+            return 0 if p == 0 else c1.num(0) + p - 1
+        return c1.num(k) + p
 
-    def rename(c, tag):
-        name = {x: f"{tag}{x}" for xs in c.cells.values() for x in xs}
-        name[c.cells[0][0]] = glue
-        return name
-
-    n1, n2 = rename(c1, "a"), rename(c2, "b")
-    cells = {k: tuple(dict.fromkeys([n1[x] for x in c1.cells.get(k, ())]
-                                    + [n2[x] for x in c2.cells.get(k, ())]))
-             for k in range(3)}
-    faces = {n[x]: tuple(n[f] for f in fs)
-             for c, n in ((c1, n1), (c2, n2)) for x, fs in c.faces.items()}
-    return DeltaComplex(cells, faces, {y: y for ys in cells.values() for y in ys})
+    counts = {k: c1.num(k) + c2.num(k) - (k == 0) for k in range(3)}
+    boundary = {k: c1.boundary.get(k, ()) + tuple(tuple(place(k - 1, f) for f in row)
+                                                  for row in c2.boundary.get(k, ()))
+                for k in (1, 2)}
+    return DeltaComplex(counts, boundary, lambda k, i: f"{k}:{i}")
 
 
 def test_tetrahedra_glued_at_a_vertex_are_not_a_surface():
@@ -324,6 +382,12 @@ def test_tetrahedra_glued_at_a_vertex_are_not_a_surface():
     assert not complexes_module._vertex_links_are_cycles(glued)
     assert not quadratic_vertex_links_are_cycles(glued)
     assert not is_closed_surface(glued)
+    # Add an isolated vertex: its empty link and the glued vertex's two link
+    # cycles are as many as the vertices, yet neither link is one cycle.
+    isolated = DeltaComplex({**glued.counts, 0: 8}, glued.boundary, glued.label)
+    assert complexes_module._is_simplicial(isolated)
+    assert not complexes_module._vertex_links_are_cycles(isolated)
+    assert not quadratic_vertex_links_are_cycles(isolated)
 
 
 even_rank2 = st.tuples(*[st.integers(-3, 3)] * 4).filter(
@@ -344,3 +408,159 @@ def test_vertex_links_match_quadratic_scan(b1, b2):
     glued = wedge(delta_x, other_x)
     if complexes_module._is_simplicial(glued):
         assert not is_closed_surface(glued)
+
+
+# -- the position predicates against the former name-based ones ------------------
+#
+# These are the predicates as they ran on cell names, over the ``cells`` and
+# ``faces`` views, kept as an oracle.
+
+def named_euler_characteristic(complex_):
+    return sum((-1) ** k * len(names) for k, names in complex_.cells.items())
+
+
+def named_vertex_degrees(complex_):
+    deg = {v: 0 for v in complex_.cells.get(0, ())}
+    for e in complex_.cells.get(1, ()):
+        for v in complex_.faces[e]:
+            deg[v] += 1
+    return deg
+
+
+def named_reaches_all(adj):
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
+def named_is_connected(complex_):
+    verts = complex_.cells.get(0, ())
+    if not verts:
+        return False
+    adj = {v: set() for v in verts}
+    for e in complex_.cells.get(1, ()):
+        a, b = complex_.faces[e]
+        adj[a].add(b)
+        adj[b].add(a)
+    return named_reaches_all(adj)
+
+
+def named_is_chain(complex_):
+    if complex_.num(2) != 0 or not named_is_connected(complex_):
+        return False
+    deg = named_vertex_degrees(complex_)
+    if any(d > 2 for d in deg.values()):
+        return False
+    return sum(1 for d in deg.values() if d <= 1) == 2
+
+
+def named_triangle_vertices(complex_, tri):
+    out = set()
+    for e in complex_.faces[tri]:
+        out.update(complex_.faces[e])
+    return out
+
+
+def named_is_simplicial(complex_):
+    edge_sets = []
+    for e in complex_.cells.get(1, ()):
+        a, b = complex_.faces[e]
+        if a == b:
+            return False
+        edge_sets.append(frozenset((a, b)))
+    if len(set(edge_sets)) != len(edge_sets):
+        return False
+    tri_sets = []
+    for tri in complex_.cells.get(2, ()):
+        if (len(set(complex_.faces[tri])) != 3
+                or len(named_triangle_vertices(complex_, tri)) != 3):
+            return False
+        tri_sets.append(frozenset(named_triangle_vertices(complex_, tri)))
+    return len(set(tri_sets)) == len(tri_sets)
+
+
+def named_vertex_links_are_cycles(complex_):
+    faces = complex_.faces
+    links = {v: {} for v in complex_.cells.get(0, ())}
+    for e in complex_.cells.get(1, ()):
+        for v in faces[e]:
+            links[v][e] = []
+    for tri in complex_.cells.get(2, ()):
+        a, b, c = faces[tri]
+        for e, f in ((a, b), (b, c), (a, c)):
+            v, w = faces[e]
+            link = links[v if v in faces[f] else w]
+            link[e].append(f)
+            link[f].append(e)
+    return all(adj and all(len(nbrs) == 2 for nbrs in adj.values()) and named_reaches_all(adj)
+               for adj in links.values())
+
+
+def named_is_closed_surface(complex_):
+    if complex_.num(2) == 0 or not named_is_connected(complex_):
+        return False
+    incidence = {}
+    for tri in complex_.cells.get(2, ()):
+        for e in complex_.faces[tri]:
+            incidence[e] = incidence.get(e, 0) + 1
+    if any(incidence.get(e, 0) != 2 for e in complex_.cells.get(1, ())):
+        return False
+    if named_is_simplicial(complex_):
+        return named_vertex_links_are_cycles(complex_)
+    return True
+
+
+def named_predicates(c):
+    simplicial = named_is_simplicial(c)
+    return (named_euler_characteristic(c), list(named_vertex_degrees(c).values()),
+            named_is_connected(c), named_is_chain(c), simplicial,
+            simplicial and named_vertex_links_are_cycles(c), named_is_closed_surface(c))
+
+
+def position_predicates(c):
+    m = complexes_module
+    simplicial = m._is_simplicial(c)
+    return (euler_characteristic(c), m._vertex_degrees(c), m._is_connected(c), is_chain(c),
+            simplicial, simplicial and m._vertex_links_are_cycles(c), is_closed_surface(c))
+
+
+def damaged(c, kind, i):
+    """``c`` with one defect at cell i (mod the count), or ``c`` if it has no
+    cell to damage."""
+    edges, triangles = c.boundary.get(1, ()), list(c.boundary.get(2, ()))
+    if kind == "isolated vertex":
+        return DeltaComplex({**c.counts, 0: c.num(0) + 1}, c.boundary, c.label)
+    if kind == "duplicated edge" and edges:
+        return DeltaComplex({**c.counts, 1: len(edges) + 1},
+                            {**c.boundary, 1: edges + (edges[i % len(edges)],)}, c.label)
+    if not triangles:
+        return c
+    i %= len(triangles)
+    if kind == "repeated edge":
+        x, _, z = triangles[i]
+        triangles[i] = (x, x, z)
+    else:  # a dropped triangle
+        del triangles[i]
+    return _with_triangles(c, triangles)
+
+
+complex_cases = st.one_of(st.just((0, [])), st.integers(1, 6).map(lambda k: (1, [[2 * k]])),
+                          even_rank2.map(lambda b: (2, b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_cases, complex_cases, st.integers(0, 10**6))
+def test_position_predicates_match_named_ones(case, other, i):
+    delta_a, _, delta_x = build(make_data(*case))
+    _, _, other_x = build(make_data(*other))
+    for c in (delta_a, delta_x, wedge(delta_x, other_x)):
+        for variant in (c, *(damaged(c, kind, i) for kind in
+                             ("isolated vertex", "duplicated edge", "repeated edge",
+                              "dropped triangle"))):
+            assert position_predicates(variant) == named_predicates(variant)

@@ -155,6 +155,23 @@ def _simplex_label(s: LatticeSimplex) -> str:
     return "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
 
 
+def _development_labels(t: PeriodicTriangulation, k: int) -> list[str]:
+    """``_simplex_label`` of each k-class of a development, by position: the
+    class at q·m_k + j is u + g for the j-th unit k-class u and the q-th
+    representative g, so u gives one ``str.format`` template, with a field
+    for each coordinate i of each vertex v, over the columns v_i + g_i."""
+    units, reps = t._unit.by_dim(k), t._reps
+    fields: dict[tuple[int, int], int] = {}  # (i, v_i) -> field number
+    templates = ["|".join("(" + ",".join("{%d}" % fields.setdefault(c, len(fields))
+                                         for c in enumerate(v)) + ")" for v in u.vertices)
+                 for u in units]
+    g = list(zip(*reps))
+    # At rank 0 no template has a field, and the representatives stand in.
+    columns = [[x + a for a in g[i]] for i, x in fields] or [reps]
+    return list(chain.from_iterable(zip(*[map(template.format, *columns)
+                                          for template in templates])))
+
+
 def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionAction]:
     """Δ_A together with the inversion action.
 
@@ -162,8 +179,8 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
     a cell is the class of the simplex with its i-th vertex deleted.  Raises
     UncertifiedFan when some −S is not a class, since the inversion then has
     no action on the cells.  A cell's label lists the vertices of its class.
-    The boundary and the involution are the fan's position ``tables``, so
-    no class is built unless a label is read.
+    The boundary and the involution are the fan's position ``tables``; a
+    development builds no class, and a constructor's fan only for labels.
     """
     needed = ("semistable", "unimodular", "property_d")
     if not all(t.certificates.get(k) for k in needed):
@@ -177,8 +194,11 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
                 f"dual complex needs a fan stable under inversion; -S is not a class "
                 f"for S = {[list(v) for v in missing.vertices]}")
     counts = {k: len(images) for k, images in negatives.items()}
-    return (DeltaComplex(counts, dict(faces), lambda k, i: _simplex_label(t.by_dim(k)[i])),
-            InvolutionAction(dict(negatives)))
+    # A development formats all labels of a dimension when the first is read.
+    by_dim = functools.cache(functools.partial(_development_labels, t))
+    label = ((lambda k, i: _simplex_label(t.by_dim(k)[i])) if t._unit is None
+             else (lambda k, i: by_dim(k)[i]))
+    return DeltaComplex(counts, dict(faces), label), InvolutionAction(dict(negatives))
 
 
 def h_quotient(complex_: DeltaComplex, act: InvolutionAction) -> DeltaComplex:

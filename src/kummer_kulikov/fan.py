@@ -86,21 +86,23 @@ coordinate of a development is max(max v_i + max g_i, −(min v_i + min g_i))
 over coordinates i, unit vertices v and representatives g, since every pair
 (v, g) occurs.
 
-``fan_from_json`` reads a document as a development when it can.  Each
-listed simplex S is u + x for its shape u (lexmin vertex 0) and
-x = lexmin(S).  The unit cell of the distinct shapes develops to the classes
-dev[u, r], and the class of S is dev[u, ρ(x)], because translation keeps the
-lexmin vertex.  ``PeriodicTriangulation(rank, simplices, Λ)`` stores the set
-C of the listed classes closed under faces.  It orders C by (dim, vertices);
-its face pairs are (class of f, canonical shift of f) and its negatives the
-class of −S when that lies in C.  Each is a function of C and Λ alone, and
-a development gives the same functions of its own classes (above).  So a
+``fan_from_json`` reads a document as a development when it can.  Each listed
+simplex S is u + x for its shape u (lexmin vertex 0) and x = lexmin(S).  The
+unit cell of the distinct shapes develops to the classes dev[u, r], and the
+class of S is dev[u, ρ(x)], because translation keeps the lexmin vertex.  The
+simplices of each length are sorted and flattened once, so the columns of x
+and the flat keys of u are strided slices, and ρ(x) is computed column by
+column.  ``PeriodicTriangulation(rank, simplices, Λ)`` stores the set C of
+the listed classes closed under faces.  It orders C by (dim, vertices); its
+face pairs are (class of f, canonical shift of f) and its negatives the
+class of −S when that lies in C.  Each is a function of C and Λ alone, and a
+development gives the same functions of its own classes (above).  So a
 document whose C is the developed class set *is* the development, with the
 same order, face pairs and negatives.  C lies inside that set, since it is
 closed under the developed face pairs, which are the canonical ones; the two
 are equal exactly when the walk from the listed pairs (u, ρ(x)) over the
-face pairs (u, r) -> (uf, moved(z, 1)[r]), top dimension down, reaches
-every pair.
+face pairs (u, r) -> (uf, moved(z, 1)[r]), top dimension down, reaches every
+pair.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
-from operator import add, mul, sub
+from itertools import chain, compress, count, product, repeat
+from operator import add, eq, mod, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change
@@ -206,10 +208,6 @@ def _simplex(vertices: tuple[Vector, ...]) -> LatticeSimplex:
     return s
 
 
-def _apply(rows: tuple[Vector, ...], x: Sequence[int]) -> Vector:
-    return tuple(sum(map(mul, row, x)) for row in rows)
-
-
 class _CosetMap:
     """Canonical representatives of Z^t modulo the row span of a lattice matrix.
 
@@ -239,20 +237,29 @@ class _CosetMap:
         """U·x mod D: the coset of x, zero exactly on the lattice."""
         return [sum(map(mul, row, x)) % d for row, d in zip(self.u, self.diag)]
 
-    def residue_index(self, x: Sequence[int]) -> int:
-        """The index of ρ(x) in the order of ``coset_representatives``."""
-        i = 0
-        for r, d in zip(self.residue(x), self.diag):
-            i = i * d + r
-        return i
+    def residue_indices(self, columns: Sequence[Sequence[int]], n: int) -> list[int]:
+        """The index of ρ(x) in the order of ``coset_representatives`` for
+        each of n points x, given by their coordinate columns."""
+        index = [0] * n
+        for row, d in zip(self.u, self.diag):
+            dot = repeat(0)
+            for c, column in zip(row, columns):
+                dot = map(add, dot, map(mul, column, repeat(c)))
+            index = list(map(add, map(mul, index, repeat(d)), map(mod, dot, repeat(d))))
+        return index
 
     def canonical_point(self, x: Vector) -> Vector:
-        return _apply(self.uinv, self.residue(x))
+        r = self.residue(x)
+        return tuple(sum(map(mul, row, r)) for row in self.uinv)
 
     def coset_representatives(self) -> list[Vector]:
-        """U^{-1}·r for every residue r, listed by residue index (the order
-        of ``product``, last coordinate fastest)."""
-        return [_apply(self.uinv, r) for r in product(*(range(d) for d in self.diag))]
+        """U^{-1}·r for every residue r, listed by residue index (the order of
+        ``product``, last coordinate fastest), adding r_i·(column i of U^{-1})."""
+        columns = [[0] for _ in self.diag]
+        for d, step in zip(self.diag, zip(*self.uinv)):
+            columns = [[x + r * c for x in column for r in range(d)]
+                       for column, c in zip(columns, step)]
+        return list(zip(*columns)) or [()]
 
     def moved(self, v: Vector, sign: int) -> list[int]:
         """For each residue index of r, the index of (sign·r − U·v) mod D."""
@@ -666,7 +673,8 @@ def check_property_d(t: PeriodicTriangulation, window: int | None = None, *,
     if t._unit is None:
         return [(lam, s) for s, reach in zip(t.simplices, t.diameters) for lam in hits(s, reach)]
     unit_hits = {u: hits(u, u.diameter_inf()) for u in t._unit.simplices}
-    return _developed(t, lambda u: [(q, lam) for q in range(len(t._reps)) for lam in unit_hits[u]])
+    return _developed(t, lambda u: product(range(len(t._reps)), unit_hits[u])
+                      if unit_hits[u] else ())
 
 
 def check_h_freeness(t: PeriodicTriangulation, *, window: int | None = None,
@@ -1006,11 +1014,11 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
     """The fan of a document: the development of the unit cell of its
     simplices' shapes when that is the document's fan, else the constructor's.
 
-    Validity is translation-invariant, so the first simplex of each shape is
-    validated, and a bad one is reported as the constructor would report it.
-    The schema is checked in one pass over the whole listing; only a listing
-    that fails it is checked simplex by simplex, so that the first bad
-    simplex, by schema or by geometry, is named.
+    The schema is checked in one pass over the listing, and simplex by
+    simplex, up to the first malformed one, only when that pass fails.  The
+    simplices are read by columns, one pass per length.  Validity is
+    translation-invariant, so the first simplex of each shape is validated,
+    in listing order: the first bad simplex is named, by schema or geometry.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("fan document must be a JSON object")
@@ -1026,29 +1034,30 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
     raw_simplices = doc.get("simplices")
     if not isinstance(raw_simplices, list):
         raise SchemaError("field 'simplices' must be a list of simplices")
-    shapes: dict[tuple[Vector, ...], LatticeSimplex] = {}
-    listed = []  # (shape, lexmin vertex) of each simplex
-    well_formed = _well_formed(raw_simplices, rank)
-    for raw in raw_simplices:
-        if not well_formed and (not isinstance(raw, list) or not raw
-                or any(not isinstance(v, list) or len(v) != rank for v in raw)
-                or any(not isinstance(x, int) or isinstance(x, bool) for v in raw for x in v)):
-            raise SchemaError("each simplex must be a nonempty list of rank-length "
-                              "integer vectors")
-        verts = sorted(map(tuple, raw))
-        lexmin = verts[0]
-        shape = tuple(tuple(map(sub, v, lexmin)) for v in verts)
-        if shape not in shapes:
-            try:
-                LatticeSimplex(raw)
-            except ValueError as exc:
-                raise SchemaError(f"bad simplex {raw}: {exc}") from exc
-            shapes[shape] = _simplex(shape)
-        listed.append((shapes[shape], lexmin))
+    malformed = None if _well_formed(raw_simplices, rank) else next((
+        i for i, raw in enumerate(raw_simplices) if not isinstance(raw, list) or not raw
+        or any(not isinstance(v, list) or len(v) != rank for v in raw)
+        or any(not isinstance(x, int) or isinstance(x, bool) for v in raw for x in v)), None)
+    groups = list(_by_length(raw_simplices[:malformed], rank))
+    for raw in map(raw_simplices.__getitem__, sorted(
+            p for _, _, shapes in groups for p, _ in shapes.values())):
+        try:
+            LatticeSimplex(raw)
+        except ValueError as exc:
+            raise SchemaError(f"bad simplex {raw}: {exc}") from exc
+    if malformed is not None:
+        raise SchemaError("each simplex must be a nonempty list of rank-length integer vectors")
     try:
         lattice = IntMatrix(raw_lattice, shape=(rank, rank))
-        return (_development(rank, list(shapes.values()), listed, lattice)
-                or PeriodicTriangulation(rank, [u.translate(x) for u, x in listed], lattice))
+        cosets = _CosetMap(rank, lattice)
+        reached = {}  # shape -> residue indices of its listed simplices' lexmin vertices
+        for rows, lexmin, shapes in groups:
+            index = cosets.residue_indices(lexmin, len(rows))
+            reached.update((u, set(compress(index, mask))) for u, (_, mask) in shapes.items())
+        faces = sum(len(rows) * (2 ** len(rows[0]) - 1) for rows, _, _ in groups)
+        return _development(rank, reached, cosets, faces) or PeriodicTriangulation(
+            rank, [_simplex(tuple(map(tuple, row))) for rows, _, _ in groups for row in rows],
+            lattice)
     except (ValueError, SingularPairing) as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -1063,25 +1072,41 @@ def _well_formed(raw_simplices: list, rank: int) -> bool:
             and set(map(type, chain.from_iterable(vectors))) <= {int})
 
 
-def _development(rank: int, shapes: list[LatticeSimplex],
-                 listed: list[tuple[LatticeSimplex, Vector]],
-                 lattice: IntMatrix) -> PeriodicTriangulation | None:
-    """``unit.with_lattice(lattice)`` for the unit cell of the shapes, if
-    its classes are those of the listed simplices u + x closed under faces,
-    and so the constructor's triangulation (module docstring); else None.
-    The walk runs on pairs (unit class, residue index) before developing.
-    """
-    unit = PeriodicTriangulation(rank, shapes, None)
+def _by_length(raw_simplices: list, rank: int):
+    """For each simplex length n: the sorted simplices, the columns of their
+    lexmin vertices, and for each shape (lexmin vertex 0) the listing
+    position of its first simplex and the mask of its simplices."""
+    lengths = list(map(len, raw_simplices))
+    for n in dict.fromkeys(lengths):
+        positions = list(compress(count(), map(eq, lengths, repeat(n))))
+        rows = list(map(sorted, map(raw_simplices.__getitem__, positions)))
+        # A row flattened holds n·rank entries, the lexmin vertex first.
+        flat, width = list(chain.from_iterable(chain.from_iterable(rows))), n * rank
+        lexmin = [flat[i::width] for i in range(rank)]
+        keys = list(zip(*[map(sub, flat[p::width], lexmin[p % rank])
+                          for p in range(rank, width)])) or [()] * len(rows)
+        shapes = {}
+        for key in dict.fromkeys(keys):
+            verts = rows[first := keys.index(key)]
+            shape = _simplex(tuple(tuple(map(sub, v, verts[0])) for v in verts))
+            shapes[shape] = (positions[first], list(map(eq, keys, repeat(key))))
+        yield rows, lexmin, shapes
+
+
+def _development(rank: int, reached: dict[LatticeSimplex, set[int]], cosets: _CosetMap,
+                 faces: int) -> PeriodicTriangulation | None:
+    """``unit.with_lattice(lattice)`` for the unit cell of the shapes u in
+    ``reached`` (u -> the residue indices of x for the listed u + x), if its
+    classes are the listed ones closed under faces, and so the constructor's
+    (module docstring); else None.  The walk runs on (unit class, residue
+    index) pairs before developing."""
+    unit = PeriodicTriangulation(rank, reached, None)
     # The listed classes closed under faces number at most their nonempty
     # faces; a development with more classes is not the document's fan.
-    if len(unit.simplices) * abs(lattice.det()) > sum(2 ** len(u.vertices) - 1
-                                                      for u, _ in listed):
+    if len(unit.simplices) * cosets.index > faces:
         return None
-    cosets = _CosetMap(rank, lattice)
-    index, moved = functools.cache(cosets.residue_index), functools.cache(cosets.moved)
-    reached = {u: set() for u in unit.simplices}
-    for u, x in listed:
-        reached[u].add(index(x))
+    moved = functools.cache(cosets.moved)
+    reached = {u: reached.get(u, set()) for u in unit.simplices}
     # The faces of a k-class are (k−1)-classes: one pass, top dimension down.
     for k in range(rank, 0, -1):
         for u in unit.by_dim(k):

@@ -168,18 +168,34 @@ def test_classify_and_report_build_no_cell_name(monkeypatch, tmp_path, capsys):
     assert named == [0, 1, 2]
 
 
-def test_labels_are_formatted_when_read(monkeypatch):
+def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
+    # A development formats all labels of a dimension when the first is
+    # read, and classify and report format none.
     formatted = []
-    label = complexes_module._simplex_label
+    by_dim, label = complexes_module._development_labels, complexes_module._simplex_label
+    monkeypatch.setattr(complexes_module, "_development_labels",
+                        lambda t, k: formatted.append(k) or by_dim(t, k))
     monkeypatch.setattr(complexes_module, "_simplex_label",
                         lambda s: formatted.append(s) or label(s))
+    for i, datum in enumerate(({"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[4, 2], [2, 6]]},
+                               {"rank": 1, "phi": [[1]], "b": [[8]]},
+                               {"rank": 0, "phi": [], "b": []})):
+        path = tmp_path / f"d{i}.json"
+        path.write_text(json.dumps(datum))
+        for command in ("classify", "report"):
+            assert cli_module.main([command, str(path), "--quiet"]) == 0
+    capsys.readouterr()
+    assert formatted == []
     delta_a, act, delta_x = build(make_data(1, [[4]]))
     assert formatted == []
     assert delta_x.labels["v1"] == "(1) ~ (3)"
-    assert len(formatted) == 2
+    assert formatted == [0]
+    assert delta_x.labels["v2"] == "(2)"
+    assert formatted == [0]
     assert delta_a.labels == {"v0": "(0)", "v1": "(1)", "v2": "(2)", "v3": "(3)",
                               "e0": "(0)|(1)", "e1": "(1)|(2)", "e2": "(2)|(3)",
                               "e3": "(3)|(4)"}
+    assert formatted == [0, 1]
     assert dict(delta_x.labels) == {"v0": "(0)", "v1": "(1) ~ (3)", "v2": "(2)",
                                     "e0": "(0)|(1) ~ (3)|(4)", "e1": "(1)|(2) ~ (2)|(3)"}
     assert delta_x.boundary == {1: ((1, 0), (2, 1))}

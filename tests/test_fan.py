@@ -4,7 +4,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kummer_kulikov.cli as cli_module
@@ -582,6 +582,44 @@ def test_residue_development_edge_cases():
     assert not check_gamma_admissible(t)
 
 
+# The cell cases and the rank-0 cell.
+cell_cases_0 = st.one_of(st.just((0, "standard", [])), cell_cases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_cases_0, st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+                              max_size=8))
+def test_coset_map_columns_match_per_point_routes(case, points):
+    # The representatives against U^{-1}·r for each residue r in the order of
+    # product, and the residue indices of points read by columns against the
+    # residue of each point.
+    rank, _, rows = case
+    cosets = fan_module._CosetMap(rank, IntMatrix(rows, shape=(rank, rank)))
+    residues = list(product(*(range(d) for d in cosets.diag)))
+    reps = cosets.coset_representatives()
+    assert reps == [tuple(sum(a * b for a, b in zip(row, r)) for row in cosets.uinv)
+                    for r in residues]
+    xs = [p[:rank] for p in points]
+    indices = cosets.residue_indices([[x[i] for x in xs] for i in range(rank)], len(xs))
+    assert [residues[i] for i in indices] == [tuple(cosets.residue(x)) for x in xs]
+    assert [reps[i] for i in indices] == [cosets.canonical_point(x) for x in xs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_cases_0)
+# Two lattices whose representatives have negative coordinates.
+@example((2, "standard", [[-2, 0], [1, -3]]))
+@example((2, "anti", [[2, -3], [0, 2]]))
+def test_development_labels_match_simplex_labels(case):
+    # Formatted per dimension from unit-cell templates and the columns of the
+    # representatives, against each developed class formatted on its own.
+    rank, name, rows = case
+    t = unit_cell(rank, name).with_lattice(IntMatrix(rows, shape=(rank, rank)))
+    for k in range(rank + 1):
+        assert complexes_module._development_labels(t, k) == list(
+            map(complexes_module._simplex_label, t.by_dim(k)))
+
+
 # -- certify on a development against the oracle: the classes made canonical ----
 # -- one by one and scanned over the full window -----------------------------------
 
@@ -790,6 +828,11 @@ def document_listing(t, rows, rng, damage):
     elif damage == "extra" and rank:
         v = tuple(rng.randint(-5, 5) for _ in range(rank))
         classes.append(LatticeSimplex([(0,) * rank, v if any(v) else (7,) * rank]))
+    elif damage == "stray" and classes and t.class_index() > 1:
+        # A shift outside Λ moves one listed class to another coset.
+        strays = [v for v in product(range(-2, 3), repeat=rank) if any(t.canonical_point(v))]
+        i = rng.randrange(len(classes))
+        classes[i] = classes[i].translate(rng.choice(strays))
     classes += rng.sample(classes, rng.randint(0, min(3, len(classes))))
     common = tuple(rng.randint(-9, 9) for _ in range(rank))
     listing = []
@@ -804,7 +847,8 @@ def document_listing(t, rows, rng, damage):
     return listing
 
 
-document_cases = st.tuples(cell_cases, st.sampled_from([None, None, "drop", "flip", "extra"]),
+document_cases = st.tuples(cell_cases,
+                           st.sampled_from([None, None, "drop", "flip", "extra", "stray"]),
                            st.randoms(use_true_random=False), windows)
 
 
@@ -838,6 +882,20 @@ def test_document_route(path):
     t = read_fan(path)
     repro = path.stem in ("f_one_triangle_22", "f_asym_cut_22")
     assert (t._unit is None) == repro
+
+
+def test_class_count_guard_reads_a_large_lattice_by_the_constructor(monkeypatch):
+    # One triangle over diag(10^6, 10^6) would develop 2·10^12 classes; the
+    # guard hands it to the constructor before any residue map is built.
+    def refuse(*args):
+        raise AssertionError("a residue map of size |det Λ| was built")
+
+    monkeypatch.setattr(fan_module._CosetMap, "moved", refuse)
+    monkeypatch.setattr(fan_module._CosetMap, "coset_representatives", refuse)
+    t = fan_from_json({"rank": 2, "lattice": [[10**6, 0], [0, 10**6]],
+                       "simplices": [[[1, 1], [0, 0], [1, 0]]]})
+    assert t._unit is None
+    assert [len(t.by_dim(k)) for k in range(3)] == [3, 3, 1]
 
 
 def test_document_schema_error_names_the_first_bad_simplex():
@@ -905,3 +963,28 @@ def test_classify_and_fan_check_build_no_developed_simplex(monkeypatch, tmp_path
     count("fan", "check", document[2])
     # A document's unit cell is read from its simplices, whatever |det b|.
     assert count("fan", "check", document[8]) == count("fan", "check", document[2]) < 64
+
+
+def test_complex_commands_build_no_developed_simplex(monkeypatch, tmp_path, capsys):
+    # Labels are formatted from the unit cell and the representatives, so a
+    # document over diag(8,8) (384 classes) builds as many simplices as one
+    # over diag(2,2): its shapes.
+    documents = {}
+    for n in (2, 8):
+        documents[n] = tmp_path / f"f{n}.json"
+        documents[n].write_text(json.dumps(fan_to_json(standard_triangulation(2).with_lattice(
+            IntMatrix([[n, 0], [0, n]])))))
+    built = []
+    simplex = fan_module._simplex
+    monkeypatch.setattr(fan_module, "_simplex", lambda vertices: built.append(vertices)
+                        or simplex(vertices))
+
+    def count(command, n):
+        built.clear()
+        assert cli_module.main(["complex", command, str(documents[n]), "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["labels"]
+        return len(built)
+
+    for command in ("dual", "quotient"):
+        count(command, 2)
+        assert count(command, 8) == count(command, 2) < 64

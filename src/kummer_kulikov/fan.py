@@ -111,8 +111,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, product, repeat
-from operator import add, eq, mod, mul, sub
+from itertools import chain, groupby, product, repeat
+from operator import add, mod, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change
@@ -1040,7 +1040,7 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
         or any(not isinstance(x, int) or isinstance(x, bool) for v in raw for x in v)), None)
     groups = list(_by_length(raw_simplices[:malformed], rank))
     for raw in map(raw_simplices.__getitem__, sorted(
-            p for _, _, shapes in groups for p, _ in shapes.values())):
+            p for _, _, _, shapes in groups for _, p in shapes.values())):
         try:
             LatticeSimplex(raw)
         except ValueError as exc:
@@ -1049,14 +1049,8 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
         raise SchemaError("each simplex must be a nonempty list of rank-length integer vectors")
     try:
         lattice = IntMatrix(raw_lattice, shape=(rank, rank))
-        cosets = _CosetMap(rank, lattice)
-        reached = {}  # shape -> residue indices of its listed simplices' lexmin vertices
-        for rows, lexmin, shapes in groups:
-            index = cosets.residue_indices(lexmin, len(rows))
-            reached.update((u, set(compress(index, mask))) for u, (_, mask) in shapes.items())
-        faces = sum(len(rows) * (2 ** len(rows[0]) - 1) for rows, _, _ in groups)
-        return _development(rank, reached, cosets, faces) or PeriodicTriangulation(
-            rank, [_simplex(tuple(map(tuple, row))) for rows, _, _ in groups for row in rows],
+        return _development(rank, groups, _CosetMap(rank, lattice)) or PeriodicTriangulation(
+            rank, [_simplex(tuple(map(tuple, row))) for rows, _, _, _ in groups for row in rows],
             lattice)
     except (ValueError, SingularPairing) as exc:
         raise SchemaError(str(exc)) from exc
@@ -1073,36 +1067,42 @@ def _well_formed(raw_simplices: list, rank: int) -> bool:
 
 
 def _by_length(raw_simplices: list, rank: int):
-    """For each simplex length n: the sorted simplices, the columns of their
-    lexmin vertices, and for each shape (lexmin vertex 0) the listing
-    position of its first simplex and the mask of its simplices."""
+    """Per simplex length: the sorted simplices, their lexmin columns and keys
+    (flat offsets from the lexmin vertex), and key -> (shape, listing position
+    of its first simplex).  After one sort by length, each step is linear."""
     lengths = list(map(len, raw_simplices))
-    for n in dict.fromkeys(lengths):
-        positions = list(compress(count(), map(eq, lengths, repeat(n))))
+    by_length = sorted(range(len(lengths)), key=lengths.__getitem__)
+    for _, group in groupby(by_length, key=lengths.__getitem__):
+        positions = list(group)
         rows = list(map(sorted, map(raw_simplices.__getitem__, positions)))
         # A row flattened holds n·rank entries, the lexmin vertex first.
-        flat, width = list(chain.from_iterable(chain.from_iterable(rows))), n * rank
+        flat, width = list(chain.from_iterable(chain.from_iterable(rows))), len(rows[0]) * rank
         lexmin = [flat[i::width] for i in range(rank)]
         keys = list(zip(*[map(sub, flat[p::width], lexmin[p % rank])
                           for p in range(rank, width)])) or [()] * len(rows)
-        shapes = {}
-        for key in dict.fromkeys(keys):
-            verts = rows[first := keys.index(key)]
-            shape = _simplex(tuple(tuple(map(sub, v, verts[0])) for v in verts))
-            shapes[shape] = (positions[first], list(map(eq, keys, repeat(key))))
-        yield rows, lexmin, shapes
+        # Listed last to first, so each key keeps the index of its first row.
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        yield rows, lexmin, keys, {
+            key: (_simplex(tuple(tuple(map(sub, v, rows[i][0])) for v in rows[i])), positions[i])
+            for key, i in first.items()}
 
 
-def _development(rank: int, reached: dict[LatticeSimplex, set[int]], cosets: _CosetMap,
-                 faces: int) -> PeriodicTriangulation | None:
-    """``unit.with_lattice(lattice)`` for the unit cell of the shapes u in
-    ``reached`` (u -> the residue indices of x for the listed u + x), if its
-    classes are the listed ones closed under faces, and so the constructor's
-    (module docstring); else None.  The walk runs on (unit class, residue
-    index) pairs before developing."""
+def _development(rank: int, groups: list, cosets: _CosetMap) -> PeriodicTriangulation | None:
+    """``unit.with_lattice(lattice)`` for the unit cell of the listed shapes
+    (``_by_length`` groups) if its classes are the listed ones closed under
+    faces, and so the constructor's (module docstring); else None."""
+    # A development with more classes than the listed simplices' nonempty faces
+    # is not the document's fan; the shapes, distinct unit classes, go first.
+    faces = sum(len(rows) * (2 ** len(rows[0]) - 1) for rows, _, _, _ in groups)
+    if sum(len(shapes) for _, _, _, shapes in groups) * cosets.index > faces:
+        return None
+    reached = {}  # u -> residue indices of x for the listed u + x
+    for rows, lexmin, keys, shapes in groups:
+        residues = {key: set() for key in shapes}
+        for key, r in zip(keys, cosets.residue_indices(lexmin, len(rows))):
+            residues[key].add(r)
+        reached.update((u, residues[key]) for key, (u, _) in shapes.items())
     unit = PeriodicTriangulation(rank, reached, None)
-    # The listed classes closed under faces number at most their nonempty
-    # faces; a development with more classes is not the document's fan.
     if len(unit.simplices) * cosets.index > faces:
         return None
     moved = functools.cache(cosets.moved)

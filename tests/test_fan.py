@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -896,6 +897,27 @@ def test_class_count_guard_reads_a_large_lattice_by_the_constructor(monkeypatch)
                        "simplices": [[[1, 1], [0, 0], [1, 0]]]})
     assert t._unit is None
     assert [len(t.by_dim(k)) for k in range(3)] == [3, 3, 1]
+
+
+@pytest.mark.parametrize("det", [1, None])
+def test_reading_many_shapes_is_linear(det):
+    # The rank-1 edges [0, k] for k = 1..n are n shapes.  Over Z they are a
+    # development; over (n + 1)·Z the guard hands them to the constructor.
+    # Either way, twice the shapes take about twice the memory to read.
+    def peak(n):
+        doc = {"rank": 1, "lattice": [[det or n + 1]],
+               "simplices": [[[0], [k]] for k in range(1, n + 1)]}
+        tracemalloc.start()
+        try:
+            t = fan_from_json(doc)
+            return tracemalloc.get_traced_memory()[1], t
+        finally:
+            tracemalloc.stop()
+
+    (small, _), (large, t) = peak(1000), peak(2000)
+    assert (t._unit is None) == (det is None)
+    assert len(t.by_dim(1)) == 2000
+    assert large < 3 * small
 
 
 def test_document_schema_error_names_the_first_bad_simplex():

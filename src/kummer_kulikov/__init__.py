@@ -31,7 +31,6 @@ from .degeneration import (
     base_change,
     from_json_dict,
     gamma_act,
-    gamma_compose,
     h_invariance_check,
     is_even,
     to_json_dict,
@@ -45,14 +44,12 @@ from .fan import (
     certify,
     check_gamma_admissible,
     check_h_freeness,
-    check_polarization,
     check_property_d,
     check_semistable,
     default_polarization_form,
     fan_from_json,
     fan_to_json,
     is_unimodular,
-    safe_window,
     standard_triangulation,
     vertices_complete,
 )
@@ -60,7 +57,6 @@ from .lattice import (
     ComponentGroup,
     IntMatrix,
     component_group,
-    primitive_vector,
     smith_normal_form,
     two_torsion_order,
 )

@@ -33,22 +33,6 @@ def _load_data(path: str) -> degeneration.DegenerationData:
     return degeneration.from_json_dict(_load_json(path))
 
 
-def _window_or_usage_error(tri: fan.PeriodicTriangulation, window, unsafe: bool):
-    """Enforce the safe-bound rule: a window below the internal bound needs
-    an explicit --unsafe."""
-    if window is None:
-        return None, False
-    bound = fan.required_window(tri)
-    if window < bound and not unsafe:
-        raise _UsageError(
-            f"--window {window} is below the safe bound {bound}; pass --unsafe to force")
-    return window, unsafe
-
-
-class _UsageError(Exception):
-    pass
-
-
 def _certificates_payload(certs: dict) -> dict:
     keys = ("semistable", "unimodular", "property_d", "h_free", "polarization",
             "vertices_complete")
@@ -82,11 +66,8 @@ def _axioms_payload(report: degeneration.ValidationReport) -> list[dict]:
             for c in report.checks]
 
 
-def _classify_payload(d, window=None, unsafe=False) -> tuple[dict, list[str]]:
+def _classify_payload(d) -> tuple[dict, list[str]]:
     nu, tri = fan.auto_scale(d)
-    _window_or_usage_error(tri, window, unsafe)
-    # auto_scale decided tri's certificates exactly, on the unit cell.  A window
-    # would only narrow the scans, so past the safe-bound rule it changes nothing.
     certs = tri.certificates
     delta_a, act = complexes.dual_complex(tri)
     delta_x = complexes.h_quotient(delta_a, act)
@@ -163,7 +144,7 @@ def cmd_classify(args) -> int:
     if refusal is not None:
         _emit(refusal, [f"refused: {refusal['failed_check']}"], args.quiet)
         return 1
-    report, summary = _classify_payload(d, args.window, args.unsafe)
+    report, summary = _classify_payload(d)
     _emit(report, summary, args.quiet)
     return 0 if all(report["consistency"].values()) else 1
 
@@ -202,8 +183,7 @@ def cmd_fan_build(args) -> int:
 
 def cmd_fan_check(args) -> int:
     tri = fan.fan_from_json(_load_json(args.path))
-    window, unsafe = _window_or_usage_error(tri, args.window, args.unsafe)
-    certs = fan.certify(tri, window=window, allow_unsafe=unsafe)
+    certs = fan.certify(tri)
     report = {
         "certificates": _certificates_payload(certs),
         "violations": {
@@ -212,7 +192,6 @@ def cmd_fan_check(args) -> int:
             "h_free": [{"y": list(y), "simplex": [list(v) for v in s.vertices]}
                        for y, s in tri.violations["h_free"]],
         },
-        "safe_window": fan.required_window(tri),
     }
     core_ok = all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free"))
     _emit(report, ["all checks pass" if core_ok else "certification failed"], args.quiet)
@@ -312,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", parents=[common],
                         help="full pipeline: fan, complexes, counts, type")
     sp.add_argument("path")
-    sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--unsafe", action="store_true",
-                    help="allow a window below the safe bound")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("base-change", parents=[common],
@@ -332,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = fsub.add_parser("check", parents=[common],
                          help="certify a fan document")
     sp.add_argument("path")
-    sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--unsafe", action="store_true")
     sp.set_defaults(func=cmd_fan_check)
 
     cp = sub.add_parser("complex", help="dual complexes")
@@ -380,9 +354,6 @@ def _run(args) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (SchemaError, json.JSONDecodeError, OSError) as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__}, [f"input error: {exc}"],
               getattr(args, "quiet", False))

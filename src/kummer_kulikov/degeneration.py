@@ -67,11 +67,6 @@ class GammaElement:
         object.__setattr__(self, "y", tuple(int(v) for v in self.y))
 
 
-def gamma_compose(g1: GammaElement, g2: GammaElement) -> GammaElement:
-    """Semidirect product law: (y1, h1)·(y2, h2) = (y1 + h1·y2, h1·h2)."""
-    return GammaElement(tuple(a + g1.h * b for a, b in zip(g1.y, g2.y)), g1.h * g2.h)
-
-
 @dataclass(frozen=True)
 class ConePoint:
     """Point (l, s) of X^v ⊕ Z; s is the height, s = 0 only at the apex."""

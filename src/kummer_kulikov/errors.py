@@ -19,20 +19,12 @@ class SingularPairing(KummerDegenerationError):
     """The pairing matrix has determinant zero, so Y -> X^v is not injective."""
 
 
-class ZeroVector(KummerDegenerationError):
-    """The zero vector has no primitive multiple."""
-
-
 class InvalidScale(KummerDegenerationError):
     """Base-change ramification indices must be positive."""
 
 
 class UnsupportedRank(KummerDegenerationError):
     """Only toric ranks 0, 1, 2 occur for abelian surfaces."""
-
-
-class WindowTooSmall(KummerDegenerationError):
-    """A verification window is below the internally computed safe bound."""
 
 
 class UncertifiedFan(KummerDegenerationError):

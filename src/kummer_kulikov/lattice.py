@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import SingularPairing, ZeroVector
+from .errors import SingularPairing
 
 
 def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int]:
@@ -110,10 +110,6 @@ class IntMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_diagonal(self) -> bool:
-        return all(self.entries[i][j] == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
 
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -341,11 +337,3 @@ def two_torsion_order(group: ComponentGroup) -> int:
     """#Phi[2] = prod gcd(d_i, 2); equals 2^t when every divisor is even."""
     return math.prod(math.gcd(d, 2) for d in group.divisors)
 
-
-def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
-    """Divide out the gcd of the entries; the result has content 1."""
-    w = tuple(int(x) for x in v)
-    g = math.gcd(*w)
-    if g == 0:
-        raise ZeroVector("the zero vector is not a multiple of a primitive vector")
-    return tuple(x // g for x in w)

@@ -163,15 +163,6 @@ def test_fan_build_refuses_invalid_data(tmp_path, capsys):
         assert run(capsys, "classify", p) == (1, built)
 
 
-def test_window_override_rules(capsys, d22_path):
-    code, _ = run(capsys, "classify", d22_path, "--window", "1")
-    assert code == 2  # below the safe bound without --unsafe
-    code, _ = run(capsys, "classify", d22_path, "--window", "1", "--unsafe")
-    assert code == 0
-    code, _ = run(capsys, "classify", d22_path, "--window", "10")
-    assert code == 0
-
-
 def test_complex_commands(tmp_path, capsys, d22_path):
     _, built = run(capsys, "fan", "build", d22_path)
     fan_path = write(tmp_path, "fan.json", built["fan"])

@@ -14,7 +14,6 @@ from kummer_kulikov.degeneration import (
     base_change,
     from_json_dict,
     gamma_act,
-    gamma_compose,
     h_invariance_check,
     is_even,
     to_json_dict,
@@ -149,6 +148,11 @@ def test_gamma_act_preserves_height_and_apex():
     d = make_data(2, [[2, 0], [0, 2]])
     apex = ConePoint((0, 0), 0)
     assert gamma_act(d, GammaElement((3, -2), -1), apex) == apex
+
+
+def gamma_compose(g1, g2):
+    """The semidirect product law of Y ⋊ {±1}: (y1, h1)·(y2, h2) = (y1 + h1·y2, h1·h2)."""
+    return GammaElement(tuple(a + g1.h * b for a, b in zip(g1.y, g2.y)), g1.h * g2.h)
 
 
 @settings(max_examples=80, deadline=None)

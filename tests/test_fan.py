@@ -12,14 +12,8 @@ import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
 import kummer_kulikov.fan as fan_module
 from conftest import make_data
-from kummer_kulikov.degeneration import base_change, is_even
-from kummer_kulikov.errors import (
-    ConsistencyError,
-    SchemaError,
-    UncertifiedFan,
-    UnsupportedRank,
-    WindowTooSmall,
-)
+from kummer_kulikov.degeneration import base_change, is_even, validate
+from kummer_kulikov.errors import SchemaError, UncertifiedFan, UnsupportedRank
 from kummer_kulikov.fan import (
     LatticeSimplex,
     PeriodicTriangulation,
@@ -28,7 +22,6 @@ from kummer_kulikov.fan import (
     certify,
     check_gamma_admissible,
     check_h_freeness,
-    check_polarization,
     check_property_d,
     check_semistable,
     default_polarization_form,
@@ -36,8 +29,6 @@ from kummer_kulikov.fan import (
     fan_to_json,
     hulls_intersect,
     is_unimodular,
-    required_window,
-    safe_window,
     standard_triangulation,
     vertices_complete,
 )
@@ -115,15 +106,6 @@ def test_property_d_certified_and_violated():
     assert check_property_d(t_zero) == []
 
 
-def test_property_d_window_too_small():
-    d = make_data(2, [[2, 0], [0, 2]])
-    t = standard_triangulation(2).with_lattice(d.b)
-    with pytest.raises(WindowTooSmall):
-        check_property_d(t, window=1)
-    # The same window is accepted with the explicit override.
-    assert check_property_d(t, window=1, allow_unsafe=True) == []
-
-
 def test_h_freeness_even_vs_odd():
     d2 = make_data(1, [[2]])
     t2 = standard_triangulation(1).with_lattice(d2.b)
@@ -193,7 +175,7 @@ def test_vertices_complete():
     assert not vertices_complete(partial)
 
 
-def test_gamma_admissibility_window():
+def test_gamma_admissibility():
     for b_rows, rank in [([[2, 0], [0, 2]], 2), ([[4, 2], [2, 6]], 2), ([[4]], 1)]:
         d = make_data(rank, b_rows)
         _, t = auto_scale(d)
@@ -203,21 +185,18 @@ def test_gamma_admissibility_window():
 
 
 def test_polarization_examples():
+    check = fan_module._polarization_check
     d = make_data(2, [[2, 0], [0, 2]])
     _, t = auto_scale(d)
-    assert check_polarization(t, default_polarization_form(2))
+    assert check(t, default_polarization_form(2))
     # x^2 + y^2 is flat across the diagonal walls: not strictly convex here.
     square_form = PolarizationForm(((1, 0), (0, 1)))
-    assert not check_polarization(t, square_form)
-    assert not check_polarization(t, PolarizationForm(((0, 0), (0, 0))))
+    assert not check(t, square_form)
+    assert not check(t, PolarizationForm(((0, 0), (0, 0))))
 
     d1 = make_data(1, [[2]])
     _, t1 = auto_scale(d1)
-    assert check_polarization(t1, PolarizationForm(((1,),)))
-
-    t_raw = standard_triangulation(2).with_lattice(IntMatrix([[2, 0], [0, 2]]))
-    with pytest.raises(UncertifiedFan):
-        check_polarization(t_raw, default_polarization_form(2))
+    assert check(t1, PolarizationForm(((1,),)))
 
 
 def test_polarization_margin_value():
@@ -238,13 +217,6 @@ def test_polarization_form_validation():
     form = default_polarization_form(2)
     assert form.value((1, 1)) == 1
     assert form.is_positive_definite()
-
-
-def test_safe_window_formula():
-    d = make_data(2, [[2, 0], [0, 2]])
-    t = standard_triangulation(2).with_lattice(d.b)
-    # max simplex diameter 1, max lattice entry 2, plus 1.
-    assert safe_window(t) == 4
 
 
 def test_certify_attaches_flags():
@@ -287,18 +259,56 @@ def test_user_fan_closed_under_faces():
     assert rebuilt == t
 
 
-def test_auto_scale_stops_at_nu_2(monkeypatch):
-    tried = []
+CORE = ("semistable", "unimodular", "property_d", "h_free")
 
-    def failing_certify(t):
-        tried.append(t.lattice)
-        return {"semistable": True, "unimodular": True, "property_d": False,
-                "h_free": True}
 
-    monkeypatch.setattr(fan_module, "certify", failing_certify)
-    with pytest.raises(ConsistencyError):
-        auto_scale(make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0)))
-    assert tried == [IntMatrix([[1, 0], [0, 1]]), IntMatrix([[2, 0], [0, 2]])]
+def nu_by_certify(d):
+    """The former ``auto_scale``: the first ν in (1, 2) whose development of
+    the standard cell over Λ_(ν·b) passes the four core checks, with its
+    certificates and violation lists."""
+    for nu in (1, 2):
+        t = standard_triangulation(d.rank).with_lattice(base_change(d, nu).b)
+        certs = certify(t)
+        if all(certs[k] for k in CORE):
+            return nu, list(certs.items()), t.violations
+    raise AssertionError("the standard fan fails certification at ν = 2")
+
+
+def valid_datum(rank, phi, s, a):
+    """Data valid by construction: b = φ^T·S for a positive definite S, so the
+    pairing matrix b·φ = φ^T·S·φ is symmetric positive definite."""
+    b = [[sum(phi[k][i] * s[k][j] for k in range(rank)) for j in range(rank)]
+         for i in range(rank)]
+    return make_data(rank, b, phi, a[:rank])
+
+
+shears = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
+                   st.integers(-2, 2)).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+positive_forms = st.tuples(st.integers(1, 4), st.integers(-2, 2), st.integers(1, 4)).filter(
+    lambda e: e[0] * e[2] > e[1] ** 2)
+valid_data = st.one_of(
+    st.just(make_data(0, [])),
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 5),
+              st.lists(st.integers(-3, 3), min_size=2, max_size=2)).map(
+        lambda e: valid_datum(1, [[e[0]]], [[e[1]]], e[2])),
+    st.tuples(shears, positive_forms, st.lists(st.integers(-3, 3), min_size=2, max_size=2)).map(
+        lambda e: valid_datum(2, [[e[0][0], e[0][1]], [e[0][2], e[0][3]]],
+                              [[e[1][0], e[1][1]], [e[1][1], e[1][2]]], e[2])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_data)
+@example(make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0)))
+@example(make_data(1, [[3]], a_basis=(2,)))
+@example(make_data(2, [[2, 1], [1, 2]], a_basis=(1, 1)))
+def test_auto_scale_nu_by_parity_matches_certify(d):
+    # auto_scale decides ν by the parity of b and runs no check; the oracle
+    # certifies ν = 1 and then ν = 2.
+    assert validate(d).ok
+    nu, t = auto_scale(d)
+    assert (nu, list(t.certificates.items()), t.violations) == nu_by_certify(d)
+    assert nu == (1 if is_even(d) else 2)
+    assert t.lattice == base_change(d, nu).b
 
 
 # -- differential tests against the full-window scans ------------------------------
@@ -330,6 +340,21 @@ def lattice_points(rows, window):
     return out
 
 
+def pairwise_diameter(s):
+    vs = s.vertices
+    return max((abs(a - b) for v in vs for w in vs for a, b in zip(v, w)), default=0)
+
+
+def full_windows(t):
+    """Windows for the property-(d) and H-freeness scans, read off the classes
+    and the lattice alone: past the largest diameter, and past twice the
+    largest vertex coordinate (|λ| = |lexmax S + lexmin S| for a fixed class)."""
+    diameter = max(map(pairwise_diameter, t.simplices), default=0)
+    coord = max((abs(x) for s in t.simplices for v in s.vertices for x in v), default=0)
+    entry = max((abs(x) for row in t.lattice.entries for x in row), default=0)
+    return diameter + entry + 1, max(diameter + entry + 1, 2 * coord + 1)
+
+
 def scan_property_d(t, window):
     """The full-window property-(d) scan: every translate, every class."""
     lams = [lam for lam, _ in lattice_points(t.lattice.entries, window)]
@@ -355,7 +380,7 @@ def scan_h_freeness(t, window):
 def direct_margins(t, form):
     """Every wall's convexity margin, solved on its own by Cramer's rule."""
     out = []
-    for s, f, neighbor in fan_module._wall_neighbors(t):
+    for s, f, neighbor in former_wall_neighbors(t):
         w = next(v for v in neighbor.vertices if v not in f.vertices)
         rows = [[1, *v] for v in s.vertices]
         values = [form.value(v) for v in s.vertices]
@@ -383,22 +408,18 @@ fans = st.one_of(
                      ("standard", [[1, 0], [0, 9]]), ("anti", [[2, 0], [1, 8]])]))
 
 
-windows = st.one_of(st.none(), st.integers(0, 12))  # None: each check's own bound
-
-
 @settings(max_examples=60, deadline=None)
-@given(fans, windows)
-def test_bounded_checks_match_full_window_scans(fan, window):
+@given(fans)
+def test_bounded_checks_match_full_window_scans(fan):
     kind, rows = fan
     t = developed(kind, rows)
-    wd = safe_window(t) if window is None else window
-    wh = required_window(t) if window is None else window
+    wd, wh = full_windows(t)
     expected_d = scan_property_d(t, wd)
     expected_h = scan_h_freeness(t, wh)
-    assert check_property_d(t, window, allow_unsafe=True) == expected_d
-    assert check_h_freeness(t, window=window, allow_unsafe=True) == expected_h
+    assert check_property_d(t) == expected_d
+    assert check_h_freeness(t) == expected_h
 
-    certs = certify(t, window=window, allow_unsafe=True)
+    certs = certify(t)
     assert t.violations == {"property_d": expected_d, "h_free": expected_h}
     assert certs["property_d"] == (not expected_d)
     assert certs["h_free"] == (not expected_h)
@@ -408,6 +429,31 @@ def test_bounded_checks_match_full_window_scans(fan, window):
         margins = fan_module._polarization_margins(t, form)
         assert margins == direct_margins(t, form)
         assert certs["polarization"] == all(m > 0 for m in margins)
+
+
+def skinny_strip(n):
+    """An irregular triangulation periodic under diag(n, 1): the bottom edges
+    fanned to (0, 1) and (n, 1), the top edges fanned to (n/2, 0)."""
+    h = n // 2
+    tops = ([[(i, 0), (i + 1, 0), (0, 1)] for i in range(h)]
+            + [[(i, 0), (i + 1, 0), (n, 1)] for i in range(h, n)]
+            + [[(j, 1), (j + 1, 1), (h, 0)] for j in range(n)])
+    return PeriodicTriangulation(2, [LatticeSimplex(s) for s in tops],
+                                 IntMatrix([[n, 0], [0, 1]]))
+
+
+def test_property_d_tests_only_translates_within_the_extents(monkeypatch):
+    # Every class of the strip is at most one unit tall, so of the translates
+    # within its diameter (up to n/2) only λ = (0, ±1) can meet it.
+    t = skinny_strip(120)
+    calls = []
+    hulls = fan_module.hulls_intersect
+    monkeypatch.setattr(fan_module, "hulls_intersect",
+                        lambda a, b: calls.append(None) or hulls(a, b))
+    got = check_property_d(t)
+    monkeypatch.undo()
+    assert got and len(calls) <= 2 * len(t.simplices)
+    assert got == scan_property_d(t, max(map(pairwise_diameter, t.simplices)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,11 +486,6 @@ def matrix_canonical_point(lattice, x):
         tuple(zi % di for zi, di in zip(z, d.diagonal_entries())))
 
 
-def pairwise_diameter(s):
-    vs = s.vertices
-    return max((abs(a - b) for v in vs for w in vs for a, b in zip(v, w)), default=0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(oracle_fans)
 def test_carried_face_classes_match_recomputation(t):
@@ -471,8 +512,6 @@ def test_sort_free_simplices_match_sorting_constructor(t, shift):
         expected_faces = [LatticeSimplex(vs[:i] + vs[i + 1:]).vertices
                           for i in range(len(vs))] if moved.dim else []
         assert [f.vertices for f in moved.faces()] == expected_faces
-        assert s.diameter_inf() == pairwise_diameter(s)
-        assert moved.negate().diameter_inf() == pairwise_diameter(moved)
 
 
 @settings(max_examples=60, deadline=None)
@@ -624,18 +663,17 @@ def test_development_labels_match_simplex_labels(case):
 # -- certify on a development against the oracle: the classes made canonical ----
 # -- one by one and scanned over the full window -----------------------------------
 
-def assert_unit_route_matches(rank, name, rows, window=None):
+def assert_unit_route_matches(rank, name, rows):
     """certify on the development, which finds its violations on the unit
     cell, against the constructor's fan on every developed class and the
     full-window scans of that fan."""
     unit = unit_cell(rank, name)
     lattice = IntMatrix(rows, shape=(rank, rank))
     t = unit.with_lattice(lattice)
-    certs = certify(t, window=window, allow_unsafe=True)
+    certs = certify(t)
     expected = develop_by_canonical_points(unit, lattice)
-    assert certs == certify(expected, window=window, allow_unsafe=True)
-    wd = safe_window(expected) if window is None else window
-    wh = required_window(expected) if window is None else window
+    assert certs == certify(expected)
+    wd, wh = full_windows(expected)
     assert t.violations == expected.violations == {
         "property_d": scan_property_d(expected, wd), "h_free": scan_h_freeness(expected, wh)}
     # certify reads a development's lattice-free flags off its unit cell;
@@ -646,9 +684,9 @@ def assert_unit_route_matches(rank, name, rows, window=None):
 
 
 @settings(max_examples=80, deadline=None)
-@given(cell_cases, windows)
-def test_unit_cell_certificates_match_developed(case, window):
-    assert_unit_route_matches(*case, window=window)
+@given(cell_cases)
+def test_unit_cell_certificates_match_developed(case):
+    assert_unit_route_matches(*case)
 
 
 def test_unit_cell_flags_take_both_values():
@@ -688,18 +726,6 @@ def test_unit_cell_flags_are_fresh_dicts():
     first = certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))
     first["polarization"] = False
     assert certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))["polarization"]
-
-
-@settings(max_examples=60, deadline=None)
-@given(cell_cases)
-def test_development_bounds_match_class_scans(case):
-    # max_diameter and max_vertex_coord read the unit cell and the
-    # representatives; the scans read every developed class.
-    rank, name, rows = case
-    t = unit_cell(rank, name).with_lattice(IntMatrix(rows, shape=(rank, rank)))
-    diameter, coord = t.max_diameter(), t.max_vertex_coord()
-    assert diameter == max((s.diameter_inf() for s in t.simplices), default=0)
-    assert coord == max((s.max_coord() for s in t.simplices), default=0)
 
 
 # -- the dual complex on the position tables against one built from the dicts ----
@@ -780,7 +806,6 @@ def former_margins(t, form):
 def assert_former_pairing(t):
     form = default_polarization_form(t.rank)
     assert fan_module._polarization_margins(t, form) == former_margins(t, form)
-    assert list(fan_module._wall_neighbors(t)) == list(former_wall_neighbors(t))
 
 
 @pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)
@@ -850,7 +875,7 @@ def document_listing(t, rows, rng, damage):
 
 document_cases = st.tuples(cell_cases,
                            st.sampled_from([None, None, "drop", "flip", "extra", "stray"]),
-                           st.randoms(use_true_random=False), windows)
+                           st.randoms(use_true_random=False))
 
 
 @settings(max_examples=80, deadline=None)
@@ -858,7 +883,7 @@ document_cases = st.tuples(cell_cases,
 def test_document_matches_constructor(case):
     # The oracle is the constructor's fan on the listed simplices, each class
     # made canonical, and the full-window scans of that fan.
-    (rank, name, rows), damage, rng, window = case
+    (rank, name, rows), damage, rng = case
     lattice = IntMatrix(rows, shape=(rank, rank))
     listing = document_listing(unit_cell(rank, name).with_lattice(lattice), rows, rng, damage)
     got = fan_from_json({"rank": rank, "lattice": rows, "simplices": listing})
@@ -868,10 +893,8 @@ def test_document_matches_constructor(case):
         expected.by_dim(k) for k in range(rank + 1)]
     assert got.face_classes == expected.face_classes
     assert got.negatives == expected.negatives
-    assert certify(got, window=window, allow_unsafe=True) == certify(
-        expected, window=window, allow_unsafe=True)
-    wd = safe_window(expected) if window is None else window
-    wh = required_window(expected) if window is None else window
+    assert certify(got) == certify(expected)
+    wd, wh = full_windows(expected)
     assert got.violations == expected.violations == {
         "property_d": scan_property_d(expected, wd), "h_free": scan_h_freeness(expected, wh)}
 

@@ -34,20 +34,10 @@ def _cases() -> dict[str, list[str]]:
     for d in DATA:
         cases[f"classify__{d}"] = ["classify", d]
         cases[f"report__{d}__bc3"] = ["report", d, "--base-change-max", "3"]
-    for d, flags in [("d_diag22", ["--window", "1"]),
-                     ("d_diag22", ["--window", "1", "--unsafe"]),
-                     ("d_diag22", ["--window", "10"]),
-                     ("d_4", ["--window", "1", "--unsafe"])]:
-        cases[f"classify__{d}__" + "_".join(f.lstrip("-") for f in flags)] = \
-            ["classify", d, *flags]
     for d in ("d_rank0", "d_4", "d_diag22", "d_I_odd", "d_4224_sheared"):
         cases[f"fan_build__{d}"] = ["fan", "build", d]
     for f in FANS:
         cases[f"fan_check__{f}"] = ["fan", "check", f]
-        cases[f"fan_check__{f}__window_1"] = ["fan", "check", f, "--window", "1"]
-        cases[f"fan_check__{f}__window_1_unsafe"] = \
-            ["fan", "check", f, "--window", "1", "--unsafe"]
-        cases[f"fan_check__{f}__window_30"] = ["fan", "check", f, "--window", "30"]
         cases[f"complex_dual__{f}"] = ["complex", "dual", f]
         cases[f"complex_quotient__{f}"] = ["complex", "quotient", f]
     for t in ("0", "1", "2"):

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
-from kummer_kulikov.degeneration import DegenerationData
+from kummer_kulikov import fan
+from kummer_kulikov.degeneration import DegenerationData, base_change
 from kummer_kulikov.lattice import IntMatrix
 from kummer_kulikov.monodromy import RationalOperator
 
@@ -67,3 +70,56 @@ def data_b4():
 @pytest.fixture
 def data_rank0():
     return make_data(0, [])
+
+
+# -- oracles shared by the fan tests and the golden corpus --------------------------
+
+CORE = ("semistable", "unimodular", "property_d", "h_free")
+
+
+def certify_loop(d):
+    """The former ``auto_scale``: the first ν in (1, 2) whose development of
+    the standard cell over Λ_(ν·b) passes the four core checks, with that
+    development certified."""
+    for nu in (1, 2):
+        t = fan.standard_triangulation(d.rank).with_lattice(base_change(d, nu).b)
+        if all(fan.certify(t)[k] for k in CORE):
+            return nu, t
+    raise AssertionError("the standard fan fails certification at ν = 2")
+
+
+def lattice_points(rows, window):
+    """Every (λ, y) with λ = y·rows nonzero and ‖λ‖_∞ <= window, sorted by λ."""
+    n = len(rows)
+    if n == 0:
+        return []
+    adj = [[1]] if n == 1 else [[rows[1][1], -rows[0][1]], [-rows[1][0], rows[0][0]]]
+    det = IntMatrix(rows, shape=(n, n)).det()
+    out = []
+    for lam in product(range(-window, window + 1), repeat=n):
+        y = [sum(lam[i] * adj[i][j] for i in range(n)) for j in range(n)]
+        if any(lam) and all(x % det == 0 for x in y):
+            out.append((lam, tuple(x // det for x in y)))
+    return out
+
+
+def scan_property_d(t, window):
+    """The full-window property-(d) scan: every translate, every class."""
+    lams = [lam for lam, _ in lattice_points(t.lattice.entries, window)]
+    return [(lam, s) for s in t.simplices for lam in lams
+            if fan.hulls_intersect(s, s.translate(lam))]
+
+
+def scan_h_freeness(t, window):
+    """The full-window H-freeness scan: every translate, λ = 0 included, every class."""
+    zero = (0,) * t.rank
+    points = [(zero, zero)] + lattice_points(t.lattice.entries, window)
+    out = []
+    for s in t.simplices:
+        if s.dim < 1:
+            continue
+        neg = set(s.negate().vertices)
+        for lam, y in points:
+            if {tuple(a + b for a, b in zip(v, lam)) for v in s.vertices} == neg:
+                out.append((y, s))
+    return out

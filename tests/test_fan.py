@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
 import kummer_kulikov.fan as fan_module
-from conftest import make_data
+from conftest import certify_loop, lattice_points, make_data, scan_h_freeness, scan_property_d
 from kummer_kulikov.degeneration import base_change, is_even, validate
 from kummer_kulikov.errors import SchemaError, UncertifiedFan, UnsupportedRank
 from kummer_kulikov.fan import (
@@ -175,13 +175,28 @@ def test_vertices_complete():
     assert not vertices_complete(partial)
 
 
-def test_gamma_admissibility():
+def negation_closed_in_window(t):
+    """Whether −S is some class translated by a λ of the window, for every
+    class S.  −S = C + λ bounds ‖λ‖_∞ by twice the largest vertex coordinate,
+    which ``full_windows`` passes."""
+    zero = (0,) * t.rank
+    lams = [zero] + [lam for lam, _ in lattice_points(t.lattice.entries, full_windows(t)[1])]
+    classes = set(t.simplices)
+    return all(any(s.negate().translate(lam) in classes for lam in lams) for s in t.simplices)
+
+
+def test_gamma_admissibility_window():
+    # check_gamma_admissible reads the carried negatives; the oracle looks for
+    # −S among the classes translated by every λ in a window.
     for b_rows, rank in [([[2, 0], [0, 2]], 2), ([[4, 2], [2, 6]], 2), ([[4]], 1)]:
         d = make_data(rank, b_rows)
         _, t = auto_scale(d)
         assert check_gamma_admissible(t)
+        assert negation_closed_in_window(t)
     # The asymmetric cut: −S is not a class for the square cut differently at (0, 0).
-    assert not check_gamma_admissible(read_fan(GOLDEN_INPUTS / "f_asym_cut_22.json"))
+    asym = read_fan(GOLDEN_INPUTS / "f_asym_cut_22.json")
+    assert not check_gamma_admissible(asym)
+    assert not negation_closed_in_window(asym)
 
 
 def test_polarization_examples():
@@ -259,19 +274,10 @@ def test_user_fan_closed_under_faces():
     assert rebuilt == t
 
 
-CORE = ("semistable", "unimodular", "property_d", "h_free")
-
-
 def nu_by_certify(d):
-    """The former ``auto_scale``: the first ν in (1, 2) whose development of
-    the standard cell over Λ_(ν·b) passes the four core checks, with its
-    certificates and violation lists."""
-    for nu in (1, 2):
-        t = standard_triangulation(d.rank).with_lattice(base_change(d, nu).b)
-        certs = certify(t)
-        if all(certs[k] for k in CORE):
-            return nu, list(certs.items()), t.violations
-    raise AssertionError("the standard fan fails certification at ν = 2")
+    """``certify_loop``'s ν with its certificates and violation lists."""
+    nu, t = certify_loop(d)
+    return nu, list(t.certificates.items()), t.violations
 
 
 def valid_datum(rank, phi, s, a):
@@ -294,6 +300,20 @@ valid_data = st.one_of(
     st.tuples(shears, positive_forms, st.lists(st.integers(-3, 3), min_size=2, max_size=2)).map(
         lambda e: valid_datum(2, [[e[0][0], e[0][1]], [e[0][2], e[0][3]]],
                               [[e[1][0], e[1][1]], [e[1][1], e[1][2]]], e[2])))
+
+
+def test_auto_scale_stops_at_nu_2(monkeypatch):
+    # b = I is odd, so ν = 2, and auto_scale runs no check on the way: the
+    # certify loop rejects Λ = Z^2 and accepts Λ = 2Z^2.
+    d = make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0))
+    for name in ("certify", "check_property_d", "check_h_freeness"):
+        monkeypatch.setattr(fan_module, name, lambda t: pytest.fail("auto_scale ran a check"))
+    nu, t = auto_scale(d)
+    monkeypatch.undo()
+    assert (nu, t.lattice) == (2, IntMatrix([[2, 0], [0, 2]]))
+    unit = standard_triangulation(2)
+    assert not certify(unit.with_lattice(IntMatrix([[1, 0], [0, 1]])))["h_free"]
+    assert nu_by_certify(d) == (2, list(t.certificates.items()), t.violations)
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,21 +345,6 @@ def developed(kind, rows):
     return unit.with_lattice(IntMatrix(rows, shape=(n, n)))
 
 
-def lattice_points(rows, window):
-    """Every (λ, y) with λ = y·rows nonzero and ‖λ‖_∞ <= window, sorted by λ."""
-    n = len(rows)
-    if n == 0:
-        return []
-    adj = [[1]] if n == 1 else [[rows[1][1], -rows[0][1]], [-rows[1][0], rows[0][0]]]
-    det = IntMatrix(rows, shape=(n, n)).det()
-    out = []
-    for lam in product(range(-window, window + 1), repeat=n):
-        y = [sum(lam[i] * adj[i][j] for i in range(n)) for j in range(n)]
-        if any(lam) and all(x % det == 0 for x in y):
-            out.append((lam, tuple(x // det for x in y)))
-    return out
-
-
 def pairwise_diameter(s):
     vs = s.vertices
     return max((abs(a - b) for v in vs for w in vs for a, b in zip(v, w)), default=0)
@@ -353,28 +358,6 @@ def full_windows(t):
     coord = max((abs(x) for s in t.simplices for v in s.vertices for x in v), default=0)
     entry = max((abs(x) for row in t.lattice.entries for x in row), default=0)
     return diameter + entry + 1, max(diameter + entry + 1, 2 * coord + 1)
-
-
-def scan_property_d(t, window):
-    """The full-window property-(d) scan: every translate, every class."""
-    lams = [lam for lam, _ in lattice_points(t.lattice.entries, window)]
-    return [(lam, s) for s in t.simplices for lam in lams
-            if hulls_intersect(s, s.translate(lam))]
-
-
-def scan_h_freeness(t, window):
-    """The full-window H-freeness scan: every translate, λ = 0 included, every class."""
-    zero = (0,) * t.rank
-    points = [(zero, zero)] + lattice_points(t.lattice.entries, window)
-    out = []
-    for s in t.simplices:
-        if s.dim < 1:
-            continue
-        neg = set(s.negate().vertices)
-        for lam, y in points:
-            if {tuple(a + b for a, b in zip(v, lam)) for v in s.vertices} == neg:
-                out.append((y, s))
-    return out
 
 
 def direct_margins(t, form):
@@ -726,6 +709,27 @@ def test_unit_cell_flags_are_fresh_dicts():
     first = certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))
     first["polarization"] = False
     assert certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))["polarization"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_cases)
+def test_development_bounds_match_class_scans(case):
+    # check_property_d reads the extents on the unit cell and lists the
+    # translates within the largest of them once; the scans read every
+    # developed class and every lattice point.
+    rank, name, rows = case
+    unit = unit_cell(rank, name)
+    t = unit.with_lattice(IntMatrix(rows, shape=(rank, rank)))
+
+    def largest(classes):
+        return tuple(max((max(c) - min(c) for s in classes for c in [[v[i] for v in s.vertices]]),
+                         default=0) for i in range(rank))
+
+    reach = largest(unit.simplices)
+    assert reach == largest(t.simplices)
+    expected = [lam for lam, _ in lattice_points(rows, max(reach, default=0))
+                if all(abs(x) <= r for x, r in zip(lam, reach))]
+    assert fan_module._lattice_translates(t, reach) == expected
 
 
 # -- the dual complex on the position tables against one built from the dicts ----

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import certify_loop, scan_h_freeness, scan_property_d
+from kummer_kulikov import fan
 from kummer_kulikov.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -49,6 +51,12 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
+# Base cases rerun with property (d) and H-freeness checked by the full-window
+# scans up to a fixed reach, and classify's ν found by the certify loop that
+# ``auto_scale`` replaced: each must print its base case's expected file.
+FULL_WINDOW = {f"fan_check__{f}__window_30": (f"fan_check__{f}", 30) for f in FANS}
+FULL_WINDOW["classify__d_diag22__window_10"] = ("classify__d_diag22", 10)
+
 
 def run_case(argv: list[str]) -> str:
     """Run one command in-process; return ``exit N`` and its stdout."""
@@ -59,10 +67,15 @@ def run_case(argv: list[str]) -> str:
     return f"exit {code}\n" + buf.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name):
-    expected = (OUT / f"{name}.txt").read_text(encoding="utf-8")
-    assert run_case(CASES[name]) == expected
+@pytest.mark.parametrize("name", sorted([*CASES, *FULL_WINDOW]))
+def test_golden_output(name, monkeypatch):
+    base, window = FULL_WINDOW.get(name, (name, None))
+    if window is not None:
+        monkeypatch.setattr(fan, "check_property_d", lambda t: scan_property_d(t, window))
+        monkeypatch.setattr(fan, "check_h_freeness", lambda t: scan_h_freeness(t, window))
+        monkeypatch.setattr(fan, "auto_scale", certify_loop)
+    expected = (OUT / f"{base}.txt").read_text(encoding="utf-8")
+    assert run_case(CASES[base]) == expected
 
 
 def test_golden_corpus_complete():

@@ -6,76 +6,60 @@ associated Kummer surface's semistable model: certified periodic
 triangulations (semistable fans in slice form), Néron component groups,
 dual complexes and their inversion quotients, component-count and
 base-change formulas, and the monodromy-based type I/II/III classification.
+
+The exports resolve lazily (PEP 562): a name imports its submodule on first
+access, so importing the package loads no layer, and a command line call
+loads only the layers it runs.
 """
 
-from .complexes import (
-    BaseChangeCounts,
-    ComponentCounts,
-    DeltaComplex,
-    InvolutionAction,
-    KulikovType,
-    base_change_counts,
-    classify_kummer_type,
-    complex_to_json,
-    component_counts,
-    dual_complex,
-    euler_characteristic,
-    h_quotient,
-)
-from .degeneration import (
-    ConePoint,
-    DegenerationData,
-    GammaElement,
-    ValidationReport,
-    a_value,
-    base_change,
-    from_json_dict,
-    gamma_act,
-    h_invariance_check,
-    is_even,
-    to_json_dict,
-    validate,
-)
-from .fan import (
-    LatticeSimplex,
-    PeriodicTriangulation,
-    PolarizationForm,
-    auto_scale,
-    certify,
-    check_gamma_admissible,
-    check_h_freeness,
-    check_property_d,
-    check_semistable,
-    default_polarization_form,
-    fan_from_json,
-    fan_to_json,
-    is_unimodular,
-    standard_triangulation,
-    vertices_complete,
-)
-from .lattice import (
-    ComponentGroup,
-    IntMatrix,
-    component_group,
-    smith_normal_form,
-    two_torsion_order,
-)
-from .monodromy import (
-    KummerOperator,
-    RationalOperator,
-    TwoTorsionPermutation,
-    exp_nilpotent,
-    kummer_monodromy,
-    log_unipotent,
-    nilpotency_index,
-    quadratic_twist_character,
-    standard_N,
-    toric_rank_from_N,
-    two_torsion_trivial,
-    type_from_index,
-    unipotent_or_negative,
-    wedge_square,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Each submodule, itself an export, and the names it defines.
+_EXPORTS = {
+    "complexes": (
+        "BaseChangeCounts", "ComponentCounts", "DeltaComplex", "InvolutionAction",
+        "KulikovType", "base_change_counts", "classify_kummer_type", "complex_to_json",
+        "component_counts", "dual_complex", "euler_characteristic", "h_quotient",
+    ),
+    "degeneration": (
+        "ConePoint", "DegenerationData", "GammaElement", "ValidationReport", "a_value",
+        "base_change", "from_json_dict", "gamma_act", "h_invariance_check", "is_even",
+        "to_json_dict", "validate",
+    ),
+    "errors": (),
+    "fan": (
+        "LatticeSimplex", "PeriodicTriangulation", "PolarizationForm", "auto_scale",
+        "certify", "check_gamma_admissible", "check_h_freeness", "check_property_d",
+        "check_semistable", "default_polarization_form", "fan_from_json", "fan_to_json",
+        "is_unimodular", "standard_triangulation", "vertices_complete",
+    ),
+    "lattice": (
+        "ComponentGroup", "IntMatrix", "component_group", "smith_normal_form",
+        "two_torsion_order",
+    ),
+    "monodromy": (
+        "KummerOperator", "RationalOperator", "TwoTorsionPermutation", "exp_nilpotent",
+        "kummer_monodromy", "log_unipotent", "nilpotency_index", "quadratic_twist_character",
+        "standard_N", "toric_rank_from_N", "two_torsion_trivial", "type_from_index",
+        "unipotent_or_negative", "wedge_square",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_SOURCE])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # Importing a submodule binds it in this namespace.
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from . import complexes, degeneration, fan, lattice, monodromy
+# Each handler imports the layers it runs, so a cold start pays for those only.
+from . import degeneration
 from .errors import KummerDegenerationError, SchemaError
 
 
@@ -67,6 +68,7 @@ def _axioms_payload(report: degeneration.ValidationReport) -> list[dict]:
 
 
 def _classify_payload(d) -> tuple[dict, list[str]]:
+    from . import complexes, fan, lattice, monodromy
     nu, tri = fan.auto_scale(d)
     certs = tri.certificates
     delta_a, act = complexes.dual_complex(tri)
@@ -150,6 +152,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_base_change(args) -> int:
+    from . import complexes
     d = _load_data(args.path)
     refusal = _refuse_unless_kummer_ready(d)
     if refusal is not None:
@@ -169,6 +172,7 @@ def cmd_base_change(args) -> int:
 
 
 def cmd_fan_build(args) -> int:
+    from . import fan
     d = _load_data(args.path)
     refusal = _axiom_refusal(degeneration.validate(d))
     if refusal is not None:
@@ -182,6 +186,7 @@ def cmd_fan_build(args) -> int:
 
 
 def cmd_fan_check(args) -> int:
+    from . import fan
     tri = fan.fan_from_json(_load_json(args.path))
     certs = fan.certify(tri)
     report = {
@@ -193,12 +198,14 @@ def cmd_fan_check(args) -> int:
                        for y, s in tri.violations["h_free"]],
         },
     }
-    core_ok = all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free"))
+    core_ok = all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free",
+                                     "vertices_complete"))
     _emit(report, ["all checks pass" if core_ok else "certification failed"], args.quiet)
     return 0 if core_ok else 1
 
 
 def _certified_complexes(path: str):
+    from . import complexes, fan
     tri = fan.fan_from_json(_load_json(path))
     certs = fan.certify(tri)
     needed = ("semistable", "unimodular", "property_d")
@@ -210,6 +217,7 @@ def _certified_complexes(path: str):
 
 
 def cmd_complex_dual(args) -> int:
+    from . import complexes
     built, failing = _certified_complexes(args.path)
     if built is None:
         _emit({"failed_check": failing[0]}, [f"refused: {failing[0]}"], args.quiet)
@@ -222,6 +230,7 @@ def cmd_complex_dual(args) -> int:
 
 
 def cmd_complex_quotient(args) -> int:
+    from . import complexes
     built, failing = _certified_complexes(args.path)
     if built is None:
         _emit({"failed_check": failing[0]}, [f"refused: {failing[0]}"], args.quiet)
@@ -236,6 +245,7 @@ def cmd_complex_quotient(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
+    from . import monodromy
     if args.toric_rank is not None:
         n_op = monodromy.standard_N(args.toric_rank)
     else:
@@ -251,6 +261,7 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import complexes
     d = _load_data(args.path)
     refusal = _refuse_unless_kummer_ready(d)
     if refusal is not None:

@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .degeneration import DegenerationData, base_change, is_even
 from .errors import (
@@ -28,8 +28,10 @@ from .errors import (
     UncertifiedFan,
     UnsupportedRank,
 )
-from .fan import LatticeSimplex, PeriodicTriangulation
 from .lattice import component_group, two_torsion_order
+
+if TYPE_CHECKING:  # annotations only: the counts and base change run without the fan
+    from .fan import LatticeSimplex, PeriodicTriangulation
 
 
 class KulikovType(enum.Enum):

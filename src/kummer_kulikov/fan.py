@@ -232,6 +232,8 @@ class _CosetMap:
         return index
 
     def canonical_point(self, x: Vector) -> Vector:
+        if self.lattice is None:  # every point of Z^t is equivalent to 0
+            return (0,) * len(x)
         r = self.residue(x)
         return tuple(sum(map(mul, row, r)) for row in self.uinv)
 
@@ -506,10 +508,10 @@ def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]
 
 def _lattice_coefficients(t: PeriodicTriangulation, lam: Vector) -> Vector:
     """Express λ in the row basis of the lattice (the Y-coordinates)."""
-    sol = solve(t.lattice.transpose(), lam)
-    if any(x.denominator != 1 for x in sol):
+    num, det = solve(t.lattice.transpose(), lam)
+    if any(x % det for x in num):
         raise ValueError(f"{lam} is not in the translation lattice")
-    return tuple(int(x) for x in sol)
+    return tuple(x // det for x in num)
 
 
 # -- convex hull intersection in rank <= 2 -----------------------------------
@@ -801,9 +803,9 @@ def _polarization_margins(t: PeriodicTriangulation,
             key = (shape, _offset(w, s.vertices[0]))
             if key not in by_shape:
                 # Affine interpolation of Q over the vertices of s, evaluated at w.
-                coeffs = solve(IntMatrix([(1,) + v for v in s.vertices]),
-                               [form.value(v) for v in s.vertices])
-                affine_at_w = coeffs[0] + sum(c * x for c, x in zip(coeffs[1:], w))
+                num, det = solve(IntMatrix([(1,) + v for v in s.vertices]),
+                                 [form.value(v) for v in s.vertices])
+                affine_at_w = Fraction(num[0] + sum(map(mul, num[1:], w)), det)
                 by_shape[key] = form.value(w) - affine_at_w
             margins.append(by_shape[key])
     return margins

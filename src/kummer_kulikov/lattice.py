@@ -3,17 +3,15 @@
 Determinant and rank come from fraction-free (Bareiss) elimination, inverses
 and small solves from the adjugate (Cramer's rule), and cokernels from the
 Smith normal form.  All arithmetic is over Python's arbitrary-precision
-integers, so nothing here can overflow; only ``solve`` returns fractions.
-Matrices are immutable.  The Smith normal form uses a deterministic pivot
-rule (smallest absolute value, ties broken in row-major order) so the
-transform matrices are reproducible.
+integers, so nothing here can overflow.  Matrices are immutable.  The Smith
+normal form uses a deterministic pivot rule (smallest absolute value, ties
+broken in row-major order) so the transform matrices are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -253,12 +251,13 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
                      shape=(m.rows, m.cols))
 
 
-def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, ...]:
-    """The exact solution x of m·x = rhs, by Cramer's rule: x = adj(m)·rhs / det."""
+def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The system m·x = rhs by Cramer's rule, as the integer pair
+    (adj(m)·rhs, det m): the solution is x = adj(m)·rhs / det m."""
     d = m.det()
     if d == 0:
         raise ValueError("singular system")
-    return tuple(Fraction(y, d) for y in m.adjugate().matvec(rhs))
+    return m.adjugate().matvec(rhs), d
 
 
 def leading_principal_minors(m: IntMatrix) -> list[int]:

@@ -799,10 +799,10 @@ def former_margins(t, form):
         w = next(v for v in neighbor.vertices if v not in set(f.vertices))
         key = (fan_module._shape(s), fan_module._offset(w, s.vertices[0]))
         if key not in by_shape:
-            coeffs = solve(IntMatrix([(1,) + v for v in s.vertices]),
-                           [form.value(v) for v in s.vertices])
-            by_shape[key] = form.value(w) - coeffs[0] - sum(
-                c * x for c, x in zip(coeffs[1:], w))
+            num, det = solve(IntMatrix([(1,) + v for v in s.vertices]),
+                             [form.value(v) for v in s.vertices])
+            by_shape[key] = form.value(w) - Fraction(
+                num[0] + sum(c * x for c, x in zip(num[1:], w)), det)
         margins.append(by_shape[key])
     return margins
 
@@ -1037,3 +1037,15 @@ def test_complex_commands_build_no_developed_simplex(monkeypatch, tmp_path, caps
     for command in ("dual", "quotient"):
         count(command, 2)
         assert count(command, 8) == count(command, 2) < 64
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-5, 5), st.integers(-5, 5))
+def test_lattice_coefficients_divide_exactly(y0, y1):
+    # det -6: the division by det must be exact for either sign.
+    rows = ((2, 1), (0, -3))
+    t = PeriodicTriangulation(2, [], IntMatrix(rows))
+    lam = tuple(y0 * a + y1 * b for a, b in zip(*rows))
+    assert fan_module._lattice_coefficients(t, lam) == (y0, y1)
+    with pytest.raises(ValueError, match="not in the translation lattice"):
+        fan_module._lattice_coefficients(t, (lam[0] + 1, lam[1]))

@@ -1,9 +1,10 @@
 """Golden CLI corpus: stdout and exit code of fixed commands, byte for byte.
 
 The expected files under ``tests/data/golden/out`` pin the reports of
-``classify``, ``report``, ``fan build``, ``fan check``, ``complex`` and
-``monodromy`` on a fixed set of data, fan and matrix documents, so that code can be removed or made
-faster while the output stays the same.  Each file holds ``exit N`` on its
+``classify``, ``report``, ``base-change``, ``fan build``, ``fan check``,
+``complex`` and ``monodromy`` on a fixed set of data, fan and matrix
+documents, so that code can be removed or made faster while the output stays
+the same.  Each file holds ``exit N`` on its
 first line, followed by the command's stdout.
 
 To rewrite the expected files after an intended change of output:
@@ -36,7 +37,9 @@ def _cases() -> dict[str, list[str]]:
     for d in DATA:
         cases[f"classify__{d}"] = ["classify", d]
         cases[f"report__{d}__bc3"] = ["report", d, "--base-change-max", "3"]
-    for d in ("d_rank0", "d_4", "d_diag22", "d_I_odd", "d_4224_sheared"):
+        cases[f"base_change__{d}__e2"] = ["base-change", d, "--e", "2"]
+    for d in ("d_rank0", "d_4", "d_diag22", "d_I_odd", "d_4224_sheared",
+              "d_not_pd", "d_singular_phi", "d_asym", "d_neg2"):
         cases[f"fan_build__{d}"] = ["fan", "build", d]
     for f in FANS:
         cases[f"fan_check__{f}"] = ["fan", "check", f]

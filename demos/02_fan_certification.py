@@ -32,7 +32,7 @@ d = data(2, [[2, 0], [0, 2]])
 nu, tri = auto_scale(d)
 print(f"b = 2I: nu = {nu}, classes per dimension = "
       f"{[len(tri.by_dim(k)) for k in range(3)]}")
-print("certificates:", tri.certificates)
+print("certificates:", tri.certificate.flags())
 
 # With b = I the lattice is too dense: the unit translate (1,0) hits the
 # triangle {(0,0),(1,0),(1,1)} in its own vertex.  Scaling by nu = 2 fixes it.

@@ -28,10 +28,10 @@ _EXPORTS = {
     ),
     "errors": (),
     "fan": (
-        "LatticeSimplex", "PeriodicTriangulation", "PolarizationForm", "auto_scale",
-        "certify", "check_gamma_admissible", "check_h_freeness", "check_property_d",
-        "check_semistable", "default_polarization_form", "fan_from_json", "fan_to_json",
-        "is_unimodular", "standard_triangulation", "vertices_complete",
+        "Certificate", "LatticeSimplex", "PeriodicTriangulation", "PolarizationForm",
+        "auto_scale", "certify", "check_gamma_admissible", "check_h_freeness",
+        "check_property_d", "check_semistable", "default_polarization_form", "fan_from_json",
+        "fan_to_json", "is_unimodular", "standard_triangulation", "vertices_complete",
     ),
     "lattice": (
         "ComponentGroup", "IntMatrix", "component_group", "smith_normal_form",
@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
     "monodromy": (
         "KummerOperator", "RationalOperator", "TwoTorsionPermutation", "exp_nilpotent",
-        "kummer_monodromy", "log_unipotent", "nilpotency_index", "quadratic_twist_character",
-        "standard_N", "toric_rank_from_N", "two_torsion_trivial", "type_from_index",
+        "kummer_monodromy", "log_unipotent", "nilpotency_index", "standard_N",
+        "toric_rank_from_N", "two_torsion_trivial", "type_from_index",
         "unipotent_or_negative", "wedge_square",
     ),
 }

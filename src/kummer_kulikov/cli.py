@@ -30,36 +30,26 @@ def _emit(report: dict, summary: list[str], quiet: bool) -> None:
             sys.stderr.write(line + "\n")
 
 
-def _load_data(path: str) -> degeneration.DegenerationData:
-    return degeneration.from_json_dict(_load_json(path))
+class _Refusal(Exception):
+    """A named check refuses the input; the payload, naming it as
+    ``failed_check``, is the report, and the exit code is 1."""
 
 
-def _certificates_payload(certs: dict) -> dict:
-    keys = ("semistable", "unimodular", "property_d", "h_free", "polarization",
-            "vertices_complete")
-    return {k: bool(certs.get(k, False)) for k in keys}
-
-
-def _axiom_refusal(report: degeneration.ValidationReport) -> dict | None:
-    """Refusal payload for data that fail an axiom of degeneration data."""
-    if report.ok:
-        return None
-    return {"failed_check": report.failed_names()[0], "axioms": _axioms_payload(report)}
-
-
-def _refuse_unless_kummer_ready(d) -> dict | None:
-    """Named-check gate shared by the Kummer-side commands."""
+def _load_data(path: str, kummer: bool) -> degeneration.DegenerationData:
+    """The datum at path, refused unless it satisfies the axioms and, for the
+    Kummer-side commands, has an even, inversion-invariant pairing."""
+    d = degeneration.from_json_dict(_load_json(path))
     report = degeneration.validate(d)
-    refusal = _axiom_refusal(report)
-    if refusal is not None:
-        return refusal
-    if not degeneration.is_even(d):
-        return {"failed_check": "even_pairing",
-                "detail": "b has an odd entry; Kummer-side invariants need an even pairing"}
-    if not report.h_invariant:
-        return {"failed_check": "h_invariant",
-                "detail": "a is not inversion-invariant (2 a(e_i) != M_ii)"}
-    return None
+    if not report.ok:
+        raise _Refusal({"failed_check": report.failed_names()[0],
+                        "axioms": _axioms_payload(report)})
+    if kummer and not degeneration.is_even(d):
+        raise _Refusal({"failed_check": "even_pairing", "detail":
+                        "b has an odd entry; Kummer-side invariants need an even pairing"})
+    if kummer and not report.h_invariant:
+        raise _Refusal({"failed_check": "h_invariant",
+                        "detail": "a is not inversion-invariant (2 a(e_i) != M_ii)"})
+    return d
 
 
 def _axioms_payload(report: degeneration.ValidationReport) -> list[dict]:
@@ -70,7 +60,6 @@ def _axioms_payload(report: degeneration.ValidationReport) -> list[dict]:
 def _classify_payload(d) -> tuple[dict, list[str]]:
     from . import complexes, fan, lattice, monodromy
     nu, tri = fan.auto_scale(d)
-    certs = tri.certificates
     delta_a, act = complexes.dual_complex(tri)
     delta_x = complexes.h_quotient(delta_a, act)
     counts = complexes.component_counts(d)
@@ -97,7 +86,7 @@ def _classify_payload(d) -> tuple[dict, list[str]]:
         "N_X": counts.N_X,
         "kulikov_type": ktype.value,
         "nu": nu,
-        "certificates": _certificates_payload(certs),
+        "certificates": tri.certificate.flags(),
         "delta_A": {"cells": [delta_a.num(k) for k in range(3)], "chi": chi_a},
         "delta_X": {"cells": [delta_x.num(k) for k in range(3)], "chi": chi_x},
         "monodromy": {
@@ -123,10 +112,17 @@ def _classify_payload(d) -> tuple[dict, list[str]]:
     return report, summary
 
 
+def _base_change_row(d, e: int) -> dict:
+    from . import complexes
+    counts = complexes.base_change_counts(d, e)
+    return {"e": e, "N": counts.N, "N_L": counts.N_L, "formula_N_L": counts.formula_N_L,
+            "consistent": counts.N_L == counts.formula_N_L}
+
+
 # -- command handlers -----------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    d = _load_data(args.path)
+    d = degeneration.from_json_dict(_load_json(args.path))
     report = degeneration.validate(d)
     payload = {
         "axioms": _axioms_payload(report),
@@ -141,105 +137,56 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    d = _load_data(args.path)
-    refusal = _refuse_unless_kummer_ready(d)
-    if refusal is not None:
-        _emit(refusal, [f"refused: {refusal['failed_check']}"], args.quiet)
-        return 1
-    report, summary = _classify_payload(d)
+    report, summary = _classify_payload(_load_data(args.path, kummer=True))
     _emit(report, summary, args.quiet)
     return 0 if all(report["consistency"].values()) else 1
 
 
 def cmd_base_change(args) -> int:
-    from . import complexes
-    d = _load_data(args.path)
-    refusal = _refuse_unless_kummer_ready(d)
-    if refusal is not None:
-        _emit(refusal, [f"refused: {refusal['failed_check']}"], args.quiet)
-        return 1
-    counts = complexes.base_change_counts(d, args.e)
-    report = {
-        "e": args.e,
-        "N": counts.N,
-        "N_L": counts.N_L,
-        "formula_N_L": counts.formula_N_L,
-        "consistent": counts.N_L == counts.formula_N_L,
-    }
-    _emit(report, [f"e = {args.e}: N = {counts.N}, N_L = {counts.N_L} (both routes agree)"],
+    row = _base_change_row(_load_data(args.path, kummer=True), args.e)
+    _emit(row, [f"e = {args.e}: N = {row['N']}, N_L = {row['N_L']} (both routes agree)"],
           args.quiet)
     return 0
 
 
 def cmd_fan_build(args) -> int:
     from . import fan
-    d = _load_data(args.path)
-    refusal = _axiom_refusal(degeneration.validate(d))
-    if refusal is not None:
-        _emit(refusal, [f"refused: {refusal['failed_check']}"], args.quiet)
-        return 1
-    nu, tri = fan.auto_scale(d)
-    report = {"nu": nu, "fan": fan.fan_to_json(tri),
-              "certificates": _certificates_payload(tri.certificates)}
+    nu, tri = fan.auto_scale(_load_data(args.path, kummer=False))
+    report = {"nu": nu, "fan": fan.fan_to_json(tri), "certificates": tri.certificate.flags()}
     _emit(report, [f"nu = {nu}; {len(tri.simplices)} simplex classes"], args.quiet)
     return 0
 
 
 def cmd_fan_check(args) -> int:
     from . import fan
-    tri = fan.fan_from_json(_load_json(args.path))
-    certs = fan.certify(tri)
+    cert = fan.certify(fan.fan_from_json(_load_json(args.path)))
     report = {
-        "certificates": _certificates_payload(certs),
+        "certificates": cert.flags(),
         "violations": {
             "property_d": [{"translate": list(lam), "simplex": [list(v) for v in s.vertices]}
-                           for lam, s in tri.violations["property_d"]],
+                           for lam, s in cert.property_d_violations],
             "h_free": [{"y": list(y), "simplex": [list(v) for v in s.vertices]}
-                       for y, s in tri.violations["h_free"]],
+                       for y, s in cert.h_free_violations],
         },
     }
-    core_ok = all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free",
-                                     "vertices_complete"))
-    _emit(report, ["all checks pass" if core_ok else "certification failed"], args.quiet)
-    return 0 if core_ok else 1
+    ok = cert.passes()
+    _emit(report, ["all checks pass" if ok else "certification failed"], args.quiet)
+    return 0 if ok else 1
 
 
-def _certified_complexes(path: str):
+def cmd_complex(args) -> int:
+    """``complex dual`` and ``complex quotient``: Δ_A, or its inversion quotient."""
     from . import complexes, fan
-    tri = fan.fan_from_json(_load_json(path))
-    certs = fan.certify(tri)
-    needed = ("semistable", "unimodular", "property_d")
-    failing = [k for k in needed if not certs[k]]
-    if failing:
-        return None, failing
-    delta_a, act = complexes.dual_complex(tri)
-    return (delta_a, act), None
-
-
-def cmd_complex_dual(args) -> int:
-    from . import complexes
-    built, failing = _certified_complexes(args.path)
-    if built is None:
-        _emit({"failed_check": failing[0]}, [f"refused: {failing[0]}"], args.quiet)
-        return 1
-    delta_a, _ = built
-    payload = complexes.complex_to_json(delta_a)
-    payload["chi"] = complexes.euler_characteristic(delta_a)
-    _emit(payload, [f"dual complex: {[delta_a.num(k) for k in range(3)]} cells"], args.quiet)
-    return 0
-
-
-def cmd_complex_quotient(args) -> int:
-    from . import complexes
-    built, failing = _certified_complexes(args.path)
-    if built is None:
-        _emit({"failed_check": failing[0]}, [f"refused: {failing[0]}"], args.quiet)
-        return 1
-    delta_a, act = built
-    delta_x = complexes.h_quotient(delta_a, act)
-    payload = complexes.complex_to_json(delta_x)
-    payload["chi"] = complexes.euler_characteristic(delta_x)
-    _emit(payload, [f"quotient complex: {[delta_x.num(k) for k in range(3)]} cells"],
+    tri = fan.fan_from_json(_load_json(args.path))
+    failing = fan.certify(tri).complex_refusal()
+    if failing is not None:
+        raise _Refusal({"failed_check": failing})
+    delta, act = complexes.dual_complex(tri)
+    if args.complex_command == "quotient":
+        delta = complexes.h_quotient(delta, act)
+    payload = complexes.complex_to_json(delta)
+    payload["chi"] = complexes.euler_characteristic(delta)
+    _emit(payload, [f"{args.complex_command} complex: {[delta.num(k) for k in range(3)]} cells"],
           args.quiet)
     return 0
 
@@ -261,21 +208,11 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from . import complexes
-    d = _load_data(args.path)
-    refusal = _refuse_unless_kummer_ready(d)
-    if refusal is not None:
-        _emit(refusal, [f"refused: {refusal['failed_check']}"], args.quiet)
-        return 1
+    d = _load_data(args.path, kummer=True)
     report, summary = _classify_payload(d)
     if args.base_change_max is not None:
-        table = []
-        for e in range(1, args.base_change_max + 1):
-            counts = complexes.base_change_counts(d, e)
-            table.append({"e": e, "N": counts.N, "N_L": counts.N_L,
-                          "formula_N_L": counts.formula_N_L,
-                          "consistent": counts.N_L == counts.formula_N_L})
-        report["base_change"] = table
+        report["base_change"] = [_base_change_row(d, e)
+                                 for e in range(1, args.base_change_max + 1)]
         summary.append(f"base-change table for e = 1..{args.base_change_max}")
     _emit(report, summary, args.quiet)
     return 0 if all(report["consistency"].values()) else 1
@@ -325,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     csub = cp.add_subparsers(dest="complex_command", required=True)
     sp = csub.add_parser("dual", parents=[common], help="dual complex of a fan")
     sp.add_argument("path")
-    sp.set_defaults(func=cmd_complex_dual)
+    sp.set_defaults(func=cmd_complex)
     sp = csub.add_parser("quotient", parents=[common],
                          help="inversion quotient of the dual complex")
     sp.add_argument("path")
-    sp.set_defaults(func=cmd_complex_quotient)
+    sp.set_defaults(func=cmd_complex)
 
     sp = sub.add_parser("monodromy", parents=[common],
                         help="nilpotency index and type from a monodromy operator")
@@ -361,17 +298,20 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    quiet = getattr(args, "quiet", False)
     try:
         return args.func(args)
     except BrokenPipeError:
         raise
+    except _Refusal as exc:
+        refusal = exc.args[0]
+        _emit(refusal, [f"refused: {refusal['failed_check']}"], quiet)
+        return 1
     except (SchemaError, json.JSONDecodeError, OSError) as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__}, [f"input error: {exc}"],
-              getattr(args, "quiet", False))
+        _emit({"error": str(exc), "kind": type(exc).__name__}, [f"input error: {exc}"], quiet)
         return 2
     except KummerDegenerationError as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__}, [f"failed: {exc}"],
-              getattr(args, "quiet", False))
+        _emit({"error": str(exc), "kind": type(exc).__name__}, [f"failed: {exc}"], quiet)
         return 1
 
 

@@ -60,9 +60,5 @@ class HypothesisFailed(KummerDegenerationError):
     sign-recovery dichotomy does not apply."""
 
 
-class MultiplicativityError(KummerDegenerationError):
-    """A recovered sign family fails to be multiplicative on the sample."""
-
-
 class ConsistencyError(KummerDegenerationError):
     """Two independent computation routes disagree (indicates a bug)."""

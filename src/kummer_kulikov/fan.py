@@ -183,6 +183,10 @@ _set_vertices = LatticeSimplex.vertices.__set__
 _set_hash = LatticeSimplex._hash.__set__
 
 
+def _simplex_label(s: LatticeSimplex) -> str:
+    return "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
+
+
 def _simplex(vertices: tuple[Vector, ...]) -> LatticeSimplex:
     """A simplex from vertices already sorted, distinct and independent."""
     s = object.__new__(LatticeSimplex)
@@ -304,9 +308,8 @@ class PeriodicTriangulation:
         self._cosets = cosets
         # The unit cell of a development; None for a fan from the constructor.
         self._unit = unit
-        self.certificates: dict[str, bool] = {}
-        # Filled by certify(): the property-(d) and H-freeness violation lists.
-        self.violations: dict[str, list[tuple[Vector, LatticeSimplex]]] = {}
+        # Set by certify() and auto_scale().
+        self.certificate: Certificate | None = None
 
     @functools.cached_property
     def _by_dim(self) -> dict[int, tuple[LatticeSimplex, ...]]:
@@ -406,6 +409,25 @@ class PeriodicTriangulation:
 
     def class_index(self) -> int:
         return self._cosets.index
+
+    def class_labels(self, k: int) -> list[str]:
+        """The label of each k-class by position, its vertices as in
+        ``(0,0)|(1,0)``.  A development's class at q·m_k + j is u + g for the
+        j-th unit k-class u and the q-th representative g, so u gives one
+        ``str.format`` template, with a field for each coordinate i of each
+        vertex v, over the columns v_i + g_i."""
+        if self._unit is None:
+            return list(map(_simplex_label, self.by_dim(k)))
+        units, reps = self._unit.by_dim(k), self._reps
+        fields: dict[tuple[int, int], int] = {}  # (i, v_i) -> field number
+        templates = ["|".join("(" + ",".join("{%d}" % fields.setdefault(c, len(fields))
+                                             for c in enumerate(v)) + ")" for v in u.vertices)
+                     for u in units]
+        g = list(zip(*reps))
+        # At rank 0 no template has a field, and the representatives stand in.
+        columns = [[x + a for a in g[i]] for i, x in fields] or [reps]
+        return list(chain.from_iterable(zip(*[map(template.format, *columns)
+                                              for template in templates])))
 
     def with_lattice(self, lattice: IntMatrix) -> "PeriodicTriangulation":
         """Develop a unit-cell triangulation over the cosets of Z^t modulo Λ_b.
@@ -827,24 +849,56 @@ def _polarization_check(t: PeriodicTriangulation, form: PolarizationForm) -> boo
 
 # -- certification and scaling --------------------------------------------------
 
-def certify(t: PeriodicTriangulation) -> dict[str, bool]:
-    """Run every check and attach the certificate dict to the triangulation,
-    and the property-(d) and H-freeness violation lists as ``t.violations``.
+@dataclass(frozen=True)
+class Certificate:
+    """The verdicts of the checks on a fan: four flags, and the violations of
+    property (d) and H-freeness, which hold exactly when there are none.
+
+    ``passes`` is what ``fan check`` needs for exit 0; ``complex_refusal``
+    names the first flag that the dual complex needs and that fails.
+    """
+
+    semistable: bool
+    unimodular: bool
+    vertices_complete: bool
+    polarization: bool
+    property_d_violations: tuple[tuple[Vector, LatticeSimplex], ...] = ()
+    h_free_violations: tuple[tuple[Vector, LatticeSimplex], ...] = ()
+
+    @property
+    def property_d(self) -> bool:
+        return not self.property_d_violations
+
+    @property
+    def h_free(self) -> bool:
+        return not self.h_free_violations
+
+    def flags(self) -> dict[str, bool]:
+        """The six flags by name, in the order of the reports."""
+        return {k: getattr(self, k) for k in ("semistable", "unimodular", "property_d",
+                                              "h_free", "polarization", "vertices_complete")}
+
+    def passes(self) -> bool:
+        return (self.semistable and self.unimodular and self.property_d and self.h_free
+                and self.vertices_complete)
+
+    def complex_refusal(self) -> str | None:
+        return next((k for k in ("semistable", "unimodular", "property_d")
+                     if not getattr(self, k)), None)
+
+
+def certify(t: PeriodicTriangulation) -> Certificate:
+    """Run every check, and set and return ``t.certificate``.
 
     A development takes the four lattice-free flags from its unit cell,
-    with which they agree, and its violation lists are found on the unit
-    cell (module docstring).
+    with which they agree, and its violations are found on the unit cell
+    (module docstring).
     """
-    violations = {
-        "property_d": check_property_d(t),
-        "h_free": check_h_freeness(t),
-    }
+    violations = tuple(check_property_d(t)), tuple(check_h_freeness(t))
     unit = t._unit
     flags = _lattice_free_flags(t) if unit is None else _unit_cell_flags(t.rank, unit.simplices)
-    certs = _certificates(flags, not violations["property_d"], not violations["h_free"])
-    t.certificates = dict(certs)
-    t.violations = violations
-    return certs
+    t.certificate = Certificate(*flags, *violations)
+    return t.certificate
 
 
 def _lattice_free_flags(t: PeriodicTriangulation) -> tuple[bool, bool, bool, bool]:
@@ -870,18 +924,10 @@ def _unit_cell_flags(rank: int,
     return _lattice_free_flags(PeriodicTriangulation(rank, classes, None))
 
 
-def _certificates(flags: tuple[bool, bool, bool, bool], property_d: bool,
-                  h_free: bool) -> dict[str, bool]:
-    """The certificate dict: the lattice-free flags around the two others."""
-    semistable, unimodular, complete, polarization = flags
-    return {"semistable": semistable, "unimodular": unimodular, "property_d": property_d,
-            "h_free": h_free, "vertices_complete": complete, "polarization": polarization}
-
-
 def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     """Smallest base-change index ν for which the standard triangulation with
     lattice Λ_(ν·b) passes the four core checks (semistable, unimodular,
-    property (d), H-freeness), and that development with its certificates.
+    property (d), H-freeness), and that development with its certificate.
 
     Theorem: ν = 1 if every entry of b is even, and ν = 2 otherwise; at that
     ν every check passes with no violation.  So no check runs here: the four
@@ -907,8 +953,7 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     nu = 1 if is_even(d) else 2
     unit = _standard_cell(d.rank)
     tri = unit.with_lattice(base_change(d, nu).b)
-    tri.certificates = _certificates(_unit_cell_flags(d.rank, unit.simplices), True, True)
-    tri.violations = {"property_d": [], "h_free": []}
+    tri.certificate = Certificate(*_unit_cell_flags(d.rank, unit.simplices))
     return nu, tri
 
 
@@ -943,6 +988,8 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
     rank = doc.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise SchemaError("field 'rank' must be a nonnegative integer")
+    if rank > 2:
+        raise UnsupportedRank(f"toric rank {rank} does not occur for abelian surfaces")
     raw_lattice = doc.get("lattice")
     if (not isinstance(raw_lattice, list) or len(raw_lattice) != rank
             or any(not isinstance(r, list) or len(r) != rank for r in raw_lattice)

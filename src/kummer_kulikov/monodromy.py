@@ -26,7 +26,6 @@ from .errors import (
     ConsistencyError,
     HypothesisFailed,
     InvalidIndex,
-    MultiplicativityError,
     NotNilpotent,
     NotUnipotent,
     SchemaError,
@@ -309,24 +308,6 @@ def unipotent_or_negative(f: RationalOperator) -> int:
     if (-f).is_unipotent():
         return -1
     raise HypothesisFailed("neither f nor -f is unipotent despite unipotent ∧²f")
-
-
-def quadratic_twist_character(sigmas: Sequence[RationalOperator]) -> tuple[int, ...]:
-    """Signs q(σ) = ±1 with q(σ)·σ unipotent, elementwise.
-
-    When the sample happens to contain a product σ_i σ_j, multiplicativity
-    q(σ_i σ_j) = q(σ_i) q(σ_j) is asserted; a violation means the sample
-    does not come from a commuting monodromy image."""
-    signs = tuple(unipotent_or_negative(s) for s in sigmas)
-    for i, si in enumerate(sigmas):
-        for j, sj in enumerate(sigmas):
-            prod = si * sj
-            for k, sk in enumerate(sigmas):
-                if prod == sk and signs[k] != signs[i] * signs[j]:
-                    raise MultiplicativityError(
-                        f"q(σ_{i} σ_{j}) = {signs[k]} but q(σ_{i}) q(σ_{j}) = "
-                        f"{signs[i] * signs[j]}")
-    return signs
 
 
 @dataclass(frozen=True)

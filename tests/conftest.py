@@ -83,7 +83,8 @@ def certify_loop(d):
     development certified."""
     for nu in (1, 2):
         t = fan.standard_triangulation(d.rank).with_lattice(base_change(d, nu).b)
-        if all(fan.certify(t)[k] for k in CORE):
+        certificate = fan.certify(t)
+        if all(getattr(certificate, k) for k in CORE):
             return nu, t
     raise AssertionError("the standard fan fails certification at ν = 2")
 

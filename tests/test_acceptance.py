@@ -173,12 +173,12 @@ def test_criterion_7_property_d_and_scaling():
     start = time.monotonic()
     nu, tri = auto_scale(make_data(2, [[2, 0], [0, 2]]))
     assert nu == 1
-    assert tri.certificates and all(tri.certificates.values())
+    assert all(tri.certificate.flags().values())
     assert all(is_unimodular(s) for s in tri.simplices)
 
     nu2, tri2 = auto_scale(make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0)))
     assert nu2 == 2
-    assert tri2.certificates and all(tri2.certificates.values())
+    assert all(tri2.certificate.flags().values())
     assert all(is_unimodular(s) for s in tri2.simplices)
     assert check_property_d(tri2) == []
     report(7, "auto-scale: nu = 1 for 2I2, nu = 2 for I2, all certified",

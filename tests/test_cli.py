@@ -181,6 +181,30 @@ def test_complex_commands(tmp_path, capsys, d22_path):
     assert set(quot) == {"vertices", "edges", "triangles", "labels", "chi"}
 
 
+DIAG = {n: [[n if i == j else 0 for j in range(3)] for i in range(3)] for n in (2, 4)}
+RANK_3_FANS = {
+    # Certified at rank 3 by the planar hull tests, these failed only a flag.
+    "vertex": {"rank": 3, "lattice": DIAG[2], "simplices": [[[1, 0, 0]]]},
+    "edges": {"rank": 3, "lattice": DIAG[4],
+              "simplices": [[[0, 0, 0], [2, 0, 0]], [[0, 0, 0], [0, 0, 1]]]},
+    # Semistable and unimodular.
+    "tetrahedron": {"rank": 3, "lattice": DIAG[2],
+                    "simplices": [[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_3_FANS))
+@pytest.mark.parametrize("command", [["fan", "check"], ["complex", "dual"],
+                                     ["complex", "quotient"]], ids=" ".join)
+def test_rank_3_fan_documents_are_refused_when_read(tmp_path, capsys, monkeypatch,
+                                                    name, command):
+    monkeypatch.setattr(kummer_kulikov.fan, "certify",
+                        lambda t: pytest.fail("a rank-3 fan was certified"))
+    path = write(tmp_path, f"{name}.json", RANK_3_FANS[name])
+    code, report = run(capsys, *command, path)
+    assert (code, report["kind"]) == (1, "UnsupportedRank")
+
+
 def test_monodromy_command(tmp_path, capsys):
     code, report = run(capsys, "monodromy", "--toric-rank", "2")
     assert code == 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
+import kummer_kulikov.fan as fan_module
 
 from conftest import make_data
 from kummer_kulikov.complexes import (
@@ -30,7 +31,7 @@ from kummer_kulikov.errors import (
     UncertifiedFan,
     UnsupportedRank,
 )
-from kummer_kulikov.fan import auto_scale, fan_to_json, standard_triangulation
+from kummer_kulikov.fan import auto_scale, certify, fan_to_json, standard_triangulation
 from kummer_kulikov.lattice import IntMatrix, component_group, two_torsion_order
 
 
@@ -44,6 +45,11 @@ def test_dual_complex_requires_certificates():
     d = make_data(2, [[2, 0], [0, 2]])
     t = standard_triangulation(2).with_lattice(d.b)
     with pytest.raises(UncertifiedFan):
+        dual_complex(t)
+    # b = I: the unit translates meet the triangles, so property (d) fails.
+    t = standard_triangulation(2).with_lattice(IntMatrix([[1, 0], [0, 1]]))
+    assert certify(t).complex_refusal() == "property_d"
+    with pytest.raises(UncertifiedFan, match="property_d"):
         dual_complex(t)
 
 
@@ -172,11 +178,10 @@ def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
     # A development formats all labels of a dimension when the first is
     # read, and classify and report format none.
     formatted = []
-    by_dim, label = complexes_module._development_labels, complexes_module._simplex_label
-    monkeypatch.setattr(complexes_module, "_development_labels",
+    by_dim, label = fan_module.PeriodicTriangulation.class_labels, fan_module._simplex_label
+    monkeypatch.setattr(fan_module.PeriodicTriangulation, "class_labels",
                         lambda t, k: formatted.append(k) or by_dim(t, k))
-    monkeypatch.setattr(complexes_module, "_simplex_label",
-                        lambda s: formatted.append(s) or label(s))
+    monkeypatch.setattr(fan_module, "_simplex_label", lambda s: formatted.append(s) or label(s))
     for i, datum in enumerate(({"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[4, 2], [2, 6]]},
                                {"rank": 1, "phi": [[1]], "b": [[8]]},
                                {"rank": 0, "phi": [], "b": []})):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -135,7 +136,7 @@ def test_auto_scale_examples():
     nu, t = auto_scale(make_data(2, [[2, 0], [0, 2]]))
     assert nu == 1
     assert all(is_unimodular(s) for s in t.simplices)
-    assert t.certificates["property_d"] and t.certificates["h_free"]
+    assert t.certificate.property_d and t.certificate.h_free
 
     nu2, t2 = auto_scale(make_data(2, [[1, 0], [0, 1]], a_basis=(0, 0)))
     assert nu2 == 2
@@ -237,12 +238,13 @@ def test_polarization_form_validation():
 def test_certify_attaches_flags():
     d = make_data(2, [[2, 0], [0, 2]])
     t = standard_triangulation(2).with_lattice(d.b)
-    assert t.certificates == {}
-    certs = certify(t)
-    assert t.certificates == certs
-    assert set(certs) == {"semistable", "unimodular", "property_d", "h_free",
-                          "polarization", "vertices_complete"}
-    assert all(certs.values())
+    assert t.certificate is None
+    cert = certify(t)
+    assert t.certificate is cert
+    assert list(cert.flags()) == ["semistable", "unimodular", "property_d", "h_free",
+                                  "polarization", "vertices_complete"]
+    assert all(cert.flags().values()) and cert.passes() and cert.complex_refusal() is None
+    assert not hasattr(t, "certificates") and not hasattr(t, "violations")
 
 
 def test_fan_json_round_trip():
@@ -275,9 +277,9 @@ def test_user_fan_closed_under_faces():
 
 
 def nu_by_certify(d):
-    """``certify_loop``'s ν with its certificates and violation lists."""
+    """``certify_loop``'s ν with its certificate."""
     nu, t = certify_loop(d)
-    return nu, list(t.certificates.items()), t.violations
+    return nu, t.certificate
 
 
 def valid_datum(rank, phi, s, a):
@@ -312,8 +314,8 @@ def test_auto_scale_stops_at_nu_2(monkeypatch):
     monkeypatch.undo()
     assert (nu, t.lattice) == (2, IntMatrix([[2, 0], [0, 2]]))
     unit = standard_triangulation(2)
-    assert not certify(unit.with_lattice(IntMatrix([[1, 0], [0, 1]])))["h_free"]
-    assert nu_by_certify(d) == (2, list(t.certificates.items()), t.violations)
+    assert not certify(unit.with_lattice(IntMatrix([[1, 0], [0, 1]]))).h_free
+    assert nu_by_certify(d) == (2, t.certificate)
 
 
 @settings(max_examples=100, deadline=None)
@@ -326,7 +328,7 @@ def test_auto_scale_nu_by_parity_matches_certify(d):
     # certifies ν = 1 and then ν = 2.
     assert validate(d).ok
     nu, t = auto_scale(d)
-    assert (nu, list(t.certificates.items()), t.violations) == nu_by_certify(d)
+    assert (nu, t.certificate) == nu_by_certify(d)
     assert nu == (1 if is_even(d) else 2)
     assert t.lattice == base_change(d, nu).b
 
@@ -402,16 +404,17 @@ def test_bounded_checks_match_full_window_scans(fan):
     assert check_property_d(t) == expected_d
     assert check_h_freeness(t) == expected_h
 
-    certs = certify(t)
-    assert t.violations == {"property_d": expected_d, "h_free": expected_h}
-    assert certs["property_d"] == (not expected_d)
-    assert certs["h_free"] == (not expected_h)
-    assert certs["unimodular"] == all(is_unimodular(s) for s in t.simplices)
-    if certs["semistable"] and certs["unimodular"]:
+    cert = certify(t)
+    assert cert.property_d_violations == tuple(expected_d)
+    assert cert.h_free_violations == tuple(expected_h)
+    assert cert.property_d == (not expected_d)
+    assert cert.h_free == (not expected_h)
+    assert cert.unimodular == all(is_unimodular(s) for s in t.simplices)
+    if cert.semistable and cert.unimodular:
         form = default_polarization_form(t.rank)
         margins = fan_module._polarization_margins(t, form)
         assert margins == direct_margins(t, form)
-        assert certs["polarization"] == all(m > 0 for m in margins)
+        assert cert.polarization == all(m > 0 for m in margins)
 
 
 def skinny_strip(n):
@@ -444,8 +447,7 @@ def test_property_d_tests_only_translates_within_the_extents(monkeypatch):
 def test_standard_fan_certified_at_nu_2(rows):
     # The bound of auto_scale: the standard fan over Λ_(2b) passes every core check.
     doubled = [[2 * x for x in r] for r in rows]
-    certs = certify(developed("standard", doubled))
-    assert all(certs[k] for k in ("semistable", "unimodular", "property_d", "h_free"))
+    assert certify(developed("standard", doubled)).passes()
 
 
 # -- oracles for the sort-free simplices and the carried face map -----------------
@@ -639,8 +641,7 @@ def test_development_labels_match_simplex_labels(case):
     rank, name, rows = case
     t = unit_cell(rank, name).with_lattice(IntMatrix(rows, shape=(rank, rank)))
     for k in range(rank + 1):
-        assert complexes_module._development_labels(t, k) == list(
-            map(complexes_module._simplex_label, t.by_dim(k)))
+        assert t.class_labels(k) == list(map(fan_module._simplex_label, t.by_dim(k)))
 
 
 # -- certify on a development against the oracle: the classes made canonical ----
@@ -653,17 +654,17 @@ def assert_unit_route_matches(rank, name, rows):
     unit = unit_cell(rank, name)
     lattice = IntMatrix(rows, shape=(rank, rank))
     t = unit.with_lattice(lattice)
-    certs = certify(t)
+    cert = certify(t)
     expected = develop_by_canonical_points(unit, lattice)
-    assert certs == certify(expected)
+    assert cert == certify(expected)
     wd, wh = full_windows(expected)
-    assert t.violations == expected.violations == {
-        "property_d": scan_property_d(expected, wd), "h_free": scan_h_freeness(expected, wh)}
+    assert (cert.property_d_violations, cert.h_free_violations) == (
+        tuple(scan_property_d(expected, wd)), tuple(scan_h_freeness(expected, wh)))
     # certify reads a development's lattice-free flags off its unit cell;
     # the developed classes give the same.
-    assert fan_module._lattice_free_flags(t) == tuple(
-        certs[k] for k in ("semistable", "unimodular", "vertices_complete", "polarization"))
-    return certs
+    assert fan_module._lattice_free_flags(t) == (
+        cert.semistable, cert.unimodular, cert.vertices_complete, cert.polarization)
+    return cert
 
 
 @settings(max_examples=80, deadline=None)
@@ -680,8 +681,8 @@ def test_unit_cell_flags_take_both_values():
             (2, [[[1, 0], [0, 1]], [[2, 0], [0, 2]], [[3, 1], [1, 3]], [[2, 0], [0, 5]]]))
         for name in UNIT_CELLS[rank] for rows in lattices]
     for rank, name, rows in cases:
-        certs = assert_unit_route_matches(rank, name, rows)
-        for flag, value in certs.items():
+        cert = assert_unit_route_matches(rank, name, rows)
+        for flag, value in cert.flags().items():
             seen.setdefault(flag, set()).add(value)
     assert seen == {flag: {True, False} for flag in seen}
     assert len(seen) == 6
@@ -701,14 +702,16 @@ def test_h_freeness_does_not_depend_on_the_basis():
                            ([[-3]], [((0,), LatticeSimplex([(-1,), (1,)]))])):
         t = unit.with_lattice(IntMatrix(rows))
         assert check_h_freeness(t) == expected
-        assert not certify(t)["h_free"]
+        assert not certify(t).h_free
 
 
-def test_unit_cell_flags_are_fresh_dicts():
+def test_certificate_is_frozen():
+    # The unit-cell flags are cached, so a certificate must not be changed.
     unit = standard_triangulation(2)
     first = certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))
-    first["polarization"] = False
-    assert certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))["polarization"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.polarization = False
+    assert certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]]))).polarization
 
 
 @settings(max_examples=60, deadline=None)
@@ -753,8 +756,7 @@ def test_table_dual_complex_matches_dicts(case):
     rank, name, rows = case
     unit, lattice = unit_cell(rank, name), IntMatrix(rows, shape=(rank, rank))
     t = unit.with_lattice(lattice)
-    certs = certify(t)
-    if not all(certs[k] for k in ("semistable", "unimodular", "property_d")):
+    if certify(t).complex_refusal() is not None:
         return
     expected = develop_by_canonical_points(unit, lattice)
     certify(expected)
@@ -897,10 +899,11 @@ def test_document_matches_constructor(case):
         expected.by_dim(k) for k in range(rank + 1)]
     assert got.face_classes == expected.face_classes
     assert got.negatives == expected.negatives
-    assert certify(got) == certify(expected)
+    cert = certify(got)
+    assert cert == certify(expected)
     wd, wh = full_windows(expected)
-    assert got.violations == expected.violations == {
-        "property_d": scan_property_d(expected, wd), "h_free": scan_h_freeness(expected, wh)}
+    assert (cert.property_d_violations, cert.h_free_violations) == (
+        tuple(scan_property_d(expected, wd)), tuple(scan_h_freeness(expected, wh)))
 
 
 @pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)

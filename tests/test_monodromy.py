@@ -11,7 +11,6 @@ from kummer_kulikov.errors import (
     BadSquare,
     HypothesisFailed,
     InvalidIndex,
-    MultiplicativityError,
     NotNilpotent,
     NotUnipotent,
     SchemaError,
@@ -26,7 +25,6 @@ from kummer_kulikov.monodromy import (
     nilpotency_index,
     operator_from_json,
     operator_to_json,
-    quadratic_twist_character,
     standard_N,
     toric_rank_from_N,
     two_torsion_trivial,
@@ -199,28 +197,6 @@ def test_sign_consistency_random():
         u = random_unipotent(rng)
         s = rng.choice((1, -1))
         assert unipotent_or_negative(u.scale(s)) == s
-
-
-def test_quadratic_twist_character():
-    assert quadratic_twist_character([I4, -I4]) == (1, -1)
-    assert quadratic_twist_character([-(I4 + elem(0, 1))]) == (-1,)
-    assert quadratic_twist_character([I4 + elem(0, 1)]) == (1,)
-    # Closed sample: signs multiply along products that appear in the list.
-    s1 = I4 + elem(0, 1)
-    s2 = -I4
-    s3 = s1 * s2
-    assert quadratic_twist_character([s1, s2, s3]) == (1, -1, -1)
-
-
-def test_quadratic_twist_multiplicativity_violation():
-    # u, v unipotent with uv of characteristic polynomial (x+1)^4: the sign
-    # family on (u, v, uv) cannot be multiplicative.
-    u = RationalOperator([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
-    v = RationalOperator([[1, 0, 0, 0], [-2, 1, 0, 0], [0, 0, 1, 0], [0, 0, -2, 1]])
-    prod = u * v
-    assert (-prod).is_unipotent()
-    with pytest.raises(MultiplicativityError):
-        quadratic_twist_character([u, v, prod])
 
 
 def test_two_torsion_trivial():

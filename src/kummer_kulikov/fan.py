@@ -10,12 +10,15 @@ apex ray sits over the vertex 0.
 The certification checks scan only as far as short proofs require.  A
 translate λ with hull(S) ∩ hull(S + λ) nonempty is a difference of two
 points of hull(S), so property (d) needs only the λ with |λ_i| <=
-extent_i(S) = max_i(S) − min_i(S) in each coordinate i.  A fixed class
-−S = S + λ of the inversion forces λ = lexmin(−S) − lexmin(S), because
-translation preserves the lexicographic order, so H-freeness reads whether
-each class is its own carried negative.  Unimodularity and the
-polarization margins are invariant under integer shifts and are computed
-once per simplex shape.
+extent_i(S) = max_i(S) − min_i(S) in each coordinate i.  Each is tested in
+the affine coordinates of S, in any rank: S with vertices v_0, ..., v_k
+meets S + λ iff λ = Σγ_i·v_i for a γ with Σγ_i = 0, which is then unique,
+and ‖γ‖₁ <= 2 (``_meets_translate``).  One exact solve per simplex shape
+serves every translate.  A fixed class −S = S + λ of the inversion forces
+λ = lexmin(−S) − lexmin(S), because translation preserves the
+lexicographic order, so H-freeness reads whether each class is its own
+carried negative.  Unimodularity and the polarization margins are
+invariant under integer shifts and are computed once per simplex shape.
 
 ``certify`` runs the checks on any fan: ``fan check`` and the ``complex``
 commands certify documents.  ``auto_scale`` runs none, since a parity
@@ -536,77 +539,35 @@ def _lattice_coefficients(t: PeriodicTriangulation, lam: Vector) -> Vector:
     return tuple(x // det for x in num)
 
 
-# -- convex hull intersection in rank <= 2 -----------------------------------
-
-def _orient(a: Vector, b: Vector, c: Vector) -> int:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _point_in_hull(p: Vector, s: LatticeSimplex) -> bool:
-    vs = s.vertices
-    if len(vs) == 1:
-        return p == vs[0]
-    if len(p) == 1:
-        lo, hi = vs[0][0], vs[-1][0]
-        return lo <= p[0] <= hi
-    if len(vs) == 2:
-        a, b = vs
-        if _orient(a, b, p) != 0:
-            return False
-        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-    a, b, c = vs
-    d1, d2, d3 = _orient(a, b, p), _orient(b, c, p), _orient(c, a, p)
-    return (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0)
-
-
-def _on_segment(a: Vector, b: Vector, p: Vector) -> bool:
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def _segments_intersect(p1: Vector, p2: Vector, q1: Vector, q2: Vector) -> bool:
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    if d1 == 0 and _on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and _on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, q2):
-        return True
-    return False
-
-
-def _edges(s: LatticeSimplex) -> list[tuple[Vector, Vector]]:
-    vs = s.vertices
-    return [(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
-
-
-def hulls_intersect(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
-    """Exact test for whether the convex hulls share a point (rank <= 2)."""
-    t = len(s1.vertices[0])
-    if t == 0:
-        return True
-    if t == 1:
-        lo1, hi1 = s1.vertices[0][0], s1.vertices[-1][0]
-        lo2, hi2 = s2.vertices[0][0], s2.vertices[-1][0]
-        return max(lo1, lo2) <= min(hi1, hi2)
-    if any(_point_in_hull(v, s2) for v in s1.vertices):
-        return True
-    if any(_point_in_hull(v, s1) for v in s2.vertices):
-        return True
-    return any(_segments_intersect(a, b, c, d)
-               for a, b in _edges(s1) for c, d in _edges(s2))
-
-
 # -- the certification checks -------------------------------------------------
+
+def _affine_frame(vertices: Sequence[Vector]) -> tuple[IntMatrix, IntMatrix, int]:
+    """(Eᵀ, adj G·E, det G) for affinely independent v_0, ..., v_k: E has the
+    rows v_i − v_0 and G = E·Eᵀ, whose determinant is positive."""
+    e = IntMatrix([tuple(map(sub, v, vertices[0])) for v in vertices[1:]],
+                  shape=(len(vertices) - 1, len(vertices[0])))
+    g = e.mul(e.transpose())
+    return e.transpose(), g.adjugate().mul(e), g.det()
+
+
+def _meets_translate(frame: tuple[IntMatrix, IntMatrix, int], lam: Vector) -> bool:
+    """Whether hull(S) and hull(S + λ) share a point, for the
+    ``_affine_frame`` (Eᵀ, adj G·E, det G) of S, in any rank.
+
+    Proof.  A common point is Σα_i·v_i = Σβ_i·v_i + λ for barycentric α, β,
+    so one exists iff λ = Σγ_i·v_i for a γ = α − β.  A γ with Σγ_i = 0 is
+    such a difference iff Σγ⁺ <= 1 (take α = γ⁺ + μ, β = γ⁻ + μ for μ >= 0 of
+    sum 1 − Σγ⁺; conversely α >= γ⁺), that is ‖γ‖₁ <= 2, as Σγ⁺ = Σγ⁻.  Then
+    Σγ_i·v_i = Eᵀ·γ' for γ' = (γ_1, ..., γ_k), and G·γ' = E·λ has the one
+    solution γ' = c / det G, c = adj G·E·λ, since E has independent rows.  So
+    λ is reached iff Eᵀ·c = det G·λ, and then γ_0 = −Σc / det G, and
+    ‖γ‖₁ <= 2 iff |Σc| + Σ|c_i| <= 2·det G.
+    """
+    et, solver, det = frame
+    c = solver.matvec(lam)
+    return (et.matvec(c) == tuple(det * x for x in lam)
+            and abs(sum(c)) + sum(map(abs, c)) <= 2 * det)
+
 
 def check_property_d(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimplex]]:
     """Violations of the disjointness condition: nonzero λ = b(y,-) with
@@ -615,9 +576,11 @@ def check_property_d(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimp
     A violating λ is p − q with p, q ∈ hull(S), so |λ_i| <= extent_i(S) in
     each coordinate i.  The scan lists the translates within the largest
     extents once, keeps for each distinct extents those within them, and
-    tests S against these by exact hull intersection.  A development is
-    scanned on its unit cell, and each unit violation is listed at every
-    residue (module docstring).
+    tests S against these in exact affine coordinates (``_meets_translate``):
+    λ must be Σγ_i·v_i with Σγ_i = 0 and ‖γ‖₁ <= 2, in any rank.  The frame
+    of that test is computed once per distinct shape of S, and no translate
+    of S is built.  A development is scanned on its unit cell, and each unit
+    violation is listed at every residue (module docstring).
     """
     if t.lattice is None:
         raise ValueError("property (d) needs a translation lattice attached")
@@ -631,8 +594,10 @@ def check_property_d(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimp
     def within(extent: Vector) -> list[Vector]:
         return [lam for lam in translates if all(map(le, map(abs, lam), extent))]
 
+    frame = functools.cache(_affine_frame)
+
     def hits(s: LatticeSimplex) -> list[Vector]:
-        return [lam for lam in within(extents[s]) if hulls_intersect(s, s.translate(lam))]
+        return [lam for lam in within(extents[s]) if _meets_translate(frame(_shape(s)), lam)]
 
     if t._unit is None:
         return [(lam, s) for s in classes for lam in hits(s)]

@@ -4,6 +4,7 @@ import pytest
 
 from kummer_kulikov import fan
 from kummer_kulikov.degeneration import DegenerationData, base_change
+from kummer_kulikov.fan import LatticeSimplex, Vector
 from kummer_kulikov.lattice import IntMatrix
 from kummer_kulikov.monodromy import RationalOperator
 
@@ -104,11 +105,83 @@ def lattice_points(rows, window):
     return out
 
 
+# The planar orientation tests, independent of the affine coordinates that
+# fan.check_property_d uses: exact in rank <= 2 only, where _orient reads
+# coordinates 0 and 1.
+
+def _orient(a: Vector, b: Vector, c: Vector) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _point_in_hull(p: Vector, s: LatticeSimplex) -> bool:
+    vs = s.vertices
+    if len(vs) == 1:
+        return p == vs[0]
+    if len(p) == 1:
+        lo, hi = vs[0][0], vs[-1][0]
+        return lo <= p[0] <= hi
+    if len(vs) == 2:
+        a, b = vs
+        if _orient(a, b, p) != 0:
+            return False
+        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    a, b, c = vs
+    d1, d2, d3 = _orient(a, b, p), _orient(b, c, p), _orient(c, a, p)
+    return (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0)
+
+
+def _on_segment(a: Vector, b: Vector, p: Vector) -> bool:
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def _segments_intersect(p1: Vector, p2: Vector, q1: Vector, q2: Vector) -> bool:
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
+       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
+        return True
+    if d1 == 0 and _on_segment(q1, q2, p1):
+        return True
+    if d2 == 0 and _on_segment(q1, q2, p2):
+        return True
+    if d3 == 0 and _on_segment(p1, p2, q1):
+        return True
+    if d4 == 0 and _on_segment(p1, p2, q2):
+        return True
+    return False
+
+
+def _edges(s: LatticeSimplex) -> list[tuple[Vector, Vector]]:
+    vs = s.vertices
+    return [(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
+
+
+def hulls_intersect(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
+    """Exact test for whether the convex hulls share a point (rank <= 2)."""
+    t = len(s1.vertices[0])
+    if t == 0:
+        return True
+    if t == 1:
+        lo1, hi1 = s1.vertices[0][0], s1.vertices[-1][0]
+        lo2, hi2 = s2.vertices[0][0], s2.vertices[-1][0]
+        return max(lo1, lo2) <= min(hi1, hi2)
+    if any(_point_in_hull(v, s2) for v in s1.vertices):
+        return True
+    if any(_point_in_hull(v, s1) for v in s2.vertices):
+        return True
+    return any(_segments_intersect(a, b, c, d)
+               for a, b in _edges(s1) for c, d in _edges(s2))
+
+
 def scan_property_d(t, window):
     """The full-window property-(d) scan: every translate, every class."""
     lams = [lam for lam, _ in lattice_points(t.lattice.entries, window)]
     return [(lam, s) for s in t.simplices for lam in lams
-            if fan.hulls_intersect(s, s.translate(lam))]
+            if hulls_intersect(s, s.translate(lam))]
 
 
 def scan_h_freeness(t, window):

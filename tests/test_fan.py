@@ -6,13 +6,20 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
 import kummer_kulikov.fan as fan_module
-from conftest import certify_loop, lattice_points, make_data, scan_h_freeness, scan_property_d
+from conftest import (
+    certify_loop,
+    hulls_intersect,
+    lattice_points,
+    make_data,
+    scan_h_freeness,
+    scan_property_d,
+)
 from kummer_kulikov.degeneration import base_change, is_even, validate
 from kummer_kulikov.errors import SchemaError, UncertifiedFan, UnsupportedRank
 from kummer_kulikov.fan import (
@@ -28,7 +35,6 @@ from kummer_kulikov.fan import (
     default_polarization_form,
     fan_from_json,
     fan_to_json,
-    hulls_intersect,
     is_unimodular,
     standard_triangulation,
     vertices_complete,
@@ -83,14 +89,49 @@ def test_check_semistable():
     assert not check_semistable(empty)
 
 
-def test_hulls_intersect_basics():
+def meets_translate(s, lam):
+    return fan_module._meets_translate(fan_module._affine_frame(s.vertices), lam)
+
+
+def test_meets_translate_basics():
     tri = LatticeSimplex([(0, 0), (1, 0), (1, 1)])
-    assert hulls_intersect(tri, tri.translate((1, 0)))  # shares vertex (1,0)
-    assert not hulls_intersect(tri, tri.translate((2, 0)))
-    assert hulls_intersect(tri, tri.translate((-1, -1)))  # shares (0,0)
+    assert meets_translate(tri, (1, 0))  # shares vertex (1,0)
+    assert not meets_translate(tri, (2, 0))
+    assert meets_translate(tri, (-1, -1))  # shares (0,0)
     edge = LatticeSimplex([(0,), (1,)])
-    assert hulls_intersect(edge, edge.translate((1,)))
-    assert not hulls_intersect(edge, edge.translate((2,)))
+    assert meets_translate(edge, (1,))
+    assert not meets_translate(edge, (2,))
+
+
+@st.composite
+def simplices_and_translates(draw):
+    """A simplex of any dimension 0..t in rank t = 1, 2, with coordinates in
+    [−3, 3], and a translate λ in [−6, 6]^t."""
+    t = draw(st.integers(1, 2))
+    k = draw(st.integers(0, t))
+    point = st.tuples(*[st.integers(-3, 3)] * t)
+    vertices = draw(st.lists(point, min_size=k + 1, max_size=k + 1, unique=True))
+    assume(IntMatrix([[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]],
+                     shape=(k, t)).rank() == k)
+    return LatticeSimplex(vertices), draw(st.tuples(*[st.integers(-6, 6)] * t))
+
+
+@settings(max_examples=400, deadline=None)
+@given(simplices_and_translates())
+def test_meets_translate_agrees_with_the_orientation_tests(case):
+    s, lam = case
+    assert meets_translate(s, lam) == hulls_intersect(s, s.translate(lam))
+
+
+def test_property_d_in_rank_3():
+    # The translates of this edge by (0, 0, ±2) are disjoint, though their
+    # projections to the first two coordinates coincide.
+    t = PeriodicTriangulation(3, [LatticeSimplex([(1, 1, 0), (2, 1, 2)])],
+                              IntMatrix.diagonal([4, 4, 2]))
+    assert check_property_d(t) == []
+    edge = LatticeSimplex([(0, 0, 0), (0, 0, 1)])
+    assert not meets_translate(edge, (0, 0, 5))
+    assert meets_translate(edge, (0, 0, 1))
 
 
 def test_property_d_certified_and_violated():
@@ -433,9 +474,9 @@ def test_property_d_tests_only_translates_within_the_extents(monkeypatch):
     # within its diameter (up to n/2) only λ = (0, ±1) can meet it.
     t = skinny_strip(120)
     calls = []
-    hulls = fan_module.hulls_intersect
-    monkeypatch.setattr(fan_module, "hulls_intersect",
-                        lambda a, b: calls.append(None) or hulls(a, b))
+    meets = fan_module._meets_translate
+    monkeypatch.setattr(fan_module, "_meets_translate",
+                        lambda frame, lam: calls.append(None) or meets(frame, lam))
     got = check_property_d(t)
     monkeypatch.undo()
     assert got and len(calls) <= 2 * len(t.simplices)

@@ -28,10 +28,10 @@ _EXPORTS = {
     ),
     "errors": (),
     "fan": (
-        "Certificate", "LatticeSimplex", "PeriodicTriangulation", "PolarizationForm",
-        "auto_scale", "certify", "check_gamma_admissible", "check_h_freeness",
-        "check_property_d", "check_semistable", "default_polarization_form", "fan_from_json",
-        "fan_to_json", "is_unimodular", "standard_triangulation", "vertices_complete",
+        "Certificate", "LatticeSimplex", "PeriodicTriangulation", "auto_scale", "certify",
+        "check_gamma_admissible", "check_h_freeness", "check_property_d", "check_semistable",
+        "fan_from_json", "fan_to_json", "is_unimodular", "standard_triangulation",
+        "vertices_complete",
     ),
     "lattice": (
         "ComponentGroup", "IntMatrix", "component_group", "smith_normal_form",

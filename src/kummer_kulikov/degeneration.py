@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvalidScale, SchemaError
+from .errors import InvalidScale, SchemaError, UnsupportedRank
 from .lattice import IntMatrix, leading_principal_minors
 
 
@@ -215,6 +215,8 @@ def from_json_dict(doc: Mapping) -> DegenerationData:
     t = doc.get("rank")
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise SchemaError("field 'rank' must be a nonnegative integer")
+    if t > 2:
+        raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
     phi = _require_matrix(doc, "phi", t)
     b = _require_matrix(doc, "b", t)
     raw_a = doc.get("a_basis")

@@ -109,7 +109,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, groupby, product, repeat
 from operator import add, le, mod, mul, sub
 from typing import Iterable, Mapping, Sequence
@@ -118,7 +117,6 @@ from .degeneration import DegenerationData, base_change, is_even
 from .errors import SchemaError, SingularPairing, UnsupportedRank
 from .lattice import (
     IntMatrix,
-    leading_principal_minors,
     smith_normal_form,
     solve,
     unimodular_inverse,
@@ -674,64 +672,14 @@ def check_gamma_admissible(t: PeriodicTriangulation) -> bool:
 
 # -- polarization surrogate ----------------------------------------------------
 
-@dataclass(frozen=True)
-class PolarizationForm:
-    """Quadratic form Q(l) = l^T·gram·l used as PL vertex values.
-
-    gram is symmetric with integer diagonal and half-integral off-diagonal
-    entries, so Q takes integer values on Z^t.
-    """
-
-    gram: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        g = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
-        n = len(g)
-        if any(len(row) != n for row in g):
-            raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-                if (2 * g[i][j]).denominator != 1:
-                    raise ValueError("off-diagonal entries must be half-integral")
-            if g[i][i].denominator != 1:
-                raise ValueError("diagonal entries must be integral")
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    def value(self, l: Sequence[int]) -> int:
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                total += self.gram[i][j] * l[i] * l[j]
-        assert total.denominator == 1
-        return int(total)
-
-    def is_positive_definite(self) -> bool:
-        """Sylvester's criterion on the integral 2·gram: det(2·G_k) = 2^k·det(G_k)."""
-        doubled = IntMatrix([[int(2 * x) for x in row] for row in self.gram],
-                            shape=(self.rank, self.rank))
-        return all(m > 0 for m in leading_principal_minors(doubled))
-
-
-def default_polarization_form(t: int) -> PolarizationForm:
-    """Strictly convex form compatible with the standard triangulation.
-
-    For t = 2 this is Q(m, n) = m² + n² - mn, whose Delaunay subdivision is
-    exactly the (1,1)-diagonal cut of the unit squares.
-    """
-    if t == 0:
-        return PolarizationForm(())
-    if t == 1:
-        return PolarizationForm(((Fraction(1),),))
-    if t == 2:
-        h = Fraction(-1, 2)
-        return PolarizationForm(((Fraction(1), h), (h, Fraction(1))))
-    raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
+def _form(v: Vector) -> int:
+    """The one form whose PL interpolation stands in for a polarization
+    function: Q(m) = m² in rank 1, and Q(m, n) = m² + n² − mn in rank 2, whose
+    Delaunay subdivision is the (1,1)-diagonal cut of the unit squares."""
+    if len(v) == 1:
+        return v[0] * v[0]
+    m, n = v
+    return m * m + n * n - m * n
 
 
 def _offset(v: Vector, origin: Vector) -> Vector:
@@ -772,44 +720,33 @@ def _opposite_vertices(t: PeriodicTriangulation):
         yield s, opposite
 
 
-def _polarization_margins(t: PeriodicTriangulation,
-                          form: PolarizationForm) -> list[Fraction] | None:
-    """Convexity margins across the interior walls; None if a wall has no
-    unique neighbor (not a proper periodic triangulation)."""
-    if t.rank == 0:
-        return []
+def _polarization_margins(t: PeriodicTriangulation) -> list[int] | None:
+    """Convexity margins of the PL interpolation of ``_form`` across the
+    interior walls; None if a wall has no unique neighbor.
+
+    With (num, det) = solve([1 | v], Q(v)) on the vertices v of s, the margin
+    at the opposite vertex w is Q(w) − (num_0 + Σ num_i·w_i) / det, and the
+    integer det·(Q(w)·det − num_0 − Σ num_i·w_i) is det² times it.  On a
+    unimodular simplex the rows (v, 1) are a basis of Z^(t+1), so det = ±1
+    and this integer is the exact margin; ``_lattice_free_flags`` computes
+    the margins only on unimodular fans.
+    """
+    if t.rank > 2:
+        raise UnsupportedRank(f"toric rank {t.rank} does not occur for abelian surfaces")
     # Q(l + μ) − Q(l) is affine in l, so a margin depends only on the wall's
-    # shape: its vertices and w relative to the first vertex of s.
-    by_shape: dict[tuple, Fraction] = {}
+    # shape: the vertices of s and w relative to the first vertex of s.
+    @functools.cache
+    def margin(shape: tuple[Vector, ...], w: Vector) -> int:
+        num, det = solve(IntMatrix([(1,) + v for v in shape]), list(map(_form, shape)))
+        return det * (_form(w) * det - num[0] - sum(map(mul, num[1:], w)))
+
     margins = []
     for s, opposite in _opposite_vertices(t):
         if None in opposite:
             return None
         shape = _shape(s)
-        for w in opposite:
-            key = (shape, _offset(w, s.vertices[0]))
-            if key not in by_shape:
-                # Affine interpolation of Q over the vertices of s, evaluated at w.
-                num, det = solve(IntMatrix([(1,) + v for v in s.vertices]),
-                                 [form.value(v) for v in s.vertices])
-                affine_at_w = Fraction(num[0] + sum(map(mul, num[1:], w)), det)
-                by_shape[key] = form.value(w) - affine_at_w
-            margins.append(by_shape[key])
+        margins += [margin(shape, _offset(w, s.vertices[0])) for w in opposite]
     return margins
-
-
-def _polarization_check(t: PeriodicTriangulation, form: PolarizationForm) -> bool:
-    """Surrogate for the existence of a Γ-admissible polarization function:
-    the PL interpolation of Q over the triangulation is strictly convex
-    across every interior wall.  Central symmetry Q(-l) = Q(l) and the
-    affine-linearity of Q(l + λ) - Q(l) hold for every quadratic Q.
-    """
-    if form.rank != t.rank:
-        return False
-    if t.rank > 0 and not form.is_positive_definite():
-        return False
-    margins = _polarization_margins(t, form)
-    return margins is not None and all(m > 0 for m in margins)
 
 
 # -- certification and scaling --------------------------------------------------
@@ -875,8 +812,8 @@ def _lattice_free_flags(t: PeriodicTriangulation) -> tuple[bool, bool, bool, boo
     """
     semistable = check_semistable(t)
     unimodular = all(is_unimodular(s) for s in {_shape(s): s for s in t.simplices}.values())
-    polarization = (semistable and unimodular
-                    and _polarization_check(t, default_polarization_form(t.rank)))
+    margins = _polarization_margins(t) if semistable and unimodular else None
+    polarization = margins is not None and all(m > 0 for m in margins)
     return semistable, unimodular, vertices_complete(t), polarization
 
 

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from kummer_kulikov import fan
 from kummer_kulikov.degeneration import DegenerationData, base_change
@@ -197,3 +198,28 @@ def scan_h_freeness(t, window):
             if {tuple(a + b for a, b in zip(v, lam)) for v in s.vertices} == neg:
                 out.append((y, s))
     return out
+
+
+# -- random valid fans by symmetric diagonal flips -------------------------------
+
+# The two cuts of the unit square: the standard fan's, along (1, 1), and the other.
+SQUARE_CUTS = ([[(0, 0), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]],
+               [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]])
+
+
+@st.composite
+def flipped_fans(draw):
+    """(n, document): the triangles of the standard fan over diag(n, n),
+    n ∈ {4, 6}, one unit square at each p ∈ [0, n)², with 1 to 3 random
+    squares cut along the other diagonal, each together with its negative
+    square at −p − (1, 1), so the fan stays stable under inversion.  Both
+    cuts of a unit square are unimodular."""
+    n = draw(st.sampled_from([4, 6]))
+    corners = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    flipped = set()
+    for a, b in draw(st.lists(corners, min_size=1, max_size=3, unique=True)):
+        flipped |= {(a, b), ((-a - 1) % n, (-b - 1) % n)}
+    simplices = [[[a + x, b + y] for x, y in triangle]
+                 for a, b in product(range(n), repeat=2)
+                 for triangle in SQUARE_CUTS[(a, b) in flipped]]
+    return n, {"rank": 2, "lattice": [[n, 0], [0, n]], "simplices": simplices}

@@ -205,6 +205,14 @@ def test_rank_3_fan_documents_are_refused_when_read(tmp_path, capsys, monkeypatc
     assert (code, report["kind"]) == (1, "UnsupportedRank")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["base-change", "--e", "2"]], ids=" ".join)
+def test_rank_3_data_are_refused_when_read(tmp_path, capsys, command):
+    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    path = write(tmp_path, "d_rank3.json", {"rank": 3, "phi": identity, "b": DIAG[2]})
+    code, report = run(capsys, *command, path)
+    assert (code, report["kind"]) == (1, "UnsupportedRank")
+
+
 def test_monodromy_command(tmp_path, capsys):
     code, report = run(capsys, "monodromy", "--toric-rank", "2")
     assert code == 0

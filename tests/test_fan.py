@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +15,9 @@ import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
 import kummer_kulikov.fan as fan_module
 from conftest import (
+    SQUARE_CUTS,
     certify_loop,
+    flipped_fans,
     hulls_intersect,
     lattice_points,
     make_data,
@@ -25,14 +29,12 @@ from kummer_kulikov.errors import SchemaError, UncertifiedFan, UnsupportedRank
 from kummer_kulikov.fan import (
     LatticeSimplex,
     PeriodicTriangulation,
-    PolarizationForm,
     auto_scale,
     certify,
     check_gamma_admissible,
     check_h_freeness,
     check_property_d,
     check_semistable,
-    default_polarization_form,
     fan_from_json,
     fan_to_json,
     is_unimodular,
@@ -242,38 +244,25 @@ def test_gamma_admissibility_window():
 
 
 def test_polarization_examples():
-    check = fan_module._polarization_check
-    d = make_data(2, [[2, 0], [0, 2]])
-    _, t = auto_scale(d)
-    assert check(t, default_polarization_form(2))
-    # x^2 + y^2 is flat across the diagonal walls: not strictly convex here.
-    square_form = PolarizationForm(((1, 0), (0, 1)))
-    assert not check(t, square_form)
-    assert not check(t, PolarizationForm(((0, 0), (0, 0))))
-
-    d1 = make_data(1, [[2]])
-    _, t1 = auto_scale(d1)
-    assert check(t1, PolarizationForm(((1,),)))
+    # The standard fans are strictly convex for the form in ranks 1 and 2.
+    for rank, rows in ((2, [[2, 0], [0, 2]]), (1, [[2]])):
+        _, t = auto_scale(make_data(rank, rows))
+        margins = fan_module._polarization_margins(t)
+        assert margins and all(m > 0 for m in margins)
+        assert certify(t).polarization
+    # Rank 3 does not occur: a semistable unimodular fan of that rank is refused.
+    tetrahedron = LatticeSimplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(UnsupportedRank):
+        certify(PeriodicTriangulation(3, [tetrahedron], IntMatrix.diagonal([2, 2, 2])))
 
 
 def test_polarization_margin_value():
     # Q(m,n) = m^2 + n^2 - mn across the diagonal wall has margin exactly 1:
     # Q(1,0) + Q(0,1) - Q(0,0) - Q(1,1) = 1.
-    form = default_polarization_form(2)
-    q = lambda m, n: form.value((m, n))
-    assert q(1, 0) + q(0, 1) - q(0, 0) - q(1, 1) == 1
-    form1 = default_polarization_form(1)
-    assert form1.value((0,)) + form1.value((2,)) - 2 * form1.value((1,)) == 2
-
-
-def test_polarization_form_validation():
-    with pytest.raises(ValueError):
-        PolarizationForm(((1, 1), (0, 1)))  # asymmetric
-    with pytest.raises(ValueError):
-        PolarizationForm((("1/3", "0"), ("0", "1")))  # not half-integral
-    form = default_polarization_form(2)
-    assert form.value((1, 1)) == 1
-    assert form.is_positive_definite()
+    q = fan_module._form
+    assert q((1, 0)) + q((0, 1)) - q((0, 0)) - q((1, 1)) == 1
+    assert q((1, 1)) == 1
+    assert q((0,)) + q((2,)) - 2 * q((1,)) == 2
 
 
 def test_certify_attaches_flags():
@@ -403,20 +392,21 @@ def full_windows(t):
     return diameter + entry + 1, max(diameter + entry + 1, 2 * coord + 1)
 
 
-def direct_margins(t, form):
+def direct_margins(t):
     """Every wall's convexity margin, solved on its own by Cramer's rule."""
+    form = fan_module._form
     out = []
     for s, f, neighbor in former_wall_neighbors(t):
         w = next(v for v in neighbor.vertices if v not in f.vertices)
         rows = [[1, *v] for v in s.vertices]
-        values = [form.value(v) for v in s.vertices]
+        values = [form(v) for v in s.vertices]
         det = IntMatrix(rows, shape=(len(rows), len(rows))).det()
         coeffs = []
         for c in range(len(rows)):
             swapped = [r[:c] + [values[i]] + r[c + 1:] for i, r in enumerate(rows)]
             coeffs.append(Fraction(IntMatrix(swapped, shape=(len(rows), len(rows))).det(),
                                    det))
-        out.append(form.value(w) - coeffs[0] - sum(c * x for c, x in zip(coeffs[1:], w)))
+        out.append(form(w) - coeffs[0] - sum(c * x for c, x in zip(coeffs[1:], w)))
     return out
 
 
@@ -452,9 +442,8 @@ def test_bounded_checks_match_full_window_scans(fan):
     assert cert.h_free == (not expected_h)
     assert cert.unimodular == all(is_unimodular(s) for s in t.simplices)
     if cert.semistable and cert.unimodular:
-        form = default_polarization_form(t.rank)
-        margins = fan_module._polarization_margins(t, form)
-        assert margins == direct_margins(t, form)
+        margins = fan_module._polarization_margins(t)
+        assert margins == direct_margins(t)
         assert cert.polarization == all(m > 0 for m in margins)
 
 
@@ -554,7 +543,7 @@ def test_canonical_point_matches_matrix_route(t, points):
 # -- unit cells and lattices --------------------------------------------------------
 
 # Unit cells beyond the standard one make every flag fail somewhere: the
-# anti-diagonal cut is not convex for the default form, WIDE is not
+# anti-diagonal cut is not convex for the fixed form, WIDE is not
 # unimodular, LONG_1 and LONG_2 are symmetric about a lattice point (the
 # λ = 0 case of H-freeness), and an empty cell has no vertex.
 WIDE = [[(0, 0), (1, 0), (2, 3)]]
@@ -831,7 +820,8 @@ def former_wall_neighbors(t):
         yield s, f, (neighbors[0] if len(neighbors) == 1 else None)
 
 
-def former_margins(t, form):
+def former_margins(t):
+    form = fan_module._form
     if t.rank == 0:
         return []
     by_shape = {}
@@ -843,16 +833,15 @@ def former_margins(t, form):
         key = (fan_module._shape(s), fan_module._offset(w, s.vertices[0]))
         if key not in by_shape:
             num, det = solve(IntMatrix([(1,) + v for v in s.vertices]),
-                             [form.value(v) for v in s.vertices])
-            by_shape[key] = form.value(w) - Fraction(
+                             [form(v) for v in s.vertices])
+            by_shape[key] = form(w) - Fraction(
                 num[0] + sum(c * x for c, x in zip(num[1:], w)), det)
         margins.append(by_shape[key])
     return margins
 
 
 def assert_former_pairing(t):
-    form = default_polarization_form(t.rank)
-    assert fan_module._polarization_margins(t, form) == former_margins(t, form)
+    assert fan_module._polarization_margins(t) == former_margins(t)
 
 
 @pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)
@@ -866,12 +855,31 @@ def test_margins_match_former_pairing(fan):
     assert_former_pairing(developed(*fan))
 
 
+# -- random valid fans: the standard fan with symmetric diagonal flips -----------
+
+@settings(max_examples=40, deadline=None)
+@given(flipped_fans())
+def test_flipped_fans_are_certified_type_iii_models(tmp_path_factory, case):
+    # The paper's type theorem across models: every flipped fan passes fan
+    # check, and its complexes are those of the standard fan.  The fixed-form
+    # polarization flag is false on these fans, so it is not asserted.
+    n, doc = case
+    path = tmp_path_factory.mktemp("flipped") / "fan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    reports = {}
+    for command in (["fan", "check"], ["complex", "dual"], ["complex", "quotient"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_module.main([*command, str(path), "--quiet"]) == 0, command
+        reports[command[-1]] = json.loads(out.getvalue())
+    assert (len(reports["dual"]["vertices"]), reports["dual"]["chi"]) == (n * n, 0)
+    assert (len(reports["quotient"]["vertices"]), reports["quotient"]["chi"]) == (
+        n * n // 2 + 2, 2)
+    assert_former_pairing(fan_from_json(doc))
+
+
 # -- documents that are developments, read by fan_from_json, against the -------
 # -- constructor on the same simplices ----------------------------------------
-
-SQUARE_CUTS = ([[(0, 0), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)]],
-               [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]])
-
 
 def flip_a_diagonal(t, classes, rng):
     """The given classes of t, with one unit square's two triangles replaced

@@ -13,7 +13,9 @@ import pytest
 import kummer_kulikov
 
 SRC = Path(kummer_kulikov.__file__).resolve().parents[1]
-DATUM = Path(__file__).parent / "data" / "golden" / "inputs" / "d_diag22.json"
+INPUTS = Path(__file__).parent / "data" / "golden" / "inputs"
+DATUM = INPUTS / "d_diag22.json"
+FAN = INPUTS / "f_standard_diag44.json"
 
 # The package's exports, by the submodule that defines them.
 EXPORTS = {
@@ -29,10 +31,10 @@ EXPORTS = {
     ],
     "errors": [],
     "fan": [
-        "Certificate", "LatticeSimplex", "PeriodicTriangulation", "PolarizationForm",
-        "auto_scale", "certify", "check_gamma_admissible", "check_h_freeness",
-        "check_property_d", "check_semistable", "default_polarization_form", "fan_from_json",
-        "fan_to_json", "is_unimodular", "standard_triangulation", "vertices_complete",
+        "Certificate", "LatticeSimplex", "PeriodicTriangulation", "auto_scale", "certify",
+        "check_gamma_admissible", "check_h_freeness", "check_property_d", "check_semistable",
+        "fan_from_json", "fan_to_json", "is_unimodular", "standard_triangulation",
+        "vertices_complete",
     ],
     "lattice": [
         "ComponentGroup", "IntMatrix", "component_group", "smith_normal_form",
@@ -71,8 +73,10 @@ BASE = ["degeneration", "errors", "lattice"]
     ([], None, [], False),
     (["validate", str(DATUM)], 0, ["cli", *BASE], False),
     (["base-change", str(DATUM), "--e", "3"], 0, ["cli", "complexes", *BASE], False),
+    (["fan", "check", str(FAN)], 0, ["cli", "fan", *BASE], False),
+    (["complex", "quotient", str(FAN)], 0, ["cli", "complexes", "fan", *BASE], False),
     (["monodromy", "--toric-rank", "2"], 0, ["cli", "complexes", "monodromy", *BASE], True),
-], ids=["import", "validate", "base-change", "monodromy"])
+], ids=["import", "validate", "base-change", "fan-check", "complex-quotient", "monodromy"])
 def test_each_command_imports_only_its_layers(argv, code, layers, fractions):
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv, *(["--quiet"] if argv else [])],
                           capture_output=True, text=True, timeout=60,
@@ -85,7 +89,7 @@ def test_each_command_imports_only_its_layers(argv, code, layers, fractions):
 
 def test_exports_are_the_submodules_own_objects():
     names = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
-    assert len(names) == 64
+    assert len(names) == 62
     assert kummer_kulikov.__all__ == names
     assert set(names) <= set(dir(kummer_kulikov))
     for module, exports in EXPORTS.items():

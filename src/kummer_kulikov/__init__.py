@@ -17,9 +17,9 @@ import importlib
 # Each submodule, itself an export, and the names it defines.
 _EXPORTS = {
     "complexes": (
-        "BaseChangeCounts", "ComponentCounts", "DeltaComplex", "InvolutionAction",
-        "KulikovType", "base_change_counts", "classify_kummer_type", "complex_to_json",
-        "component_counts", "dual_complex", "euler_characteristic", "h_quotient",
+        "BaseChangeCounts", "ComponentCounts", "DeltaComplex", "KulikovType",
+        "base_change_counts", "classify_kummer_type", "complex_to_json", "component_counts",
+        "dual_complex", "euler_characteristic", "h_quotient",
     ),
     "degeneration": (
         "ConePoint", "DegenerationData", "GammaElement", "ValidationReport", "a_value",

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import enum
 import functools
-import re
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .degeneration import DegenerationData, base_change, is_even
@@ -40,43 +39,6 @@ class KulikovType(enum.Enum):
     III = "III"
 
 
-_PREFIXES = "vet"
-_NAME = re.compile(f"([{_PREFIXES}])(0|[1-9][0-9]*)")
-
-
-def _names(k: int, n: int) -> tuple[str, ...]:
-    prefix = _PREFIXES[k]
-    return tuple(f"{prefix}{i}" for i in range(n))
-
-
-class _Labels(Mapping):
-    """The labels of a complex's cells by name, each formatted when it is read.
-
-    The i-th k-cell is named ``"vet"[k] + str(i)``, and its label is
-    ``label(k, i)``.
-    """
-
-    def __init__(self, counts: dict[int, int], label: Callable[[int, int], str]):
-        self._counts = counts
-        self._label = label
-
-    def __getitem__(self, name: str) -> str:
-        match = _NAME.fullmatch(name) if isinstance(name, str) else None
-        k, i = (_PREFIXES.index(match[1]), int(match[2])) if match else (0, -1)
-        if not 0 <= i < self._counts.get(k, 0):
-            raise KeyError(name)
-        return self._label(k, i)
-
-    def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(_names(k, n) for k, n in self._counts.items())
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 Boundary = dict[int, tuple[tuple[int, ...], ...]]
 
 
@@ -88,9 +50,8 @@ class DeltaComplex:
     lists the k+1 faces of each k-cell, in order, as positions among the
     (k−1)-cells: the ends of edge e are ``boundary[1][e]`` and the edges of
     triangle τ are ``boundary[2][τ]``.  ``label(k, i)`` formats the label of
-    the i-th k-cell.  ``cells``, ``faces`` and ``labels`` view the same data
-    by cell name (``"v0"``, ``"e3"``, ``"t1"``) and are built when first read.
-    Two complexes are equal when their counts, boundaries and labels are.
+    the i-th k-cell.  Two complexes are equal when their counts, boundaries
+    and labels are.
     """
 
     counts: dict[int, int]
@@ -100,52 +61,34 @@ class DeltaComplex:
     def num(self, k: int) -> int:
         return self.counts.get(k, 0)
 
-    @functools.cached_property
-    def cells(self) -> dict[int, tuple[str, ...]]:
-        return {k: _names(k, n) for k, n in self.counts.items()}
-
-    @functools.cached_property
-    def faces(self) -> dict[str, tuple[str, ...]]:
-        cells = self.cells
-        return {name: tuple(cells[k - 1][f] for f in row)
-                for k, rows in self.boundary.items() for name, row in zip(cells[k], rows)}
-
-    @functools.cached_property
-    def labels(self) -> Mapping[str, str]:
-        return _Labels(self.counts, self.label)
-
     def __eq__(self, other):
         if not isinstance(other, DeltaComplex):
             return NotImplemented
-        return ((self.counts, self.boundary, self.labels)
-                == (other.counts, other.boundary, other.labels))
+        return (self.counts == other.counts and self.boundary == other.boundary
+                and all(self.label(k, i) == other.label(k, i)
+                        for k, n in self.counts.items() for i in range(n)))
 
 
-@dataclass(eq=True)
-class InvolutionAction:
-    """Per-dimension permutation of cell positions induced by l -> -l."""
-
-    perms: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def validate(self, complex_: DeltaComplex) -> None:
-        for k, perm in self.perms.items():
-            n = complex_.num(k)
-            if sorted(perm) != list(range(n)):
-                raise ValueError(f"dimension {k}: not a permutation of {n} cells")
-            if list(map(perm.__getitem__, perm)) != list(range(n)):
-                raise ValueError(f"dimension {k}: square is not the identity")
-        # Face compatibility: act(faces(c)) = faces(act(c)) as multisets.  On
-        # Δ_A face j of −S is −(face t−j of S), so the mapped row reversed is
-        # the image's row; the multisets are compared only when that fails.
-        for k, rows in complex_.boundary.items():
-            perm = self.perms.get(k, range(len(rows)))
-            mapped = _map_rows(self.perms.get(k - 1, range(complex_.num(k - 1))), rows, -1)
-            if mapped == list(map(rows.__getitem__, perm)):
-                continue
-            for i, row in enumerate(mapped):
-                if sorted(row) != sorted(rows[perm[i]]):
-                    raise ValueError("involution does not commute with faces at "
-                                     f"{complex_.cells[k][i]}")
+def _check_involution(complex_: DeltaComplex, perms: dict[int, tuple[int, ...]]) -> None:
+    """Raise ValueError unless ``perms`` permutes the cells of each of its
+    dimensions, squares to the identity and commutes with the faces."""
+    for k, perm in perms.items():
+        n = complex_.num(k)
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"dimension {k}: not a permutation of {n} cells")
+        if list(map(perm.__getitem__, perm)) != list(range(n)):
+            raise ValueError(f"dimension {k}: square is not the identity")
+    # Face compatibility: act(faces(c)) = faces(act(c)) as multisets.  On
+    # Δ_A face j of −S is −(face t−j of S), so the mapped row reversed is
+    # the image's row; the multisets are compared only when that fails.
+    for k, rows in complex_.boundary.items():
+        perm = perms.get(k, range(len(rows)))
+        mapped = _map_rows(perms.get(k - 1, range(complex_.num(k - 1))), rows, -1)
+        if mapped == list(map(rows.__getitem__, perm)):
+            continue
+        for i, row in enumerate(mapped):
+            if sorted(row) != sorted(rows[perm[i]]):
+                raise ValueError(f"involution does not commute with faces at {'vet'[k]}{i}")
 
 
 def _map_rows(where: Sequence[int], rows, step: int = 1) -> list[tuple[int, ...]]:
@@ -153,8 +96,9 @@ def _map_rows(where: Sequence[int], rows, step: int = 1) -> list[tuple[int, ...]
     return list(zip(*[[where[p] for p in column] for column in list(zip(*rows))[::step]]))
 
 
-def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionAction]:
-    """Δ_A together with the inversion action.
+def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, dict[int, tuple[int, ...]]]:
+    """Δ_A together with the inversion action: for each dimension k, the
+    position of the negative of each k-cell.
 
     k-cells are the k-simplex classes of the triangulation; the i-th face of
     a cell is the class of the simplex with its i-th vertex deleted.  Raises
@@ -178,18 +122,20 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, InvolutionActi
                 f"for S = {[list(v) for v in missing.vertices]}")
     counts = {k: len(images) for k, images in negatives.items()}
     by_dim = functools.cache(t.class_labels)
-    return (DeltaComplex(counts, dict(faces), lambda k, i: by_dim(k)[i]),
-            InvolutionAction(dict(negatives)))
+    return DeltaComplex(counts, dict(faces), lambda k, i: by_dim(k)[i]), dict(negatives)
 
 
-def h_quotient(complex_: DeltaComplex, act: InvolutionAction) -> DeltaComplex:
-    """Quotient Δ-complex by the involution; identifications are permitted.
+def h_quotient(complex_: DeltaComplex, perms: dict[int, tuple[int, ...]]) -> DeltaComplex:
+    """Quotient Δ-complex by the involution ``perms``, the permutation of the
+    cell positions of each dimension (the identity where it has none);
+    identifications are permitted.  Raises ValueError unless ``perms`` is an
+    involution that commutes with the faces.
 
     Each quotient cell is an orbit {i, perm[i]}, recorded by its least parent
     position i; its label is theirs, joined by " ~ " when they differ.
     """
-    act.validate(complex_)
-    perms = {k: act.perms.get(k, range(n)) for k, n in complex_.counts.items()}
+    _check_involution(complex_, perms)
+    perms = {k: perms.get(k, range(n)) for k, n in complex_.counts.items()}
     firsts: dict[int, list[int]] = {}  # quotient position -> least parent position
     orbit_of: dict[int, list[int]] = {}  # parent position -> quotient position
     for k, perm in perms.items():
@@ -309,7 +255,8 @@ def is_closed_surface(complex_: DeltaComplex) -> bool:
 
 def classify_kummer_type(d: DegenerationData, quotient: DeltaComplex) -> KulikovType:
     """Type by toric rank, with the structural predicate verified:
-    t=0 point, t=1 chain, t=2 closed surface with χ = 2."""
+    t=0 point, t=1 chain, t=2 closed surface with χ = 2.  ``DegenerationData``
+    has no other rank."""
     t = d.rank
     if t == 0:
         if quotient.num(0) == 1 and quotient.num(1) == 0 and quotient.num(2) == 0:
@@ -319,11 +266,9 @@ def classify_kummer_type(d: DegenerationData, quotient: DeltaComplex) -> Kulikov
         if is_chain(quotient):
             return KulikovType.II
         raise ShapeMismatch("rank 1 but the quotient complex is not a chain")
-    if t == 2:
-        if is_closed_surface(quotient) and euler_characteristic(quotient) == 2:
-            return KulikovType.III
-        raise ShapeMismatch("rank 2 but the quotient complex is not a 2-sphere")
-    raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
+    if is_closed_surface(quotient) and euler_characteristic(quotient) == 2:
+        return KulikovType.III
+    raise ShapeMismatch("rank 2 but the quotient complex is not a 2-sphere")
 
 
 # -- component counts --------------------------------------------------------------
@@ -385,12 +330,14 @@ def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:
 
 
 def complex_to_json(complex_: DeltaComplex) -> dict:
+    """The document of a complex, the one place that names cells: the i-th
+    k-cell is ``"vet"[k] + str(i)``, and ``vertices`` lists the labels of
+    the 0-cells by position."""
     label, boundary = complex_.label, complex_.boundary
-    labels = {name: label(k, i) for k, n in complex_.counts.items()
-              for i, name in enumerate(_names(k, n))}
+    labels = {k: [label(k, i) for i in range(n)] for k, n in complex_.counts.items()}
     return {
-        "vertices": list(islice(labels.values(), complex_.num(0))),
+        "vertices": labels.get(0, []),
         "edges": [list(row) for row in boundary.get(1, ())],
         "triangles": [list(row) for row in boundary.get(2, ())],
-        "labels": labels,
+        "labels": {"vet"[k] + str(i): x for k, row in labels.items() for i, x in enumerate(row)},
     }

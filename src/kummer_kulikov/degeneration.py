@@ -42,6 +42,8 @@ class DegenerationData:
         t = self.rank
         if t < 0:
             raise SchemaError("rank must be nonnegative")
+        if t > 2:
+            raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
         for name, m in (("phi", self.phi), ("b", self.b)):
             if m.rows != t or m.cols != t:
                 raise SchemaError(f"{name} must be {t}x{t}, got {m.rows}x{m.cols}")
@@ -215,7 +217,7 @@ def from_json_dict(doc: Mapping) -> DegenerationData:
     t = doc.get("rank")
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise SchemaError("field 'rank' must be a nonnegative integer")
-    if t > 2:
+    if t > 2:  # before the fields are read, whatever they hold
         raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
     phi = _require_matrix(doc, "phi", t)
     b = _require_matrix(doc, "b", t)

@@ -269,39 +269,42 @@ class PeriodicTriangulation:
     unit-cell form (periodicity lattice Z^t itself), which is how the
     standard triangulations are built before a pairing is attached.
 
-    ``face_classes[S]`` lists, in the vertex-deletion order of ``S.faces()``,
-    the pair (canonical class of the face f, shift with f + shift equal to
-    that class); the closure loop computes each pair once and keeps it.
-    ``negatives[S]`` is the class of −S, or None when −S is not a class.
-    A development (``with_lattice``) builds ``simplices``, ``by_dim``,
-    ``face_classes`` and ``negatives`` from its unit cell and ``tables``
-    when they are first read.
+    The classes are stored by position, and ``tables`` holds the positions
+    of their faces and negatives: the constructor sets both from the closure
+    of its simplices, and a development (``with_lattice``) computes them from
+    its unit cell and builds no class until ``simplices`` or ``by_dim`` is
+    read.  ``face_classes[S]`` lists, in the vertex-deletion order of
+    ``S.faces()``, the pair (canonical class of the face f, shift with
+    f + shift equal to that class); ``negatives[S]`` is the class of −S, or
+    None when −S is not a class.  Both are read off ``tables`` when first read.
     """
 
     def __init__(self, rank: int, simplices: Iterable[LatticeSimplex],
                  lattice: IntMatrix | None):
         self._fill(rank, _CosetMap(rank, lattice), None)
-        face_classes: dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]] = {}
+        faces: dict[LatticeSimplex, list[LatticeSimplex]] = {}
         queue = list({self.canonical_simplex(s) for s in simplices})
         seen = set(queue)
-        zero = (0,) * rank
         while queue:
             s = queue.pop()
-            pairs = [(f, zero) for f in s.faces()]
-            if pairs:
+            row = faces[s] = s.faces()
+            if row:
                 # s is canonical, and the i-th face for i >= 1 keeps the lexmin
-                # vertex s.vertices[0], so it is its own class with shift 0.
-                f = pairs[0][0]
-                shift = self.canonical_shift(f)
-                pairs[0] = (f.translate(shift), shift)
-            for cf, _ in pairs:
-                if cf not in seen:
-                    seen.add(cf)
-                    queue.append(cf)
-            face_classes[s] = tuple(pairs)
-        ordered = sorted(face_classes, key=lambda s: (s.dim, s.vertices))
-        self.face_classes = face_classes
-        self._by_dim = {k: tuple(s for s in ordered if s.dim == k) for k in range(rank + 1)}
+                # vertex s.vertices[0], so it is its own class.
+                row[0] = self.canonical_simplex(row[0])
+            for f in row:
+                if f not in seen:
+                    seen.add(f)
+                    queue.append(f)
+        ordered = sorted(faces, key=lambda s: (s.dim, s.vertices))
+        by_dim = self._by_dim = {k: tuple(s for s in ordered if s.dim == k)
+                                 for k in range(rank + 1)}
+        position = {s: i for classes in by_dim.values() for i, s in enumerate(classes)}
+        self.tables = (
+            {k: tuple(tuple(map(position.__getitem__, faces[s])) for s in by_dim[k])
+             for k in range(1, rank + 1)},
+            {k: tuple(position.get(self.canonical_simplex(s.negate())) for s in classes)
+             for k, classes in by_dim.items()})
 
     def _fill(self, rank: int, cosets: _CosetMap, unit: PeriodicTriangulation | None) -> None:
         self.rank = rank
@@ -325,7 +328,6 @@ class PeriodicTriangulation:
 
     @functools.cached_property
     def face_classes(self) -> dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]]:
-        # Set by the constructor; a development reads its face positions.
         out = dict.fromkeys(self.by_dim(0), ())
         for k, rows in self.tables[0].items():
             below = self.by_dim(k - 1)
@@ -338,10 +340,6 @@ class PeriodicTriangulation:
 
     @functools.cached_property
     def negatives(self) -> dict[LatticeSimplex, LatticeSimplex | None]:
-        if self._unit is None:
-            classes = self.face_classes
-            return {s: (n if (n := self.canonical_simplex(s.negate())) in classes else None)
-                    for s in self.simplices}
         out = {}
         for k, images in self.tables[1].items():
             classes = self.by_dim(k)
@@ -355,17 +353,11 @@ class PeriodicTriangulation:
 
         faces[k][p], for k >= 1, lists the positions of the faces of
         by_dim(k)[p] among the (k−1)-classes, in the order of ``faces()``;
-        negatives[k][p] is the position of its negative, or None.  A
-        development computes them from its unit cell by residue arithmetic
-        (module docstring); a fan from the constructor reads its dicts.
+        negatives[k][p] is the position of its negative, or None.  The
+        constructor sets them; a development computes them from its unit cell
+        by residue arithmetic (module docstring).
         """
         unit, rank = self._unit, self.rank
-        if unit is None:
-            position = {s: i for k in range(rank + 1) for i, s in enumerate(self.by_dim(k))}
-            return ({k: tuple(tuple(position[f] for f, _ in self.face_classes[s])
-                              for s in self.by_dim(k)) for k in range(1, rank + 1)},
-                    {k: tuple(map(position.get, map(self.negatives.get, self.by_dim(k))))
-                     for k in range(rank + 1)})
         n = len(self._reps)
         moved = functools.cache(self._moved)
         index = {u: j for k in range(rank + 1) for j, u in enumerate(unit.by_dim(k))}

@@ -90,11 +90,11 @@ def test_criterion_2_quotient_topology():
         order = component_group(d.b).order
         # Cycle of length #Phi: as many edges as vertices, all degrees 2.
         assert delta_a.num(0) == delta_a.num(1) == order
-        degrees = {v: 0 for v in delta_a.cells[0]}
-        for e in delta_a.cells[1]:
-            for v in delta_a.faces[e]:
+        degrees = [0] * delta_a.num(0)
+        for e in delta_a.boundary[1]:
+            for v in e:
                 degrees[v] += 1
-        assert all(deg == 2 for deg in degrees.values())
+        assert all(deg == 2 for deg in degrees)
         assert is_chain(delta_x)
         assert delta_x.num(0) == order // 2 + 1
     report(2, "chain/sphere shapes and Euler characteristics on the family",

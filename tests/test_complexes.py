@@ -13,7 +13,6 @@ from kummer_kulikov.complexes import (
     BaseChangeCounts,
     ComponentCounts,
     DeltaComplex,
-    InvolutionAction,
     KulikovType,
     base_change_counts,
     classify_kummer_type,
@@ -86,36 +85,36 @@ def test_involution_is_valid():
                          ([[4, 2], [2, 6]], 2)]:
         d = make_data(rank, b_rows)
         _, t = auto_scale(d)
-        delta_a, act = dual_complex(t)
-        act.validate(delta_a)  # raises on failure
-        for k, perm in act.perms.items():
+        delta_a, perms = dual_complex(t)
+        h_quotient(delta_a, perms)  # raises unless perms is a valid involution
+        for k, perm in perms.items():
             assert all(perm[perm[i]] == i for i in range(len(perm)))
 
 
 @pytest.mark.parametrize("rank, b_rows", [(2, [[2, 0], [0, 2]]), (1, [[4]])])
 def test_involution_validate_rejects(rank, b_rows):
     _, t = auto_scale(make_data(rank, b_rows))
-    delta_a, act = dual_complex(t)
+    delta_a, perms = dual_complex(t)
 
     def altered(k, perm):
-        return InvolutionAction({**act.perms, k: tuple(perm)})
+        return {**perms, k: tuple(perm)}
 
     n = delta_a.num(0)
     with pytest.raises(ValueError, match="not a permutation"):
-        altered(0, [0] * n).validate(delta_a)
+        h_quotient(delta_a, altered(0, [0] * n))
     with pytest.raises(ValueError, match="not a permutation"):
-        altered(0, range(n - 1)).validate(delta_a)
+        h_quotient(delta_a, altered(0, range(n - 1)))
     with pytest.raises(ValueError, match="square is not the identity"):
-        altered(0, [1, 2, 0, *range(3, n)]).validate(delta_a)
+        h_quotient(delta_a, altered(0, [1, 2, 0, *range(3, n)]))
     # The identity on the top cells is a permutation and an involution, but
     # the inversion fixes no top cell: on (4) it swaps the vertex classes 1
     # and 3 and so every edge; on diag(2, 2) it fixes no edge, so it moves
     # the edges of every triangle.
     top = delta_a.num(rank)
-    assert all(act.perms[rank][i] != i for i in range(top))
+    assert all(perms[rank][i] != i for i in range(top))
     with pytest.raises(ValueError, match="does not commute with faces"):
-        altered(rank, range(top)).validate(delta_a)
-    act.validate(delta_a)
+        h_quotient(delta_a, altered(rank, range(top)))
+    h_quotient(delta_a, perms)
 
 
 def _with_triangles(complex_, triangles):
@@ -126,10 +125,11 @@ def _with_triangles(complex_, triangles):
 def test_involution_validate_falls_back_to_face_multisets():
     # On Δ_A the inversion maps each face row, reversed, onto its image's
     # row.  Rotating one row breaks that comparison but keeps every multiset
-    # of faces, so validate must still accept; repeating an edge breaks both.
+    # of faces, so the quotient must still accept it; repeating an edge breaks
+    # both.
     _, t = auto_scale(make_data(2, [[2, 0], [0, 2]]))
-    delta_a, act = dual_complex(t)
-    perm, sub = act.perms[2], act.perms[1]
+    delta_a, perms = dual_complex(t)
+    perm, sub = perms[2], perms[1]
 
     def reversed_rows_match(c):
         rows = c.boundary[2]
@@ -141,25 +141,25 @@ def test_involution_validate_falls_back_to_face_multisets():
     rows[j] = rows[j][1:] + rows[j][:1]
     rotated = _with_triangles(delta_a, rows)
     assert not reversed_rows_match(rotated)
-    act.validate(rotated)
+    h_quotient(rotated, perms)
     x, _, z = rows[j]
     rows[j] = (x, x, z)
     # The first row whose image is row j is row 0.
     with pytest.raises(ValueError, match="does not commute with faces at t0$"):
-        act.validate(_with_triangles(delta_a, rows))
+        h_quotient(_with_triangles(delta_a, rows), perms)
 
 
 def test_classify_and_report_build_no_cell_name(monkeypatch, tmp_path, capsys):
-    # Cell names are built only through _names, for the name views and the
-    # labels of a complex document.
+    # Cells are named only in a complex document, by complex_to_json.
     def write(name, obj):
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         return str(path)
 
     named = []
-    names = complexes_module._names
-    monkeypatch.setattr(complexes_module, "_names", lambda k, n: named.append(k) or names(k, n))
+    to_json = complexes_module.complex_to_json
+    monkeypatch.setattr(complexes_module, "complex_to_json",
+                        lambda c: named.append(c.counts) or to_json(c))
     data = [write("d2.json", {"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[4, 2], [2, 6]]}),
             write("d1.json", {"rank": 1, "phi": [[1]], "b": [[8]]}),
             write("d0.json", {"rank": 0, "phi": [], "b": []})]
@@ -171,7 +171,7 @@ def test_classify_and_report_build_no_cell_name(monkeypatch, tmp_path, capsys):
         IntMatrix([[2, 0], [0, 2]]))))
     assert cli_module.main(["complex", "quotient", document, "--quiet"]) == 0
     capsys.readouterr()
-    assert named == [0, 1, 2]
+    assert named == [{0: 4, 1: 6, 2: 4}]
 
 
 def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
@@ -193,22 +193,22 @@ def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
     assert formatted == []
     delta_a, act, delta_x = build(make_data(1, [[4]]))
     assert formatted == []
-    assert delta_x.labels["v1"] == "(1) ~ (3)"
+    assert delta_x.label(0, 1) == "(1) ~ (3)"
     assert formatted == [0]
-    assert delta_x.labels["v2"] == "(2)"
+    assert delta_x.label(0, 2) == "(2)"
     assert formatted == [0]
-    assert delta_a.labels == {"v0": "(0)", "v1": "(1)", "v2": "(2)", "v3": "(3)",
-                              "e0": "(0)|(1)", "e1": "(1)|(2)", "e2": "(2)|(3)",
-                              "e3": "(3)|(4)"}
+    assert complex_to_json(delta_a)["labels"] == {
+        "v0": "(0)", "v1": "(1)", "v2": "(2)", "v3": "(3)",
+        "e0": "(0)|(1)", "e1": "(1)|(2)", "e2": "(2)|(3)", "e3": "(3)|(4)"}
     assert formatted == [0, 1]
-    assert dict(delta_x.labels) == {"v0": "(0)", "v1": "(1) ~ (3)", "v2": "(2)",
-                                    "e0": "(0)|(1) ~ (3)|(4)", "e1": "(1)|(2) ~ (2)|(3)"}
+    assert complex_to_json(delta_x) == {
+        "vertices": ["(0)", "(1) ~ (3)", "(2)"], "edges": [[1, 0], [2, 1]], "triangles": [],
+        "labels": {"v0": "(0)", "v1": "(1) ~ (3)", "v2": "(2)",
+                   "e0": "(0)|(1) ~ (3)|(4)", "e1": "(1)|(2) ~ (2)|(3)"}}
     assert delta_x.boundary == {1: ((1, 0), (2, 1))}
     names = {0: ["(0)", "(1) ~ (3)", "(2)"], 1: ["(0)|(1) ~ (3)|(4)", "(1)|(2) ~ (2)|(3)"]}
     assert delta_x == DeltaComplex({0: 3, 1: 2}, {1: ((1, 0), (2, 1))}, lambda k, i: names[k][i])
     assert delta_x != DeltaComplex({0: 3, 1: 2}, {1: ((1, 0), (2, 1))}, lambda k, i: "x")
-    assert delta_x.cells == {0: ("v0", "v1", "v2"), 1: ("e0", "e1")}
-    assert delta_x.faces == {"e0": ("v1", "v0"), "e1": ("v2", "v1")}
 
 
 def test_euler_characteristic_examples():
@@ -337,6 +337,11 @@ def test_complex_json_schema():
     assert all(len(t) == 3 and all(0 <= e < len(doc["edges"]) for e in t)
                for t in doc["triangles"])
     assert doc["labels"]
+    # The vertices are the 0-cells' labels, whatever the order of the counts.
+    edge = DeltaComplex({1: 1, 0: 2}, {1: ((0, 1),)}, lambda k, i: f"{k}:{i}")
+    assert complex_to_json(edge) == {"vertices": ["0:0", "0:1"], "edges": [[0, 1]],
+                                     "triangles": [],
+                                     "labels": {"e0": "1:0", "v0": "0:0", "v1": "0:1"}}
 
 
 def test_quotient_of_b2I2_is_tetrahedron():
@@ -352,14 +357,24 @@ def test_quotient_of_b2I2_is_tetrahedron():
 
 # -- the vertex-link predicate ----------------------------------------------------
 
+def named_views(complex_):
+    """The former name-keyed views of a complex: the names of its cells by
+    dimension, ``"vet"[k] + str(i)``, and the names of each cell's faces."""
+    cells = {k: tuple(f"{'vet'[k]}{i}" for i in range(n)) for k, n in complex_.counts.items()}
+    faces = {name: tuple(cells[k - 1][f] for f in row)
+             for k, rows in complex_.boundary.items() for name, row in zip(cells[k], rows)}
+    return cells, faces
+
+
 def quadratic_vertex_links_are_cycles(complex_):
     """The former per-vertex scan over every edge and triangle, as an oracle."""
-    for v in complex_.cells.get(0, ()):
-        nodes = [e for e in complex_.cells.get(1, ()) if v in complex_.faces[e]]
+    cells, faces = named_views(complex_)
+    for v in cells.get(0, ()):
+        nodes = [e for e in cells.get(1, ()) if v in faces[e]]
         adj = {e: [] for e in nodes}
         count = 0
-        for tri in complex_.cells.get(2, ()):
-            at_v = [e for e in complex_.faces[tri] if v in complex_.faces[e]]
+        for tri in cells.get(2, ()):
+            at_v = [e for e in faces[tri] if v in faces[e]]
             if len(at_v) == 2:
                 adj[at_v[0]].append(at_v[1])
                 adj[at_v[1]].append(at_v[0])
@@ -433,17 +448,19 @@ def test_vertex_links_match_quadratic_scan(b1, b2):
 
 # -- the position predicates against the former name-based ones ------------------
 #
-# These are the predicates as they ran on cell names, over the ``cells`` and
-# ``faces`` views, kept as an oracle.
+# These are the predicates as they ran on cell names, over the name-keyed
+# views (``named_views``), kept as an oracle.
 
 def named_euler_characteristic(complex_):
-    return sum((-1) ** k * len(names) for k, names in complex_.cells.items())
+    cells, _ = named_views(complex_)
+    return sum((-1) ** k * len(names) for k, names in cells.items())
 
 
 def named_vertex_degrees(complex_):
-    deg = {v: 0 for v in complex_.cells.get(0, ())}
-    for e in complex_.cells.get(1, ()):
-        for v in complex_.faces[e]:
+    cells, faces = named_views(complex_)
+    deg = {v: 0 for v in cells.get(0, ())}
+    for e in cells.get(1, ()):
+        for v in faces[e]:
             deg[v] += 1
     return deg
 
@@ -461,12 +478,13 @@ def named_reaches_all(adj):
 
 
 def named_is_connected(complex_):
-    verts = complex_.cells.get(0, ())
+    cells, faces = named_views(complex_)
+    verts = cells.get(0, ())
     if not verts:
         return False
     adj = {v: set() for v in verts}
-    for e in complex_.cells.get(1, ()):
-        a, b = complex_.faces[e]
+    for e in cells.get(1, ()):
+        a, b = faces[e]
         adj[a].add(b)
         adj[b].add(a)
     return named_reaches_all(adj)
@@ -481,38 +499,39 @@ def named_is_chain(complex_):
     return sum(1 for d in deg.values() if d <= 1) == 2
 
 
-def named_triangle_vertices(complex_, tri):
+def named_triangle_vertices(faces, tri):
     out = set()
-    for e in complex_.faces[tri]:
-        out.update(complex_.faces[e])
+    for e in faces[tri]:
+        out.update(faces[e])
     return out
 
 
 def named_is_simplicial(complex_):
+    cells, faces = named_views(complex_)
     edge_sets = []
-    for e in complex_.cells.get(1, ()):
-        a, b = complex_.faces[e]
+    for e in cells.get(1, ()):
+        a, b = faces[e]
         if a == b:
             return False
         edge_sets.append(frozenset((a, b)))
     if len(set(edge_sets)) != len(edge_sets):
         return False
     tri_sets = []
-    for tri in complex_.cells.get(2, ()):
-        if (len(set(complex_.faces[tri])) != 3
-                or len(named_triangle_vertices(complex_, tri)) != 3):
+    for tri in cells.get(2, ()):
+        if (len(set(faces[tri])) != 3
+                or len(named_triangle_vertices(faces, tri)) != 3):
             return False
-        tri_sets.append(frozenset(named_triangle_vertices(complex_, tri)))
+        tri_sets.append(frozenset(named_triangle_vertices(faces, tri)))
     return len(set(tri_sets)) == len(tri_sets)
 
 
 def named_vertex_links_are_cycles(complex_):
-    faces = complex_.faces
-    links = {v: {} for v in complex_.cells.get(0, ())}
-    for e in complex_.cells.get(1, ()):
+    cells, faces = named_views(complex_)
+    links = {v: {} for v in cells.get(0, ())}
+    for e in cells.get(1, ()):
         for v in faces[e]:
             links[v][e] = []
-    for tri in complex_.cells.get(2, ()):
+    for tri in cells.get(2, ()):
         a, b, c = faces[tri]
         for e, f in ((a, b), (b, c), (a, c)):
             v, w = faces[e]
@@ -524,13 +543,14 @@ def named_vertex_links_are_cycles(complex_):
 
 
 def named_is_closed_surface(complex_):
+    cells, faces = named_views(complex_)
     if complex_.num(2) == 0 or not named_is_connected(complex_):
         return False
     incidence = {}
-    for tri in complex_.cells.get(2, ()):
-        for e in complex_.faces[tri]:
+    for tri in cells.get(2, ()):
+        for e in faces[tri]:
             incidence[e] = incidence.get(e, 0) + 1
-    if any(incidence.get(e, 0) != 2 for e in complex_.cells.get(1, ())):
+    if any(incidence.get(e, 0) != 2 for e in cells.get(1, ())):
         return False
     if named_is_simplicial(complex_):
         return named_vertex_links_are_cycles(complex_)

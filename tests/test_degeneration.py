@@ -19,7 +19,7 @@ from kummer_kulikov.degeneration import (
     to_json_dict,
     validate,
 )
-from kummer_kulikov.errors import InvalidScale, SchemaError
+from kummer_kulikov.errors import InvalidScale, SchemaError, UnsupportedRank
 from kummer_kulikov.lattice import component_group
 
 
@@ -242,6 +242,13 @@ def test_json_schema_errors():
         from_json_dict({"rank": 1, "phi": [[1]], "b": [[3]]})
     with pytest.raises(SchemaError):
         from_json_dict({"rank": 1, "phi": [[1]], "b": [[2]], "a_basis": [1, 2]})
+
+
+def test_rank_above_2_is_refused_for_every_caller():
+    # Built in Python, not read from a document: base_change_counts would
+    # otherwise answer N = 8, N_L = 36 for diag(2, 2, 2).
+    with pytest.raises(UnsupportedRank, match="toric rank 3"):
+        make_data(3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
 def test_b_row_is_row_of_b():

@@ -490,7 +490,8 @@ def read_fan(path):
 
 
 oracle_fans = st.one_of(fans.map(lambda fan: developed(*fan)),
-                        st.sampled_from(JSON_FANS).map(read_fan))
+                        st.sampled_from(JSON_FANS).map(read_fan),
+                        flipped_fans().map(lambda case: fan_from_json(case[1])))
 
 
 def matrix_canonical_point(lattice, x):
@@ -511,6 +512,7 @@ def test_carried_face_classes_match_recomputation(t):
                               for f in s.faces())
         for f, (cf, shift) in zip(s.faces(), pairs):
             assert f.translate(shift) == cf and cf in t.face_classes
+    assert t.negatives == negatives_by_canonical_points(t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -797,8 +799,9 @@ def test_table_dual_complex_matches_dicts(case):
         return
     oracle = dual_from_dicts(expected)
     for fan in (t, expected):
-        delta, act = complexes_module.dual_complex(fan)
-        assert (delta.boundary, act.perms, list(delta.labels.values())) == oracle
+        delta, perms = complexes_module.dual_complex(fan)
+        labels = complexes_module.complex_to_json(delta)["labels"]
+        assert (delta.boundary, perms, list(labels.values())) == oracle
 
 
 # -- the margins against the implementation that paired walls by comparing -------

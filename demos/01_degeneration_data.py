@@ -4,17 +4,14 @@ A split degeneration of an abelian surface is described by two rank-t
 lattices (t = toric rank), an injective map phi, a bilinear pairing b whose
 composite with phi is symmetric positive definite, and a quadratic function
 a pinned down by finitely many integers.  This script builds a few data,
-checks the axioms, and plays with the group action on the cone.
+checks the axioms, extends a from its basis values and changes the base.
 """
 
 from kummer_kulikov import (
-    ConePoint,
     DegenerationData,
-    GammaElement,
     IntMatrix,
     a_value,
     base_change,
-    gamma_act,
     h_invariance_check,
     is_even,
     validate,
@@ -39,11 +36,6 @@ print("pairing is even:", is_even(d))
 # b = (2) and a(1) = 1 one gets a(n) = n^2.
 d1 = DegenerationData(1, IntMatrix([[1]]), IntMatrix([[2]]), (1,))
 print("\nrank 1, b = (2):", [a_value(d1, (n,)) for n in range(-3, 4)])
-
-# Gamma = Y x| {+-1} acts on the cone over X^v by (l, s) -> (h l + s b(y,-), s).
-p = ConePoint((0, 0), 1)
-for g in (GammaElement((1, 0)), GammaElement((0, 1)), GammaElement((0, 0), -1)):
-    print(f"S_{(g.y, g.h)} maps {p.l} at height 1 to {gamma_act(d, g, p).l}")
 
 # Base change by a degree-nu extension scales a and b by nu.
 print("\nafter base change by nu = 3: b =", base_change(d, 3).b.entries)

@@ -22,9 +22,8 @@ _EXPORTS = {
         "dual_complex", "euler_characteristic", "h_quotient",
     ),
     "degeneration": (
-        "ConePoint", "DegenerationData", "GammaElement", "ValidationReport", "a_value",
-        "base_change", "from_json_dict", "gamma_act", "h_invariance_check", "is_even",
-        "to_json_dict", "validate",
+        "DegenerationData", "ValidationReport", "a_value", "base_change", "from_json_dict",
+        "h_invariance_check", "is_even", "to_json_dict", "validate",
     ),
     "errors": (),
     "fan": (

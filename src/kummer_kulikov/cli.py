@@ -19,8 +19,16 @@ from .errors import KummerDegenerationError, SchemaError
 
 
 def _load_json(path: str):
+    """The JSON document at path.  Bytes that are not UTF-8, nesting too deep
+    for the parser and integer literals past the interpreter's digit limit
+    are bad input, as malformed JSON is."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise SchemaError(f"unreadable JSON document: {exc}") from exc
 
 
 def _emit(report: dict, summary: list[str], quiet: bool) -> None:

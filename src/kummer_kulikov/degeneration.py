@@ -1,4 +1,4 @@
-"""Split degeneration data of abelian surfaces and the Y⋊H action.
+"""Split degeneration data of abelian surfaces.
 
 A degeneration datum is the combinatorial tuple (X, Y, φ, a, b): two rank-t
 lattices (t = toric rank, here 0, 1 or 2), an injective map φ: Y → X, a
@@ -9,11 +9,8 @@ definite, and a quadratic function a: Y → Z tied to b by
 
 Since that identity determines a from its values on a basis, only those t
 integers are stored.  The group Γ = Y ⋊ {±1} acts on X^v ⊕ Z by
-
-    S_(y,h)(l, s) = (h·l + s·b(y,-), s),
-
-which is the combinatorial shadow of the translation/inversion action on a
-degenerating abelian surface.
+S_(y,h)(l, s) = (h·l + s·b(y,-), s); ``fan`` checks a fan against that
+action on its simplex classes.
 """
 
 from __future__ import annotations
@@ -54,32 +51,6 @@ class DegenerationData:
     def pairing_matrix(self) -> IntMatrix:
         """Matrix of (y, y') -> b(y, φ(y')), i.e. b·phi."""
         return self.b.mul(self.phi)
-
-
-@dataclass(frozen=True)
-class GammaElement:
-    """Element (y, h) of Γ = Y ⋊ H with H = {Id, [-1]} recorded as h = ±1."""
-
-    y: tuple[int, ...]
-    h: int = 1
-
-    def __post_init__(self):
-        if self.h not in (1, -1):
-            raise ValueError("h must be +1 or -1")
-        object.__setattr__(self, "y", tuple(int(v) for v in self.y))
-
-
-@dataclass(frozen=True)
-class ConePoint:
-    """Point (l, s) of X^v ⊕ Z; s is the height, s = 0 only at the apex."""
-
-    l: tuple[int, ...]
-    s: int
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("height must be nonnegative")
-        object.__setattr__(self, "l", tuple(int(v) for v in self.l))
 
 
 @dataclass(frozen=True)
@@ -152,18 +123,6 @@ def a_value(d: DegenerationData, y: Sequence[int]) -> int:
         for j in range(i + 1, t):
             total += yv[i] * yv[j] * m[i][j]
     return total
-
-
-def b_row(d: DegenerationData, y: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates of the functional b(y, -) in X^v."""
-    t = d.rank
-    return tuple(sum(y[i] * d.b.entries[i][j] for i in range(t)) for j in range(t))
-
-
-def gamma_act(d: DegenerationData, g: GammaElement, p: ConePoint) -> ConePoint:
-    """S_(y,h)(l, s) = (h·l + s·b(y,-), s); the height is preserved."""
-    lam = b_row(d, g.y)
-    return ConePoint(tuple(g.h * a + p.s * lb for a, lb in zip(p.l, lam)), p.s)
 
 
 def is_even(d: DegenerationData) -> bool:

@@ -35,7 +35,7 @@ canonical point is rep[ρ(x)] = U^{-1}·ρ(x); ρ is additive and
 ρ(rep[r]) = r.  So dev[u, r] = u + rep[r] has the canonical lexmin vertex
 rep[r], and is the stored class.  A development is carried as its unit
 cell and integer tables (``tables``), and builds no developed simplex until
-``simplices``, ``by_dim``, ``face_classes`` or ``negatives`` is read.
+``simplices``, ``by_dim`` or ``face_classes`` is read.
 
 - Face pairs.  Let f + z = uf be the unit pair of the i-th face f of u.
   The i-th face of dev[u, r] is f + rep[r]; its lexmin is rep[r] − z, of
@@ -67,10 +67,11 @@ every developed class, in the order of ``simplices``:
   with |λ_i| <= extent_i(u) in each coordinate.  The scan visits the classes by
   position and, for each, the λ in lexicographic order; ``certify`` sorts
   the same pairs by the same keys.
-- H-freeness: dev[u, r] is its own negative iff u* = u and r* = r, that is
-  moved(w, −1)[r] = r for w = lexmax(u).  Its λ is
-  lexmin(−S) − lexmin(S) = −w − 2·rep[r], and only these fixed classes are
-  built, in the order of their positions.
+- H-freeness: a class is fixed by the inversion iff it is its own
+  negative, that is iff the negatives table maps its position to itself.
+  The check reads that table, which the dual complex and Γ-admissibility
+  read too, and builds only the fixed classes, in the order of their
+  positions.
 - Unimodularity: the developed shapes are the unit shapes.
 - Polarization: a developed wall occurrence (s + g, i) has face class
   (f_i(s) + z) + (g − z) for the unit class f_i(s) + z of its face, so the
@@ -275,8 +276,7 @@ class PeriodicTriangulation:
     its unit cell and builds no class until ``simplices`` or ``by_dim`` is
     read.  ``face_classes[S]`` lists, in the vertex-deletion order of
     ``S.faces()``, the pair (canonical class of the face f, shift with
-    f + shift equal to that class); ``negatives[S]`` is the class of −S, or
-    None when −S is not a class.  Both are read off ``tables`` when first read.
+    f + shift equal to that class), read off ``tables`` when first read.
     """
 
     def __init__(self, rank: int, simplices: Iterable[LatticeSimplex],
@@ -339,14 +339,6 @@ class PeriodicTriangulation:
         return out
 
     @functools.cached_property
-    def negatives(self) -> dict[LatticeSimplex, LatticeSimplex | None]:
-        out = {}
-        for k, images in self.tables[1].items():
-            classes = self.by_dim(k)
-            out.update(zip(classes, (None if p is None else classes[p] for p in images)))
-        return out
-
-    @functools.cached_property
     def tables(self) -> tuple[dict[int, tuple[tuple[int, ...], ...]],
                               dict[int, tuple[int | None, ...]]]:
         """(faces, negatives) by position among the classes of a dimension.
@@ -371,7 +363,7 @@ class PeriodicTriangulation:
                            for i, z in [(index[f], z) for f, z in unit.face_classes[u]]]
                 if columns:
                     face_rows[j::m] = zip(*columns)
-                if (i := index.get(unit.negatives[u])) is not None:
+                if (i := unit.tables[1][k][j]) is not None:
                     images[j::m] = [q * m + i for q in moved(u.vertices[-1], -1)]
             if k:
                 faces[k] = tuple(face_rows)
@@ -393,9 +385,6 @@ class PeriodicTriangulation:
 
     def canonical_simplex(self, s: LatticeSimplex) -> LatticeSimplex:
         return s.translate(self.canonical_shift(s))
-
-    def contains_class(self, s: LatticeSimplex) -> bool:
-        return self.canonical_simplex(s) in self.face_classes
 
     def by_dim(self, k: int) -> tuple[LatticeSimplex, ...]:
         return self._by_dim.get(k, ())
@@ -494,11 +483,8 @@ def is_unimodular(s: LatticeSimplex) -> bool:
 def check_semistable(t: PeriodicTriangulation) -> bool:
     """All rays of the developed fan are of the form (l, 1) and the apex ray
     over 0 belongs to the fan: every vertex is a lattice point (structural)
-    and the class of the vertex 0 is present."""
-    if not t.simplices:
-        return False
-    zero = LatticeSimplex([(0,) * t.rank])
-    return t.contains_class(zero)
+    and the vertex 0, its own canonical class, is a vertex class."""
+    return _simplex(((0,) * t.rank,)) in t.by_dim(0)
 
 
 def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]:
@@ -591,9 +577,14 @@ def check_property_d(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimp
 
     if t._unit is None:
         return [(lam, s) for s in classes for lam in hits(s)]
-    unit_hits = {u: hits(u) for u in classes}
-    return _developed(t, lambda u: product(range(len(t._reps)), unit_hits[u])
-                      if unit_hits[u] else ())
+    out = []
+    for k in range(t.rank + 1):
+        found = [hits(u) for u in t._unit.by_dim(k)]
+        if any(found):
+            # dev[u, q], at position q·m_k + j(u), has the hits of u.
+            out += [(lam, _class_at(t, k, p)) for p in range(len(t._reps) * len(found))
+                    for lam in found[p % len(found)]]
+    return out
 
 
 def check_h_freeness(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimplex]]:
@@ -605,45 +596,28 @@ def check_h_freeness(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimp
     are the Y-coordinates whenever the lattice is the row lattice of b.
 
     Translation preserves the lexicographic order, so −S = S + λ forces
-    λ = lexmin(−S) − lexmin(S), and the canonical class S is fixed exactly
-    when it is its own carried negative.  A development finds its fixed
-    classes on the unit cell (module docstring).
+    λ = lexmin(−S) − lexmin(S), and the class at position p is fixed
+    exactly when the negatives table (``tables[1]``) maps p to p.  Only the
+    fixed classes are built, in the order of their positions.
     """
     if t.lattice is None:
         raise ValueError("H-freeness needs a translation lattice attached")
-    unit = t._unit
-    if unit is None:
-        negatives = t.negatives
-        fixed = [s for s in t.simplices if s.dim >= 1 and negatives[s] == s]
-    else:
-        def fixed_residues(u: LatticeSimplex) -> list[tuple[int, None]]:
-            # dev[u, q] is its own negative iff u* = u and moved(lexmax u, −1) fixes q.
-            if u.dim < 1 or unit.negatives[u] != u:
-                return []
-            return [(q, None) for q, image in enumerate(t._moved(u.vertices[-1], -1))
-                    if image == q]
-
-        fixed = [s for _, s in _developed(t, fixed_residues)]
     out = []
-    for s in fixed:
-        # lexmin(−S) = −lexmax(S).
-        lam = tuple(-a - b for a, b in zip(s.vertices[-1], s.vertices[0]))
-        out.append((_lattice_coefficients(t, lam), s))
+    for k in range(1, t.rank + 1):
+        for s in [_class_at(t, k, p) for p, image in enumerate(t.tables[1][k]) if image == p]:
+            # lexmin(−S) = −lexmax(S).
+            lam = tuple(-a - b for a, b in zip(s.vertices[-1], s.vertices[0]))
+            out.append((_lattice_coefficients(t, lam), s))
     return out
 
 
-def _developed(t: PeriodicTriangulation, found) -> list[tuple[object, LatticeSimplex]]:
-    """[(payload, dev[u, q])] in the order of ``t.simplices``, for the pairs
-    (q, payload) in ``found(u)`` for each unit class u: dev[u, q] is u plus
-    the q-th representative, at position q·m_k + j(u) among the k-classes.
-    The sort is stable, so the payloads of one class keep their order."""
-    rows = []
-    for k in range(t.rank + 1):
-        units = t._unit.by_dim(k)
-        for j, u in enumerate(units):
-            rows += [((k, q * len(units) + j), payload, u, q) for q, payload in found(u)]
-    rows.sort(key=lambda row: row[0])
-    return [(payload, u.translate(t._reps[q])) for _, payload, u, q in rows]
+def _class_at(t: PeriodicTriangulation, k: int, p: int) -> LatticeSimplex:
+    """The k-class at position p, built alone: on a development, the j-th unit
+    k-class plus the q-th representative, for p = q·m_k + j."""
+    if t._unit is None:
+        return t.by_dim(k)[p]
+    q, j = divmod(p, len(t._unit.by_dim(k)))
+    return t._unit.by_dim(k)[j].translate(t._reps[q])
 
 
 def vertices_complete(t: PeriodicTriangulation) -> bool:
@@ -785,8 +759,8 @@ def certify(t: PeriodicTriangulation) -> Certificate:
     """Run every check, and set and return ``t.certificate``.
 
     A development takes the four lattice-free flags from its unit cell,
-    with which they agree, and its violations are found on the unit cell
-    (module docstring).
+    with which they agree, and its property-(d) violations are found on the
+    unit cell (module docstring).
     """
     violations = tuple(check_property_d(t)), tuple(check_h_freeness(t))
     unit = t._unit

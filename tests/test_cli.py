@@ -246,6 +246,59 @@ def test_monodromy_matrix_must_be_4x4(tmp_path, capsys, dim):
     assert "4x4" in report["error"]
 
 
+# Files that the JSON reader cannot turn into a document: (bytes, the kind
+# reported, a piece of the error).  Each is bad input, with exit 2.
+UNREADABLE = {
+    "malformed": (b'{"rank": 1,', "JSONDecodeError", "Expecting property name"),
+    "not_utf8": (b'{"rank": 1, "phi": [[\xff]]}', "SchemaError", "can't decode byte 0xff"),
+    "too_deep": (b"[" * 100_000 + b"]" * 100_000, "SchemaError", "maximum recursion depth"),
+    "long_int": (b'{"rank": ' + b"1" * 4401 + b"}", "SchemaError", "4401 digits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", [["validate"], ["fan", "check"], ["monodromy", "--matrix"]],
+                         ids=" ".join)
+def test_unreadable_files_are_bad_input(tmp_path, capsys, command, name):
+    if name == "long_int" and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integer literals of any length")
+    raw, kind, message = UNREADABLE[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    code, report = run(capsys, *command, str(path))
+    assert (code, report["kind"]) == (2, kind)
+    assert message in report["error"]
+
+
+# Documents that the readers refuse, each with its own message:
+# (command, document, error).
+REFUSED_DOCUMENTS = {
+    "data_not_an_object": (["validate"], [], "degeneration document must be a JSON object"),
+    "phi_not_rows": (["validate"], {"rank": 1, "phi": [1], "b": [[2]]},
+                     "field 'phi' must be a list of rows"),
+    "b_not_integers": (["validate"], {"rank": 1, "phi": [[1]], "b": [[2.0]]},
+                       "field 'b' must contain integers"),
+    "fan_not_an_object": (["fan", "check"], [], "fan document must be a JSON object"),
+    "fan_rank_not_an_integer": (["fan", "check"],
+                                {"rank": "1", "lattice": [[2]], "simplices": [[[0]]]},
+                                "field 'rank' must be a nonnegative integer"),
+    "fan_lattice_singular": (["fan", "check"],
+                             {"rank": 1, "lattice": [[0]], "simplices": [[[0]], [[0], [1]]]},
+                             "translation lattice is degenerate (det = 0)"),
+    "matrix_not_an_object": (["monodromy", "--matrix"], [],
+                             "matrix document must be a JSON object"),
+    "matrix_float_entry": (["monodromy", "--matrix"], {"dim": 1, "entries": [[0.5]]},
+                           "matrix entries must be integers or 'p/q' strings, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_DOCUMENTS))
+def test_malformed_documents_are_refused_by_name(tmp_path, capsys, name):
+    command, doc, message = REFUSED_DOCUMENTS[name]
+    code, report = run(capsys, *command, write(tmp_path, "doc.json", doc))
+    assert (code, report) == (2, {"error": message, "kind": "SchemaError"})
+
+
 def test_report_with_base_change_table(capsys, d4_path):
     code, report = run(capsys, "report", d4_path, "--base-change-max", "4")
     assert code == 0

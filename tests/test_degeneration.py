@@ -7,20 +7,18 @@ from hypothesis import strategies as st
 
 from conftest import make_data
 from kummer_kulikov.degeneration import (
-    ConePoint,
-    GammaElement,
+    DegenerationData,
     a_value,
-    b_row,
     base_change,
     from_json_dict,
-    gamma_act,
     h_invariance_check,
     is_even,
     to_json_dict,
     validate,
 )
 from kummer_kulikov.errors import InvalidScale, SchemaError, UnsupportedRank
-from kummer_kulikov.lattice import component_group
+from kummer_kulikov.fan import LatticeSimplex
+from kummer_kulikov.lattice import IntMatrix, component_group
 
 
 def test_validate_good_data():
@@ -135,38 +133,6 @@ def test_a_integral_iff_pairing_symmetric(b00, b01, b11, skew, a_basis):
         assert "a_integral" in report.failed_names()
 
 
-def test_gamma_act_examples():
-    d = make_data(1, [[2]], a_basis=(1,))
-    assert gamma_act(d, GammaElement((1,), 1), ConePoint((0,), 1)) == ConePoint((2,), 1)
-    d2 = make_data(2, [[2, 0], [0, 2]])
-    p = ConePoint((3, -1), 5)
-    assert gamma_act(d2, GammaElement((0, 0), -1), p) == ConePoint((-3, 1), 5)
-    assert gamma_act(d2, GammaElement((0, 0), 1), p) == p
-
-
-def test_gamma_act_preserves_height_and_apex():
-    d = make_data(2, [[2, 0], [0, 2]])
-    apex = ConePoint((0, 0), 0)
-    assert gamma_act(d, GammaElement((3, -2), -1), apex) == apex
-
-
-def gamma_compose(g1, g2):
-    """The semidirect product law of Y ⋊ {±1}: (y1, h1)·(y2, h2) = (y1 + h1·y2, h1·h2)."""
-    return GammaElement(tuple(a + g1.h * b for a, b in zip(g1.y, g2.y)), g1.h * g2.h)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
-       st.sampled_from([1, -1]), st.sampled_from([1, -1]),
-       st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 3))
-def test_gamma_cocycle(a0, a1, b0, b1, h1, h2, l0, l1, s):
-    d = make_data(2, [[4, 2], [2, 6]])
-    g1 = GammaElement((a0, a1), h1)
-    g2 = GammaElement((b0, b1), h2)
-    p = ConePoint((l0, l1), s)
-    assert gamma_act(d, g1, gamma_act(d, g2, p)) == gamma_act(d, gamma_compose(g1, g2), p)
-
-
 def test_is_even():
     assert is_even(make_data(2, [[2, 0], [0, 2]]))
     assert not is_even(make_data(2, [[2, 1], [1, 2]], a_basis=(1, 1)))
@@ -251,8 +217,19 @@ def test_rank_above_2_is_refused_for_every_caller():
         make_data(3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
-def test_b_row_is_row_of_b():
-    d = make_data(2, [[4, 2], [2, 6]])
-    assert b_row(d, (1, 0)) == (4, 2)
-    assert b_row(d, (0, 1)) == (2, 6)
-    assert b_row(d, (1, -1)) == (2, -4)
+I1, I2 = IntMatrix([[1]]), IntMatrix([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DegenerationData(-1, I1, I1, ()), SchemaError, "rank must be nonnegative"),
+    (lambda: DegenerationData(1, I2, I1, (0,)), SchemaError, "phi must be 1x1, got 2x2"),
+    (lambda: DegenerationData(2, I2, I1, (0, 0)), SchemaError, "b must be 2x2, got 1x1"),
+    (lambda: DegenerationData(1, I1, I1, (0, 0)), SchemaError, "a_basis must have length 1"),
+    (lambda: LatticeSimplex([]), ValueError, "a simplex needs at least one vertex"),
+    (lambda: LatticeSimplex([(0,), (0, 1)]), ValueError, "vertices of mixed dimension"),
+], ids=["negative_rank", "phi_shape", "b_shape", "a_basis_length", "empty_simplex",
+        "mixed_dimension"])
+def test_constructors_refuse_malformed_values(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message

@@ -512,7 +512,7 @@ def test_carried_face_classes_match_recomputation(t):
                               for f in s.faces())
         for f, (cf, shift) in zip(s.faces(), pairs):
             assert f.translate(shift) == cf and cf in t.face_classes
-    assert t.negatives == negatives_by_canonical_points(t)
+    assert t.tables[1] == negatives_table(t, negatives_by_canonical_points(t))
 
 
 @settings(max_examples=60, deadline=None)
@@ -593,6 +593,17 @@ def negatives_by_canonical_points(t):
     return {s: (n if n in t.face_classes else None) for s, n in negated.items()}
 
 
+def negatives_table(t, negatives):
+    """A dict of negatives as ``tables[1]``: for each dimension, the position
+    of each class's negative among the classes, or None."""
+    table = {}
+    for k in range(t.rank + 1):
+        position = {s: i for i, s in enumerate(t.by_dim(k))}
+        table[k] = tuple(None if negatives[s] is None else position[negatives[s]]
+                         for s in t.by_dim(k))
+    return table
+
+
 def assert_residue_route_matches(unit, lattice):
     t = unit.with_lattice(lattice)
     expected = develop_by_canonical_points(unit, lattice)
@@ -601,7 +612,7 @@ def assert_residue_route_matches(unit, lattice):
         expected.by_dim(k) for k in range(t.rank + 1)]
     assert t.tables == expected.tables
     assert t.face_classes == expected.face_classes
-    assert t.negatives == expected.negatives == negatives_by_canonical_points(expected)
+    assert expected.tables[1] == negatives_table(expected, negatives_by_canonical_points(expected))
     assert t == expected
 
 
@@ -624,8 +635,8 @@ def test_residue_development_on_golden_fans(path):
     doc = read_fan(path)
     unit = PeriodicTriangulation(doc.rank, doc.simplices, None)
     assert_residue_route_matches(unit, doc.lattice)
-    # A document the constructor reads computes its negatives on first use.
-    assert doc.negatives == negatives_by_canonical_points(doc)
+    # A document the constructor reads carries the negatives of its closure.
+    assert doc.tables[1] == negatives_table(doc, negatives_by_canonical_points(doc))
 
 
 def test_residue_development_edge_cases():
@@ -635,7 +646,7 @@ def test_residue_development_edge_cases():
     wide = unit_cell(2, "wide")
     assert_residue_route_matches(wide, IntMatrix([[3, 1], [1, 3]]))
     t = wide.with_lattice(IntMatrix([[3, 1], [1, 3]]))
-    assert [t.negatives[s] for s in t.by_dim(2)] == [None] * 8
+    assert t.tables[1][2] == (None,) * 8
     assert not check_gamma_admissible(t)
 
 
@@ -770,13 +781,15 @@ def test_development_bounds_match_class_scans(case):
 # -- the dual complex on the position tables against one built from the dicts ----
 
 def dual_from_dicts(t):
-    """Boundary, involution and labels of Δ_A from the classes and the
-    ``face_classes`` and ``negatives`` dicts, position by position."""
+    """Boundary, involution and labels of Δ_A from the classes, the
+    ``face_classes`` dict and the negatives by canonical points, position by
+    position."""
     classes = {k: t.by_dim(k) for k in range(t.rank + 1)}
     position = {s: i for group in classes.values() for i, s in enumerate(group)}
     boundary = {k: tuple(tuple(position[f] for f, _ in t.face_classes[s]) for s in classes[k])
                 for k in range(1, t.rank + 1)}
-    perms = {k: tuple(position[t.negatives[s]] for s in group) for k, group in classes.items()}
+    negatives = negatives_by_canonical_points(t)
+    perms = {k: tuple(position[negatives[s]] for s in group) for k, group in classes.items()}
     labels = ["|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
               for s in t.simplices]
     return boundary, perms, labels
@@ -792,7 +805,7 @@ def test_table_dual_complex_matches_dicts(case):
         return
     expected = develop_by_canonical_points(unit, lattice)
     certify(expected)
-    if None in expected.negatives.values():
+    if None in negatives_by_canonical_points(expected).values():
         for fan in (t, expected):
             with pytest.raises(UncertifiedFan):
                 complexes_module.dual_complex(fan)
@@ -892,7 +905,7 @@ def flip_a_diagonal(t, classes, rng):
     corner = rng.choice(t.by_dim(0)).vertices[0]
     for old, new in (SQUARE_CUTS, SQUARE_CUTS[::-1]):
         cut = [LatticeSimplex(s).translate(corner) for s in old]
-        if all(t.contains_class(s) for s in cut):
+        if all(t.canonical_simplex(s) in t.face_classes for s in cut):
             gone = {t.canonical_simplex(s) for s in cut}
             return ([s for s in classes if s not in gone]
                     + [LatticeSimplex(s).translate(corner) for s in new])
@@ -950,7 +963,7 @@ def test_document_matches_constructor(case):
     assert [got.by_dim(k) for k in range(rank + 1)] == [
         expected.by_dim(k) for k in range(rank + 1)]
     assert got.face_classes == expected.face_classes
-    assert got.negatives == expected.negatives
+    assert got.tables[1] == expected.tables[1]
     cert = certify(got)
     assert cert == certify(expected)
     wd, wh = full_windows(expected)

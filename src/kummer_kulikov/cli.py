@@ -127,6 +127,17 @@ def _base_change_row(d, e: int) -> dict:
             "consistent": counts.N_L == counts.formula_N_L}
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # -- command handlers -----------------------------------------------------------
 
 def cmd_validate(args) -> int:
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", parents=[common],
                         help="classification report, optionally with base-change table")
     sp.add_argument("path")
-    sp.add_argument("--base-change-max", type=int, default=None)
+    sp.add_argument("--base-change-max", type=_positive_int, default=None)
     sp.set_defaults(func=cmd_report)
 
     return p

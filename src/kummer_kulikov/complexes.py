@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .errors import (
     ConsistencyError,
     InvalidScale,
     OddData,
+    ResourceLimit,
     ShapeMismatch,
     UncertifiedFan,
     UnsupportedRank,
@@ -304,7 +306,9 @@ class BaseChangeCounts(NamedTuple):
 def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:
     """N_L by two routes: rebuilding the scaled datum and the closed formula
     N_L = e^t N - 2^(t-1) (e^t - 1).  The routes are asserted equal, as is
-    #Φ_L = e^t #Φ."""
+    #Φ_L = e^t #Φ.  Refused with ResourceLimit, before the rebuild, when
+    e^t·N, which bounds every count, has more digits than the interpreter
+    writes out (sys.get_int_max_str_digits)."""
     if not is_even(d):
         raise OddData("base-change comparison requires an even pairing")
     if d.rank < 1:
@@ -312,8 +316,14 @@ def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:
     if e < 1:
         raise InvalidScale(f"ramification index must be >= 1, got {e}")
     t = d.rank
-    scaled = base_change(d, e)
     n = component_counts(d).N_X
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # e^t·N < 2^bits < 10^(0.30103·bits), so the exact test runs only past that bound.
+    bits = t * e.bit_length() + n.bit_length()
+    if limit and bits * 30103 > limit * 100000 and e**t * n >= 10**limit:
+        raise ResourceLimit(f"e^t·N has more than {limit} digits, the interpreter's "
+                            f"limit for writing an integer")
+    scaled = base_change(d, e)
     n_l = component_counts(scaled).N_X
     formula = e**t * n - 2 ** (t - 1) * (e**t - 1)
     if n_l != formula:

@@ -60,5 +60,9 @@ class HypothesisFailed(KummerDegenerationError):
     sign-recovery dichotomy does not apply."""
 
 
+class ResourceLimit(KummerDegenerationError):
+    """The result would pass a size limit, so the input is refused before the work."""
+
+
 class ConsistencyError(KummerDegenerationError):
     """Two independent computation routes disagree (indicates a bug)."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .complexes import KulikovType
 from .errors import (
@@ -135,7 +135,7 @@ class RationalOperator:
         Cayley-Hamilton gives (σ - 1)^n = 0 from the polynomial; conversely
         the minimal polynomial then divides (x - 1)^n, so 1 is the only
         eigenvalue and the characteristic polynomial is (x - 1)^n."""
-        return _is_nilpotent(self - RationalOperator.identity(self.dim))
+        return _is_nilpotent(_minus_identity(self))
 
     def rank(self) -> int:
         """Rank over Q: that of the numerators, since den is a nonzero scalar."""
@@ -162,36 +162,50 @@ def _is_nilpotent(m: RationalOperator) -> bool:
     return True
 
 
+def _minus_identity(m: RationalOperator) -> RationalOperator:
+    """M - Id, formed on the numerators by subtracting den on the diagonal."""
+    return RationalOperator._reduced([[x - m.den * (i == j) for j, x in enumerate(r)]
+                                      for i, r in enumerate(m.num)], m.den)
+
+
+def _powers(m: RationalOperator) -> list[RationalOperator] | None:
+    """The nonzero powers M, M², ..., M^(k-1) for the nilpotency index k <= dim,
+    or None when M^dim != 0.  At most dim - 1 products; M^(dim+1) is never formed."""
+    powers, power = [], m
+    while not power.is_zero():
+        if len(powers) == m.dim - 1:  # power is M^dim
+            return None
+        powers.append(power)
+        power = power * m
+    return powers
+
+
+def _series(n: int, constant: int, divisors: list[int], powers: list) -> RationalOperator:
+    """constant·Id + Σ powers[i] / divisors[i], summed on the numerators over one
+    common denominator L·den with the integer coefficients L / divisors[i]."""
+    L, den = lcm(*divisors), lcm(*(p.den for p in powers))
+    rows = [[constant * L * den * (i == j) for j in range(n)] for i in range(n)]
+    for d, p in zip(divisors, powers):
+        w = L // d * (den // p.den)
+        rows = [[x + w * y for x, y in zip(r, pr)] for r, pr in zip(rows, p.num)]
+    return RationalOperator._reduced(rows, L * den)
+
+
 def log_unipotent(sigma: RationalOperator) -> RationalOperator:
     """N = log σ = Σ (-1)^(m+1)/m (σ-1)^m; the series terminates because
     σ - 1 is nilpotent.  When (σ-1)² = 0 this reduces to N = σ - 1."""
-    if not sigma.is_unipotent():
+    powers = _powers(_minus_identity(sigma))
+    if powers is None:
         raise NotUnipotent("characteristic polynomial is not (x-1)^n")
-    n = sigma.dim
-    s = sigma - RationalOperator.identity(n)
-    out = RationalOperator.zero(n)
-    term = RationalOperator.identity(n)
-    for m in range(1, n):
-        term = term * s
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction((-1) ** (m + 1), m))
-    return out
+    return _series(sigma.dim, 0, [(-1) ** (m + 1) * m for m in range(1, len(powers) + 1)], powers)
 
 
 def exp_nilpotent(n_op: RationalOperator) -> RationalOperator:
     """exp of a nilpotent operator; exact inverse of log_unipotent."""
-    if not _is_nilpotent(n_op):
+    powers = _powers(n_op)
+    if powers is None:
         raise NotNilpotent("operator is not nilpotent")
-    n = n_op.dim
-    out = RationalOperator.identity(n)
-    term = RationalOperator.identity(n)
-    for k in range(1, n):
-        term = term * n_op
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction(1, factorial(k)))
-    return out
+    return _series(n_op.dim, 1, [factorial(k) for k in range(1, len(powers) + 1)], powers)
 
 
 def standard_N(t: int) -> RationalOperator:
@@ -256,11 +270,17 @@ def kummer_monodromy(n_op: RationalOperator) -> KummerOperator:
     """N_X = (N∧Id + Id∧N) ⊕ 0 for a 4x4 monodromy operator N with N² = 0."""
     if n_op.dim != 4:
         raise ValueError("kummer_monodromy expects a 4x4 operator")
-    if not _is_nilpotent(n_op):
-        raise NotNilpotent("monodromy operator must be nilpotent")
-    if not (n_op * n_op).is_zero():
-        raise BadSquare("semiabelian monodromy satisfies N² = 0")
+    _require_square_zero(n_op, "monodromy operator must be nilpotent")
     return KummerOperator(wedge_derivation(n_op))
+
+
+def _require_square_zero(n_op: RationalOperator, not_nilpotent: str) -> None:
+    """Raise NotNilpotent, else BadSquare, unless N² = 0; N is nilpotent iff N² is."""
+    square = n_op * n_op
+    if not square.is_zero():
+        if not _is_nilpotent(square):
+            raise NotNilpotent(not_nilpotent)
+        raise BadSquare("semiabelian monodromy satisfies N² = 0")
 
 
 def nilpotency_index(m) -> int:
@@ -269,12 +289,10 @@ def nilpotency_index(m) -> int:
         m = m.wedge  # the zero block contributes nothing to powers
     if not isinstance(m, RationalOperator):
         raise TypeError("expected a RationalOperator or KummerOperator")
-    power = m
-    for k in range(1, m.dim + 1):
-        if power.is_zero():
-            return k
-        power = power * m
-    raise NotNilpotent(f"no power up to {m.dim} vanishes")
+    powers = _powers(m)
+    if powers is None:
+        raise NotNilpotent(f"no power up to {m.dim} vanishes")
+    return len(powers) + 1
 
 
 def type_from_index(m: int) -> KulikovType:
@@ -287,10 +305,7 @@ def type_from_index(m: int) -> KulikovType:
 
 def toric_rank_from_N(n_op: RationalOperator) -> int:
     """rank_Q N; equals the toric rank for semiabelian monodromy."""
-    if not _is_nilpotent(n_op):
-        raise NotNilpotent("operator is not nilpotent")
-    if not (n_op * n_op).is_zero():
-        raise BadSquare("semiabelian monodromy satisfies N² = 0")
+    _require_square_zero(n_op, "operator is not nilpotent")
     return n_op.rank()
 
 
@@ -327,10 +342,8 @@ class TwoTorsionPermutation:
         return TwoTorsionPermutation(tuple(range(16)))
 
     def matrix(self) -> RationalOperator:
-        rows = [[0] * 16 for _ in range(16)]
-        for j, i in enumerate(self.mapping):
-            rows[i][j] = 1
-        return RationalOperator(rows)
+        return RationalOperator._reduced([[int(self.mapping[j] == i) for j in range(16)]
+                                          for i in range(16)], 1)
 
 
 def two_torsion_trivial(p: TwoTorsionPermutation) -> bool:

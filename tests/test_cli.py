@@ -308,6 +308,32 @@ def test_report_with_base_change_table(capsys, d4_path):
     assert "base_change" not in report
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_report_refuses_a_base_change_max_below_1(capsys, d4_path, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", d4_path, "--base-change-max", value, "--quiet"])
+    assert exc.value.code == 2
+    assert f"--base-change-max: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def default_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_base_change_past_the_digit_limit_is_refused_by_name(capsys, d22_path,
+                                                             default_digit_limit):
+    # t = 2: e^t·N has about 5,000 digits for e of 2,501 digits, and about
+    # 4,000 for e of 2,000, on either side of the 4,300-digit limit.
+    code, report = run(capsys, "base-change", d22_path, "--e", "1" * 2501)
+    assert (code, report["kind"]) == (1, "ResourceLimit")
+    code, report = run(capsys, "base-change", d22_path, "--e", "1" * 2000)
+    assert code == 0 and report["e"] == int("1" * 2000)
+
+
 def test_reports_are_deterministic(capsys, d22_path):
     _, first = run(capsys, "classify", d22_path)
     out1 = json.dumps(first, sort_keys=True)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -283,12 +283,13 @@ def test_rank_matches_fraction_gauss_jordan(n, k, data):
     assert op.rank() == fraction_gauss_jordan_rank(op)
 
 
-def unimodular_pair(data, n):
-    """A product of integer shears and its exact inverse."""
+def unimodular_pair(data, n, coefficients=st.integers(-2, 2)):
+    """A product of shears, integer unless other coefficients are given, and
+    its exact inverse."""
     g = ginv = RationalOperator.identity(n)
     for _ in range(data.draw(st.integers(0, 6)) if n > 1 else 0):
         i, j = data.draw(st.permutations(range(n)))[:2]
-        c = data.draw(st.integers(-2, 2))
+        c = data.draw(coefficients)
         shear = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(n)]
                  for r in range(n)]
         inverse = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(n)]
@@ -452,3 +453,88 @@ def test_wedges_match_fraction_per_entry_reference(data):
                      (wedge_derivation(f), ref.wedge_derivation())]:
         assert new.entries == old.entries
         assert_canonical(new)
+
+
+# -- log, exp and the index against term-by-term series ----------------------------
+
+def reference_identity(n):
+    return FractionOperator([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def reference_powers(m, error):
+    """The terms M, M², ..., M^(dim-1) of a full series, zero or not; raises
+    error unless M^dim = 0."""
+    powers = [m]
+    while len(powers) < m.dim:
+        powers.append(powers[-1] * m)
+    if not powers[-1].is_zero():
+        raise error
+    return powers[:-1]
+
+
+def reference_index(m):
+    power = m
+    for k in range(1, m.dim + 1):
+        if power.is_zero():
+            return k
+        power = power * m
+    raise NotNilpotent
+
+
+def reference_log(sigma):
+    out = FractionOperator([[0] * sigma.dim for _ in range(sigma.dim)])
+    s = sigma - reference_identity(sigma.dim)
+    for m, power in enumerate(reference_powers(s, NotUnipotent), start=1):
+        out = out + power.scale(Fraction((-1) ** (m + 1), m))
+    return out
+
+
+def reference_exp(n_op):
+    out = reference_identity(n_op.dim)
+    for k, power in enumerate(reference_powers(n_op, NotNilpotent), start=1):
+        out = out + power.scale(Fraction(1, factorial(k)))
+    return out
+
+
+def outcome(f, op):
+    """f(op) as a comparable value: the entries, the integer, or the exception class."""
+    try:
+        value = f(op)
+    except (NotNilpotent, NotUnipotent) as exc:
+        return type(exc)
+    return value if isinstance(value, int) else value.entries
+
+
+@st.composite
+def power_sequence_operators(draw):
+    """M of dimension 1-8 from three families: strictly upper triangular
+    (nilpotent of any index), a single Jordan block of full index, and a
+    one-entry perturbation of a Jordan block that is not nilpotent (the corner
+    entry makes M^n a nonzero multiple of Id, a diagonal entry gives a nonzero
+    trace); conjugated by a product of rational shears."""
+    n = draw(st.integers(1, 8))
+    family = draw(st.sampled_from(["upper", "jordan", "perturbed"]))
+    if family == "upper":
+        rows = [[draw(small_rationals) if i < j else Fraction(0) for j in range(n)]
+                for i in range(n)]
+    else:
+        rows = [[draw(nonzero_rationals) if j == i + 1 else Fraction(0) for j in range(n)]
+                for i in range(n)]
+        if family == "perturbed":
+            i, j = draw(st.sampled_from([(n - 1, 0)] + [(k, k) for k in range(n)]))
+            rows[i][j] += draw(nonzero_rationals)
+    g, ginv = unimodular_pair(draw(st.data()), n, small_rationals)
+    return g * RationalOperator(rows) * ginv
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_sequence_operators())
+def test_log_exp_and_index_match_term_by_term_series(m):
+    ref = FractionOperator(m.entries)
+    sigma = m + RationalOperator.identity(m.dim)
+    ref_sigma = ref + reference_identity(m.dim)
+    assert outcome(nilpotency_index, m) == outcome(reference_index, ref)
+    assert outcome(exp_nilpotent, m) == outcome(reference_exp, ref)
+    assert outcome(log_unipotent, sigma) == outcome(reference_log, ref_sigma)
+    if ref_sigma.is_unipotent():
+        assert exp_nilpotent(log_unipotent(sigma)) == sigma

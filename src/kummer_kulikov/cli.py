@@ -15,7 +15,10 @@ import sys
 
 # Each handler imports the layers it runs, so a cold start pays for those only.
 from . import degeneration
-from .errors import KummerDegenerationError, SchemaError
+from .errors import KummerDegenerationError, ResourceLimit, SchemaError
+
+# The most rows ``report --base-change-max`` builds: each takes under 1 ms.
+BASE_CHANGE_MAX_ROWS = 10_000
 
 
 def _load_json(path: str):
@@ -228,6 +231,9 @@ def cmd_monodromy(args) -> int:
 
 def cmd_report(args) -> int:
     d = _load_data(args.path, kummer=True)
+    if args.base_change_max is not None and args.base_change_max > BASE_CHANGE_MAX_ROWS:
+        raise ResourceLimit(f"a base-change table of {args.base_change_max} rows passes "
+                            f"the limit of {BASE_CHANGE_MAX_ROWS}")
     report, summary = _classify_payload(d)
     if args.base_change_max is not None:
         report["base_change"] = [_base_change_row(d, e)
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("base-change", parents=[common],
                         help="component counts after base extension, both routes")
     sp.add_argument("path")
-    sp.add_argument("--e", type=int, required=True, help="ramification index")
+    sp.add_argument("--e", type=_positive_int, required=True, help="ramification index")
     sp.set_defaults(func=cmd_base_change)
 
     fp = sub.add_parser("fan", help="fan construction and certification")

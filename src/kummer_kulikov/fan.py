@@ -214,10 +214,10 @@ class _CosetMap:
             return
         if lattice.rows != rank or lattice.cols != rank:
             raise SchemaError(f"lattice must be {rank}x{rank}")
-        if rank > 0 and lattice.det() == 0:
-            raise SingularPairing("translation lattice is degenerate (det = 0)")
         d, u, _ = smith_normal_form(lattice.transpose())
         self.diag = d.diagonal_entries()
+        if 0 in self.diag:
+            raise SingularPairing("translation lattice is degenerate (det = 0)")
         self.u = u.entries
         self.uinv = unimodular_inverse(u).entries
         self.index = math.prod(self.diag)
@@ -494,9 +494,8 @@ def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]
     w = t.lattice
     n = t.rank
     # y = (W^T)^{-1} λ = adj(W^T) λ / det, so |y_i| <= Σ_j |adj(W^T)_ij|·reach_j / |det|.
-    det = abs(w.det())
-    bounds = [sum(map(mul, map(abs, row), reach)) // det + 1
-              for row in w.transpose().adjugate().entries]
+    adj, det = solve(w.transpose(), IntMatrix.identity(n).entries)
+    bounds = [sum(map(mul, map(abs, row), reach)) // abs(det) + 1 for row in adj]
     out = []
     for y in product(*(range(-b, b + 1) for b in bounds)):
         if all(v == 0 for v in y):
@@ -509,21 +508,23 @@ def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]
 
 def _lattice_coefficients(t: PeriodicTriangulation, lam: Vector) -> Vector:
     """Express λ in the row basis of the lattice (the Y-coordinates)."""
-    num, det = solve(t.lattice.transpose(), lam)
-    if any(x % det for x in num):
+    num, det = solve(t.lattice.transpose(), [(x,) for x in lam])
+    if any(x % det for (x,) in num):
         raise ValueError(f"{lam} is not in the translation lattice")
-    return tuple(x // det for x in num)
+    return tuple(x // det for (x,) in num)
 
 
 # -- the certification checks -------------------------------------------------
 
 def _affine_frame(vertices: Sequence[Vector]) -> tuple[IntMatrix, IntMatrix, int]:
     """(Eᵀ, adj G·E, det G) for affinely independent v_0, ..., v_k: E has the
-    rows v_i − v_0 and G = E·Eᵀ, whose determinant is positive."""
+    rows v_i − v_0 and G = E·Eᵀ, whose determinant is positive.  adj G·E and
+    det G come from one solve of G·X = E."""
     e = IntMatrix([tuple(map(sub, v, vertices[0])) for v in vertices[1:]],
                   shape=(len(vertices) - 1, len(vertices[0])))
-    g = e.mul(e.transpose())
-    return e.transpose(), g.adjugate().mul(e), g.det()
+    et = e.transpose()
+    solver, det = solve(e.mul(et), e.entries)
+    return et, IntMatrix(solver, shape=(e.rows, e.cols)), det
 
 
 def _meets_translate(frame: tuple[IntMatrix, IntMatrix, int], lam: Vector) -> bool:
@@ -703,8 +704,9 @@ def _polarization_margins(t: PeriodicTriangulation) -> list[int] | None:
     # shape: the vertices of s and w relative to the first vertex of s.
     @functools.cache
     def margin(shape: tuple[Vector, ...], w: Vector) -> int:
-        num, det = solve(IntMatrix([(1,) + v for v in shape]), list(map(_form, shape)))
-        return det * (_form(w) * det - num[0] - sum(map(mul, num[1:], w)))
+        column, det = solve(IntMatrix([(1,) + v for v in shape]), [(_form(v),) for v in shape])
+        num_0, *num = (x for (x,) in column)
+        return det * (_form(w) * det - num_0 - sum(map(mul, num, w)))
 
     margins = []
     for s, opposite in _opposite_vertices(t):

@@ -1,7 +1,8 @@
 """Exact integer linear algebra: the one elimination core of the package.
 
-Determinant and rank come from fraction-free (Bareiss) elimination, inverses
-and small solves from the adjugate (Cramer's rule), and cokernels from the
+Determinant and rank come from one fraction-free (Bareiss) Gauss–Jordan
+elimination, and inverses and solves from the same pass, which gives the
+determinant and adj(m)·B together (Cramer's rule); cokernels come from the
 Smith normal form.  All arithmetic is over Python's arbitrary-precision
 integers, so nothing here can overflow.  Matrices are immutable.  The Smith
 normal form uses a deterministic pivot rule (smallest absolute value, ties
@@ -18,18 +19,21 @@ from typing import Iterable, Sequence
 from .errors import SingularPairing
 
 
-def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int]:
-    """Fraction-free row echelon form: (rank, signed last pivot).
+def _bareiss(rows: Sequence[Sequence[int]], cols: int) -> tuple[int, int, list[list[int]]]:
+    """Fraction-free Gauss–Jordan elimination on the first ``cols`` columns
+    of the rows [m | B]: (rank, last pivot, the eliminated rows).
 
-    A column that is zero in every row not yet pivoted is skipped.  After
-    each step the trailing entries are minors of the rows and columns used so
-    far (Sylvester's identity), so every division by the previous pivot is
-    exact.  For a square matrix of full rank the signed last pivot is the
-    determinant; with no pivot at all it is 1.
+    A pivot step updates the other rows right of the pivot column only, and
+    skips a column that is zero in every row not yet pivoted.  The updated
+    entries are minors (Sylvester's identity), so every division by the
+    previous pivot is exact; a swap negates the row moved down, keeping their
+    signs.  For a square m of full rank the last pivot is det m and the
+    columns past m hold adj(m)·B; with no pivot at all the last pivot is 1.
     """
-    a = [list(row) for row in entries]
+    a = list(map(list, rows))
     n = len(a)
-    rank, sign, prev = 0, 1, 1
+    width = len(a[0]) if a else cols
+    rank, prev = 0, 1
     for col in range(cols):
         piv = rank
         while piv < n and a[piv][col] == 0:
@@ -37,20 +41,19 @@ def _bareiss(entries: Sequence[Sequence[int]], cols: int) -> tuple[int, int]:
         if piv == n:
             continue
         if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
+            a[rank], a[piv] = a[piv], [-x for x in a[rank]]
         top = a[rank]
         p = top[col]
-        for row in a[rank + 1:]:
+        # Rows above the pivot are read again only for B.
+        for row in a[rank + 1:] if width == cols else a[:rank] + a[rank + 1:]:
             f = row[col]
-            for j in range(col + 1, cols):
+            for j in range(col + 1, width):
                 row[j] = (row[j] * p - f * top[j]) // prev
-            row[col] = 0
         prev = p
         rank += 1
         if rank == n:
             break
-    return rank, sign * prev
+    return rank, prev, a
 
 
 class IntMatrix:
@@ -116,26 +119,11 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        rank, last = _bareiss(self.entries, self.cols)
+        rank, last, _ = _bareiss(self.entries, self.cols)
         return last if rank == self.rows else 0
 
     def rank(self) -> int:
         return _bareiss(self.entries, self.cols)[0]
-
-    def adjugate(self) -> "IntMatrix":
-        """adj(m) with m·adj(m) = adj(m)·m = det(m)·I, by cofactors."""
-        if not self.is_square():
-            raise ValueError("adjugate of non-square matrix")
-        n = self.rows
-
-        def minor(i: int, j: int) -> int:
-            return IntMatrix([[x for q, x in enumerate(row) if q != j]
-                              for p, row in enumerate(self.entries) if p != i],
-                             shape=(n - 1, n - 1)).det()
-
-        # adj(m)[i][j] is the (j, i) cofactor.
-        return IntMatrix([[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)],
-                         shape=(n, n))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -244,20 +232,23 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Integer inverse of a unimodular matrix: det·adj with det = ±1."""
-    d = m.det()
+    adj, d = solve(m, IntMatrix.identity(m.rows).entries)
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det {d})")
-    return IntMatrix([[d * x for x in row] for row in m.adjugate().entries],
-                     shape=(m.rows, m.cols))
+    return IntMatrix([[d * x for x in row] for row in adj], shape=(m.rows, m.cols))
 
 
-def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """The system m·x = rhs by Cramer's rule, as the integer pair
-    (adj(m)·rhs, det m): the solution is x = adj(m)·rhs / det m."""
-    d = m.det()
-    if d == 0:
+def solve(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
+    """m·X = B by Cramer's rule, for B with the rows ``rhs`` (any one width):
+    the integer pair (rows of adj(m)·B, det m) from one elimination of
+    [m | B].  The solution is X = adj(m)·B / det m."""
+    n = m.rows
+    if not m.is_square() or len(rhs) != n:
+        raise ValueError("shape mismatch")
+    rank, d, rows = _bareiss([(*row, *b) for row, b in zip(m.entries, rhs)], n)
+    if rank < n:
         raise ValueError("singular system")
-    return m.adjugate().matvec(rhs), d
+    return [tuple(row[n:]) for row in rows], d
 
 
 def leading_principal_minors(m: IntMatrix) -> list[int]:
@@ -323,13 +314,11 @@ def component_group(b: IntMatrix) -> ComponentGroup:
     """
     if not b.is_square():
         raise ValueError("pairing matrix must be square")
-    t = b.rows
-    if t == 0:
-        return ComponentGroup(())
-    if b.det() == 0:
-        raise SingularPairing("pairing has determinant 0; Y -> X^v is not injective")
     d, _, _ = smith_normal_form(b.transpose())
-    return ComponentGroup(tuple(x for x in d.diagonal_entries() if x != 1))
+    divisors = d.diagonal_entries()
+    if 0 in divisors:
+        raise SingularPairing("pairing has determinant 0; Y -> X^v is not injective")
+    return ComponentGroup(tuple(x for x in divisors if x != 1))
 
 
 def two_torsion_order(group: ComponentGroup) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import kummer_kulikov
+from kummer_kulikov import cli
 from kummer_kulikov.cli import main
 
 
@@ -314,6 +315,27 @@ def test_report_refuses_a_base_change_max_below_1(capsys, d4_path, value):
         main(["report", d4_path, "--base-change-max", value, "--quiet"])
     assert exc.value.code == 2
     assert f"--base-change-max: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_report_refuses_a_base_change_table_past_the_row_limit(capsys, d4_path, monkeypatch):
+    monkeypatch.setattr(cli, "BASE_CHANGE_MAX_ROWS", 3)
+    code, report = run(capsys, "report", d4_path, "--base-change-max", "3")
+    assert code == 0 and len(report["base_change"]) == 3
+
+    def refuse(d, e):
+        raise AssertionError("a base-change row was built")
+
+    monkeypatch.setattr(cli, "_base_change_row", refuse)
+    code, report = run(capsys, "report", d4_path, "--base-change-max", "4")
+    assert (code, report["kind"]) == (1, "ResourceLimit")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_base_change_refuses_an_e_below_1(capsys, d4_path, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["base-change", d4_path, "--e", value, "--quiet"])
+    assert exc.value.code == 2
+    assert f"--e: must be at least 1, got {value}" in capsys.readouterr().err
 
 
 @pytest.fixture

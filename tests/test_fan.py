@@ -848,8 +848,9 @@ def former_margins(t):
         w = next(v for v in neighbor.vertices if v not in set(f.vertices))
         key = (fan_module._shape(s), fan_module._offset(w, s.vertices[0]))
         if key not in by_shape:
-            num, det = solve(IntMatrix([(1,) + v for v in s.vertices]),
-                             [form(v) for v in s.vertices])
+            column, det = solve(IntMatrix([(1,) + v for v in s.vertices]),
+                                [(form(v),) for v in s.vertices])
+            num = [x for (x,) in column]
             by_shape[key] = form(w) - Fraction(
                 num[0] + sum(c * x for c, x in zip(num[1:], w)), det)
         margins.append(by_shape[key])

@@ -117,26 +117,58 @@ def test_rank_matches_minor_gcd_divisors(m):
     assert m.rank() == sum(1 for x in minor_gcd_divisors(m) if x != 0)
 
 
+def cofactor_adjugate(m):
+    """adj(m) by cofactor expansion, adj(m)[i][j] being the (j, i) cofactor:
+    the package's former route, with Leibniz minors, so it shares no code
+    with the elimination."""
+    n = m.rows
+
+    def minor(i, j):
+        return leibniz_det(IntMatrix([[x for q, x in enumerate(row) if q != j]
+                                      for p, row in enumerate(m.entries) if p != i],
+                                     shape=(n - 1, n - 1)))
+
+    return [tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(square=True))
 def test_adjugate_times_matrix_is_det(m):
-    scalar = IntMatrix.diagonal([m.det()] * m.rows)
-    assert m.mul(m.adjugate()) == scalar
-    assert m.adjugate().mul(m) == scalar
+    identity = IntMatrix.identity(m.rows).entries
+    det = leibniz_det(m)
+    if det == 0:
+        with pytest.raises(ValueError, match="singular system"):
+            solve(m, identity)
+        return
+    adj = cofactor_adjugate(m)
+    assert solve(m, identity) == (adj, det)
+    scalar = IntMatrix.diagonal([det] * m.rows)
+    assert m.mul(IntMatrix(adj)) == scalar
+    assert IntMatrix(adj).mul(m) == scalar
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_matrices(square=True), st.data())
-def test_solve_satisfies_the_system(m, data):
-    rhs = [data.draw(st.integers(-9, 9)) for _ in range(m.rows)]
+@given(int_matrices(square=True), st.integers(0, 3), st.data())
+def test_solve_satisfies_the_system(m, width, data):
+    rhs = [[data.draw(st.integers(-9, 9)) for _ in range(width)] for _ in range(m.rows)]
     if m.det() == 0:
         with pytest.raises(ValueError, match="singular system"):
             solve(m, rhs)
         return
     x, det = solve(m, rhs)
     assert det == m.det()
-    assert all(isinstance(v, int) for v in x)
-    assert [sum(a * v for a, v in zip(row, x)) for row in m.entries] == [det * y for y in rhs]
+    assert all(isinstance(v, int) for row in x for v in row)
+    shape = (m.rows, width)
+    assert m.mul(IntMatrix(x, shape=shape)) == IntMatrix([[det * y for y in row] for row in rhs],
+                                                         shape=shape)
+
+
+def test_the_empty_system():
+    empty = IntMatrix([], shape=(0, 0))
+    assert solve(empty, []) == ([], 1)
+    assert unimodular_inverse(empty) == empty
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve(empty, [(1,)])
 
 
 def test_unimodular_inverse():

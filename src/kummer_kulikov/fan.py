@@ -83,8 +83,11 @@ every developed class, in the order of ``simplices``:
   the developed vertex classes are the coset representatives, one per
   coset exactly when the unit cell has a vertex.
 
-These four flags do not depend on Λ, so they are cached per unit cell, and
-``certify`` reads a development's off its unit cell.
+These four flags do not depend on Λ, so they are computed once per unit
+cell and carried on it, and ``certify`` reads a development's off its unit
+cell.  The unit cells themselves come from one cache keyed by rank and shape
+set, so ``auto_scale`` and every document with the same shapes, over any
+lattice, develop the same cell and compute its tables and flags once.
 
 ``fan_from_json`` reads a document as a development when it can.  Each listed
 simplex S is u + x for its shape u (lexmin vertex 0) and x = lexmin(S).  The
@@ -111,17 +114,12 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, groupby, product, repeat
-from operator import add, le, mod, mul, sub
+from operator import add, floordiv, le, mod, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change, is_even
 from .errors import SchemaError, SingularPairing, UnsupportedRank
-from .lattice import (
-    IntMatrix,
-    smith_normal_form,
-    solve,
-    unimodular_inverse,
-)
+from .lattice import IntMatrix, smith_normal_form, solve
 
 Vector = tuple[int, ...]
 
@@ -202,7 +200,8 @@ class _CosetMap:
 
     lattice=None means the full lattice Z^t (every point is equivalent to 0).
     The Smith form U·L^T·V = D gives x ↦ U^{-1}·(U·x mod D); ``u`` and
-    ``uinv`` hold the rows of U and U^{-1}.
+    ``uinv`` hold the rows of U and U^{-1}, read off V as U^{-1} = L^T·V·D^{-1}:
+    column j of L^T·V is d_j times column j of U^{-1}.
     """
 
     def __init__(self, rank: int, lattice: IntMatrix | None):
@@ -214,12 +213,13 @@ class _CosetMap:
             return
         if lattice.rows != rank or lattice.cols != rank:
             raise SchemaError(f"lattice must be {rank}x{rank}")
-        d, u, _ = smith_normal_form(lattice.transpose())
+        lt = lattice.transpose()
+        d, u, v = smith_normal_form(lt)
         self.diag = d.diagonal_entries()
         if 0 in self.diag:
             raise SingularPairing("translation lattice is degenerate (det = 0)")
         self.u = u.entries
-        self.uinv = unimodular_inverse(u).entries
+        self.uinv = [list(map(floordiv, row, self.diag)) for row in lt.mul(v).entries]
         self.index = math.prod(self.diag)
 
     def residue(self, x: Sequence[int]) -> list[int]:
@@ -370,6 +370,12 @@ class PeriodicTriangulation:
             negatives[k] = tuple(images)
         return faces, negatives
 
+    @functools.cached_property
+    def _flags(self) -> tuple[bool, bool, bool, bool]:
+        # The four lattice-free flags, computed once per fan; a development
+        # reads its unit cell's.
+        return _lattice_free_flags(self)
+
     def _moved(self, v: Vector, sign: int) -> list[int]:
         """For each q, ord of moved(v, sign)[r] for the residue r of ord q."""
         moved, ords = self._cosets.moved(v, sign), self._ord
@@ -443,6 +449,21 @@ class PeriodicTriangulation:
                 f"classes={[len(self.by_dim(k)) for k in range(self.rank + 1)]})")
 
 
+# The classes of ``standard_triangulation(t)``, all listed as in a document of
+# the standard fan, so that auto_scale and such documents share one cell.
+_STANDARD_SHAPES = {t: frozenset(map(_simplex, shapes)) for t, shapes in (
+    (0, [((),)]),
+    (1, [((0,),), ((0,), (1,))]),
+    (2, [((0, 0),), ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 1)),
+         ((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1))]))}
+
+
+def _standard_shapes(t: int) -> frozenset[LatticeSimplex]:
+    if t not in _STANDARD_SHAPES:
+        raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
+    return _STANDARD_SHAPES[t]
+
+
 def standard_triangulation(t: int) -> PeriodicTriangulation:
     """The uniform triangulation of R^t with vertex set Z^t, in unit-cell form.
 
@@ -450,26 +471,17 @@ def standard_triangulation(t: int) -> PeriodicTriangulation:
     each cut by the diagonal of direction (1, 1).  The result carries no
     lattice; attach one with ``with_lattice``.
     """
-    if t == 0:
-        reps = [LatticeSimplex([()])]
-    elif t == 1:
-        reps = [LatticeSimplex([(0,)]), LatticeSimplex([(0,), (1,)])]
-    elif t == 2:
-        reps = [
-            LatticeSimplex([(0, 0)]),
-            LatticeSimplex([(0, 0), (1, 0)]),
-            LatticeSimplex([(0, 0), (0, 1)]),
-            LatticeSimplex([(0, 0), (1, 1)]),
-            LatticeSimplex([(0, 0), (1, 0), (1, 1)]),
-            LatticeSimplex([(0, 0), (0, 1), (1, 1)]),
-        ]
-    else:
-        raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
-    return PeriodicTriangulation(t, reps, None)
+    return PeriodicTriangulation(t, _standard_shapes(t), None)
 
 
-# auto_scale only reads the cell, so one per rank serves every call.
-_standard_cell = functools.cache(standard_triangulation)
+# Bounded, since fan documents bring unit cells from outside the program.
+@functools.lru_cache(maxsize=64)
+def _unit_cell(rank: int, shapes: frozenset[LatticeSimplex]) -> PeriodicTriangulation:
+    """The unit cell of these shapes, closed under faces, built once per
+    process for each of the 64 shape sets used most recently.  Nothing in it
+    depends on a lattice, so every development of it shares its classes,
+    ``tables``, ``face_classes`` and lattice-free flags."""
+    return PeriodicTriangulation(rank, shapes, None)
 
 
 def is_unimodular(s: LatticeSimplex) -> bool:
@@ -488,14 +500,18 @@ def check_semistable(t: PeriodicTriangulation) -> bool:
 
 
 def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]:
-    """Nonzero λ in the translation lattice with |λ_i| <= reach_i, sorted."""
+    """Nonzero λ in the translation lattice with |λ_i| <= reach_i, sorted.
+
+    λ = Wᵀ·y for the integer coefficients y = adj(Wᵀ)·λ / det Wᵀ, so
+    |y_i| <= Σ_j |adj(Wᵀ)_ij|·reach_j / |det|, and since |y_i| is an integer
+    it is at most the floor of that bound: the box of y below is complete.
+    """
     if t.rank == 0 or t.lattice is None:
         return []
     w = t.lattice
     n = t.rank
-    # y = (W^T)^{-1} λ = adj(W^T) λ / det, so |y_i| <= Σ_j |adj(W^T)_ij|·reach_j / |det|.
     adj, det = solve(w.transpose(), IntMatrix.identity(n).entries)
-    bounds = [sum(map(mul, map(abs, row), reach)) // abs(det) + 1 for row in adj]
+    bounds = [sum(map(mul, map(abs, row), reach)) // abs(det) for row in adj]
     out = []
     for y in product(*(range(-b, b + 1) for b in bounds)):
         if all(v == 0 for v in y):
@@ -765,9 +781,7 @@ def certify(t: PeriodicTriangulation) -> Certificate:
     unit cell (module docstring).
     """
     violations = tuple(check_property_d(t)), tuple(check_h_freeness(t))
-    unit = t._unit
-    flags = _lattice_free_flags(t) if unit is None else _unit_cell_flags(t.rank, unit.simplices)
-    t.certificate = Certificate(*flags, *violations)
+    t.certificate = Certificate(*(t._unit or t)._flags, *violations)
     return t.certificate
 
 
@@ -785,24 +799,16 @@ def _lattice_free_flags(t: PeriodicTriangulation) -> tuple[bool, bool, bool, boo
     return semistable, unimodular, vertices_complete(t), polarization
 
 
-# Bounded, since fan documents bring unit cells from outside the program.
-@functools.lru_cache(maxsize=64)
-def _unit_cell_flags(rank: int,
-                     classes: tuple[LatticeSimplex, ...]) -> tuple[bool, bool, bool, bool]:
-    """``_lattice_free_flags`` of the unit cell with these classes, computed
-    once per process for each of the 64 cells used most recently."""
-    return _lattice_free_flags(PeriodicTriangulation(rank, classes, None))
-
-
 def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     """Smallest base-change index ν for which the standard triangulation with
     lattice Λ_(ν·b) passes the four core checks (semistable, unimodular,
     property (d), H-freeness), and that development with its certificate.
 
     Theorem: ν = 1 if every entry of b is even, and ν = 2 otherwise; at that
-    ν every check passes with no violation.  So no check runs here: the four
-    lattice-free flags are the standard cell's, cached per rank and process,
-    and the development builds no simplex.
+    ν every check passes with no violation.  So no check runs here: the
+    standard cell comes from the cache of unit cells, shared with documents
+    of the standard fan, its four lattice-free flags are computed once per
+    cell, and the development builds no simplex.
 
     Proof.  The standard cell has a vertex and is unimodular, so it is
     semistable and vertex-complete over every Λ, and its polarization margins
@@ -821,9 +827,9 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     and Λ_(2b) = 2·Λ_b always is.  In rank 0 there is no λ, and b is even.
     """
     nu = 1 if is_even(d) else 2
-    unit = _standard_cell(d.rank)
+    unit = _unit_cell(d.rank, _standard_shapes(d.rank))
     tri = unit.with_lattice(base_change(d, nu).b)
-    tri.certificate = Certificate(*_unit_cell_flags(d.rank, unit.simplices))
+    tri.certificate = Certificate(*unit._flags)
     return nu, tri
 
 
@@ -925,7 +931,9 @@ def _by_length(raw_simplices: list, rank: int):
 def _development(rank: int, groups: list, cosets: _CosetMap) -> PeriodicTriangulation | None:
     """``unit.with_lattice(lattice)`` for the unit cell of the listed shapes
     (``_by_length`` groups) if its classes are the listed ones closed under
-    faces, and so the constructor's (module docstring); else None."""
+    faces, and so the constructor's (module docstring); else None.  The cell
+    comes from ``_unit_cell``, so documents with the same shapes, over any
+    lattices, develop one cell and share its tables and flags."""
     # A development with more classes than the listed simplices' nonempty faces
     # is not the document's fan; the shapes, distinct unit classes, go first.
     faces = sum(len(rows) * (2 ** len(rows[0]) - 1) for rows, _, _, _ in groups)
@@ -937,7 +945,7 @@ def _development(rank: int, groups: list, cosets: _CosetMap) -> PeriodicTriangul
         for key, r in zip(keys, cosets.residue_indices(lexmin, len(rows))):
             residues[key].add(r)
         reached.update((u, residues[key]) for key, (u, _) in shapes.items())
-    unit = PeriodicTriangulation(rank, reached, None)
+    unit = _unit_cell(rank, frozenset(reached))
     if len(unit.simplices) * cosets.index > faces:
         return None
     moved = functools.cache(cosets.moved)

@@ -230,14 +230,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(a, shape=(r, c)), IntMatrix(u, shape=(r, r)), IntMatrix(v, shape=(c, c))
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix: det·adj with det = ±1."""
-    adj, d = solve(m, IntMatrix.identity(m.rows).entries)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {d})")
-    return IntMatrix([[d * x for x in row] for row in adj], shape=(m.rows, m.cols))
-
-
 def solve(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
     """m·X = B by Cramer's rule, for B with the rows ``rhs`` (any one width):
     the integer pair (rows of adj(m)·B, det m) from one elimination of

@@ -36,7 +36,6 @@ from .lattice import IntMatrix
 # Lexicographic basis of the wedge square of a 4-space, fixed once:
 # e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4.
 WEDGE_BASIS: tuple[tuple[int, int], ...] = tuple(combinations(range(4), 2))
-_WEDGE_POS = {p: i for i, p in enumerate(WEDGE_BASIS)}
 
 
 class RationalOperator:
@@ -232,22 +231,16 @@ def wedge_square(f: RationalOperator) -> RationalOperator:
 
 
 def wedge_derivation(n_op: RationalOperator) -> RationalOperator:
-    """N∧Id + Id∧N on the lexicographic wedge basis."""
+    """N∧Id + Id∧N on the lexicographic wedge basis: the ε-coefficient of
+    ∧²(Id + εN), whose entries are the 2x2 minors of ``wedge_square``, so the
+    entry at row (k, l) and column (i, j) is
+    N_ki·δ_lj + δ_ki·N_lj − N_kj·δ_li − δ_kj·N_li."""
     if n_op.dim != 4:
         raise ValueError("wedge_derivation expects a 4x4 operator")
     e = n_op.num
-    cols = [[0] * 6 for _ in range(6)]
-    for ci, (i, j) in enumerate(WEDGE_BASIS):
-        # image of e_i ^ e_j: sum_k e[k][i] e_k ^ e_j + sum_l e[l][j] e_i ^ e_l
-        for k in range(4):
-            if e[k][i] != 0 and k != j:
-                (a, b), sign = ((k, j), 1) if k < j else ((j, k), -1)
-                cols[ci][_WEDGE_POS[(a, b)]] += sign * e[k][i]
-        for l in range(4):
-            if e[l][j] != 0 and l != i:
-                (a, b), sign = ((i, l), 1) if i < l else ((l, i), -1)
-                cols[ci][_WEDGE_POS[(a, b)]] += sign * e[l][j]
-    return RationalOperator._reduced(list(zip(*cols)), n_op.den)
+    rows = [[e[k][i] * (l == j) + (k == i) * e[l][j] - e[k][j] * (l == i) - (k == j) * e[l][i]
+             for (i, j) in WEDGE_BASIS] for (k, l) in WEDGE_BASIS]
+    return RationalOperator._reduced(rows, n_op.den)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from kummer_kulikov.fan import (
     standard_triangulation,
     vertices_complete,
 )
-from kummer_kulikov.lattice import IntMatrix, smith_normal_form, solve, unimodular_inverse
+from kummer_kulikov.lattice import IntMatrix, smith_normal_form, solve
 
 GOLDEN_INPUTS = Path(__file__).parent / "data" / "golden" / "inputs"
 
@@ -495,11 +495,12 @@ oracle_fans = st.one_of(fans.map(lambda fan: developed(*fan)),
 
 
 def matrix_canonical_point(lattice, x):
-    """The coset representative by the matrix route: U^{-1}·(U·x mod D)."""
+    """The coset representative by the matrix route: U^{-1}·(U·x mod D), with
+    U^{-1} = adj(U)·det U from a solve of U·X = I, det U = ±1."""
     d, u, _ = smith_normal_form(lattice.transpose())
-    z = u.matvec(x)
-    return unimodular_inverse(u).matvec(
-        tuple(zi % di for zi, di in zip(z, d.diagonal_entries())))
+    r = tuple(zi % di for zi, di in zip(u.matvec(x), d.diagonal_entries()))
+    adj, det = solve(u, IntMatrix.identity(u.rows).entries)
+    return tuple(det * y for y in IntMatrix(adj, shape=(u.rows, u.rows)).matvec(r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -755,6 +756,31 @@ def test_certificate_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.polarization = False
     assert certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]]))).polarization
+
+
+def test_documents_with_the_same_shapes_share_one_unit_cell():
+    # A document's unit cell comes from one cache keyed by rank and shapes,
+    # and auto_scale takes the standard cell from the same cache.
+    unit = standard_triangulation(2)
+    first, second = (fan_from_json(fan_to_json(unit.with_lattice(IntMatrix(rows))))
+                     for rows in ([[2, 0], [0, 2]], [[4, 2], [2, 4]]))
+    assert first._unit is second._unit is not None
+    assert first._unit is not unit and first._unit == unit
+    assert auto_scale(make_data(2, [[2, 0], [0, 2]]))[1]._unit is first._unit
+
+
+def test_lattice_free_flags_run_once_per_unit_cell(monkeypatch):
+    # certify reads a development's four lattice-free flags off its unit
+    # cell, which computes them the first time they are read.
+    calls = []
+    flags = fan_module._lattice_free_flags
+    monkeypatch.setattr(fan_module, "_lattice_free_flags", lambda t: calls.append(t) or flags(t))
+    unit = unit_cell(2, "anti")
+    certs = [certify(unit.with_lattice(IntMatrix(rows)))
+             for rows in ([[2, 0], [0, 2]], [[3, 1], [1, 3]], [[2, 0], [0, 5]])]
+    assert len(calls) == 1 and calls[0] is unit
+    assert {(c.semistable, c.unimodular, c.vertices_complete, c.polarization)
+            for c in certs} == {flags(unit)}
 
 
 @settings(max_examples=60, deadline=None)

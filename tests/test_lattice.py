@@ -14,7 +14,6 @@ from kummer_kulikov.lattice import (
     smith_normal_form,
     solve,
     two_torsion_order,
-    unimodular_inverse,
 )
 
 
@@ -166,17 +165,8 @@ def test_solve_satisfies_the_system(m, width, data):
 def test_the_empty_system():
     empty = IntMatrix([], shape=(0, 0))
     assert solve(empty, []) == ([], 1)
-    assert unimodular_inverse(empty) == empty
     with pytest.raises(ValueError, match="shape mismatch"):
         solve(empty, [(1,)])
-
-
-def test_unimodular_inverse():
-    m = IntMatrix([[2, 3], [1, 2]])
-    inv = unimodular_inverse(m)
-    assert m.mul(inv) == IntMatrix.identity(2)
-    with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
 
 
 def test_component_group_examples():

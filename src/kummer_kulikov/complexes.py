@@ -29,7 +29,7 @@ from .errors import (
     UncertifiedFan,
     UnsupportedRank,
 )
-from .lattice import component_group, two_torsion_order
+from .lattice import ComponentGroup, component_group, two_torsion_order
 
 if TYPE_CHECKING:  # annotations only: the counts and base change run without the fan
     from .fan import PeriodicTriangulation
@@ -285,15 +285,16 @@ def component_counts(d: DegenerationData) -> ComponentCounts:
 
     Requires an even pairing, under which every elementary divisor is even,
     so #Φ[2] = 2^t and N_X = #Φ/2 + 2^(t-1) for t >= 1.  A rank-0 datum has
-    smooth reduction on both sides: N_A = N_X = 1.
+    smooth reduction on both sides: its group is trivial, so N_A = N_X = 1.
     """
     if not is_even(d):
         raise OddData("component counts require every entry of b to be even")
-    if d.rank == 0:
-        return ComponentCounts(1, 1)
-    phi = component_group(d.b)
-    order = phi.order
-    tt = two_torsion_order(phi)
+    return _counts(component_group(d.b))
+
+
+def _counts(phi: ComponentGroup) -> ComponentCounts:
+    """(N_A, N_X) of the component group Φ."""
+    order, tt = phi.order, two_torsion_order(phi)
     return ComponentCounts(order, tt + (order - tt) // 2)
 
 
@@ -316,20 +317,21 @@ def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:
     if e < 1:
         raise InvalidScale(f"ramification index must be >= 1, got {e}")
     t = d.rank
-    n = component_counts(d).N_X
+    phi = component_group(d.b)
+    n = _counts(phi).N_X
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     # e^t·N < 2^bits < 10^(0.30103·bits), so the exact test runs only past that bound.
     bits = t * e.bit_length() + n.bit_length()
     if limit and bits * 30103 > limit * 100000 and e**t * n >= 10**limit:
         raise ResourceLimit(f"e^t·N has more than {limit} digits, the interpreter's "
                             f"limit for writing an integer")
-    scaled = base_change(d, e)
-    n_l = component_counts(scaled).N_X
+    phi_l = component_group(base_change(d, e).b)
+    n_l = _counts(phi_l).N_X
     formula = e**t * n - 2 ** (t - 1) * (e**t - 1)
     if n_l != formula:
         raise ConsistencyError(
             f"rebuild route N_L = {n_l} disagrees with formula {formula}")
-    if component_group(scaled.b).order != e**t * component_group(d.b).order:
+    if phi_l.order != e**t * phi.order:
         raise ConsistencyError("#Φ_L != e^t · #Φ")
     return BaseChangeCounts(n, n_l, formula)
 

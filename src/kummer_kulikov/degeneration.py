@@ -76,13 +76,13 @@ class ValidationReport:
 def validate(d: DegenerationData) -> ValidationReport:
     """Check the category axioms; failures are report entries, not exceptions."""
     t = d.rank
-    m = d.pairing_matrix()
+    m = d.pairing_matrix().entries
 
     inj = t == 0 or d.phi.det() != 0
     checks = [AxiomCheck("phi_injective", inj,
                          "det(phi) != 0" if inj else "det(phi) = 0")]
 
-    sym = m == m.transpose()
+    sym = m == tuple(zip(*m))
     checks.append(AxiomCheck("pairing_symmetric", sym,
                              "b(-, phi(-)) symmetric" if sym else "pairing matrix is asymmetric"))
 

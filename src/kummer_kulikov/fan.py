@@ -114,12 +114,13 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, groupby, product, repeat
-from operator import add, floordiv, le, mod, mul, sub
+from operator import add, le, mod, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change, is_even
 from .errors import SchemaError, SingularPairing, UnsupportedRank
 from .lattice import IntMatrix, smith_normal_form, solve
+from .lattice import rank as matrix_rank
 
 Vector = tuple[int, ...]
 
@@ -139,12 +140,8 @@ class LatticeSimplex:
             raise ValueError(f"repeated vertices: {verts}")
         if len({len(v) for v in verts}) != 1:
             raise ValueError("vertices of mixed dimension")
-        k = len(verts) - 1
-        if k > 0:
-            diffs = IntMatrix([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]],
-                              shape=(k, len(verts[0])))
-            if diffs.rank() != k:
-                raise ValueError(f"vertices are affinely dependent: {verts}")
+        if matrix_rank([tuple(map(sub, v, verts[0])) for v in verts[1:]]) != len(verts) - 1:
+            raise ValueError(f"vertices are affinely dependent: {verts}")
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeSimplex is immutable")
@@ -195,31 +192,30 @@ def _simplex(vertices: tuple[Vector, ...]) -> LatticeSimplex:
     return s
 
 
+def _identity(n: int) -> list[Vector]:
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
 class _CosetMap:
     """Canonical representatives of Z^t modulo the row span of a lattice matrix.
 
-    lattice=None means the full lattice Z^t (every point is equivalent to 0).
-    The Smith form U·L^T·V = D gives x ↦ U^{-1}·(U·x mod D); ``u`` and
-    ``uinv`` hold the rows of U and U^{-1}, read off V as U^{-1} = L^T·V·D^{-1}:
-    column j of L^T·V is d_j times column j of U^{-1}.
+    lattice=None means the full lattice Z^t (every point is equivalent to 0),
+    whose rows L are those of the identity.
+    The Smith form U·L^T·V = D of the rows of L^T gives x ↦ U^{-1}·(U·x mod D);
+    ``u`` and ``uinv`` hold the rows of U and U^{-1}, read off the rows of V
+    as U^{-1} = L^T·V·D^{-1}: column j of L^T·V is d_j times column j of U^{-1}.
     """
 
     def __init__(self, rank: int, lattice: IntMatrix | None):
         self.lattice = lattice
-        if lattice is None:
-            self.diag = (1,) * rank
-            self.u = self.uinv = IntMatrix.identity(rank).entries
-            self.index = 1
-            return
-        if lattice.rows != rank or lattice.cols != rank:
+        if lattice is not None and (lattice.rows != rank or lattice.cols != rank):
             raise SchemaError(f"lattice must be {rank}x{rank}")
-        lt = lattice.transpose()
-        d, u, v = smith_normal_form(lt)
-        self.diag = d.diagonal_entries()
+        lt = _identity(rank) if lattice is None else list(zip(*lattice.entries))
+        self.diag, self.u, v = smith_normal_form(lt)
         if 0 in self.diag:
             raise SingularPairing("translation lattice is degenerate (det = 0)")
-        self.u = u.entries
-        self.uinv = [list(map(floordiv, row, self.diag)) for row in lt.mul(v).entries]
+        self.uinv = [[sum(map(mul, row, column)) // d for column, d in zip(zip(*v), self.diag)]
+                     for row in lt]
         self.index = math.prod(self.diag)
 
     def residue(self, x: Sequence[int]) -> list[int]:
@@ -487,8 +483,7 @@ def _unit_cell(rank: int, shapes: frozenset[LatticeSimplex]) -> PeriodicTriangul
 def is_unimodular(s: LatticeSimplex) -> bool:
     """True iff the vectors (v, 1), v a vertex, extend to a basis of Z^(t+1)."""
     rows = [v + (1,) for v in s.vertices]
-    d, _, _ = smith_normal_form(IntMatrix(rows, shape=(len(rows), len(rows[0]))))
-    diag = d.diagonal_entries()
+    diag, _, _ = smith_normal_form(rows)
     return len(diag) == len(rows) and all(x == 1 for x in diag)
 
 
@@ -502,29 +497,47 @@ def check_semistable(t: PeriodicTriangulation) -> bool:
 def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]:
     """Nonzero λ in the translation lattice with |λ_i| <= reach_i, sorted.
 
-    λ = Wᵀ·y for the integer coefficients y = adj(Wᵀ)·λ / det Wᵀ, so
-    |y_i| <= Σ_j |adj(Wᵀ)_ij|·reach_j / |det|, and since |y_i| is an integer
-    it is at most the floor of that bound: the box of y below is complete.
+    λ = Wᵀ·y for the rows W of a basis, reduced by ``_reduced_basis``, and
+    the integer coefficients y = adj(Wᵀ)·λ / det Wᵀ, so |y_i| <= Σ_j
+    |adj(Wᵀ)_ij|·reach_j / |det|, and since |y_i| is an integer it is at
+    most the floor of that bound: the box of y below is complete.
     """
     if t.rank == 0 or t.lattice is None:
         return []
-    w = t.lattice
+    w = _reduced_basis(t.lattice.entries)
     n = t.rank
-    adj, det = solve(w.transpose(), IntMatrix.identity(n).entries)
+    adj, det = solve(list(zip(*w)), _identity(n))
     bounds = [sum(map(mul, map(abs, row), reach)) // abs(det) for row in adj]
     out = []
     for y in product(*(range(-b, b + 1) for b in bounds)):
         if all(v == 0 for v in y):
             continue
-        lam = tuple(sum(y[i] * w.entries[i][j] for i in range(n)) for j in range(n))
+        lam = tuple(sum(y[i] * w[i][j] for i in range(n)) for j in range(n))
         if all(map(le, map(abs, lam), reach)):
             out.append(lam)
     return sorted(out)
 
 
+def _reduced_basis(w: Sequence[Vector]) -> Sequence[Vector]:
+    """Two independent rows reduced by Lagrange–Gauss to a basis a, b of
+    their lattice with |a| <= |b| <= |b − q·a| for every integer q; the rows
+    of any other rank as given."""
+    if len(w) != 2:
+        return w
+    a, b = w
+    while True:
+        # b minus the multiple of a nearest its projection, rounded exactly.
+        aa = sum(map(mul, a, a))
+        q = (2 * sum(map(mul, a, b)) + aa) // (2 * aa)
+        b = tuple(x - q * y for x, y in zip(b, a))
+        if sum(map(mul, b, b)) >= aa:
+            return a, b
+        a, b = b, a
+
+
 def _lattice_coefficients(t: PeriodicTriangulation, lam: Vector) -> Vector:
     """Express λ in the row basis of the lattice (the Y-coordinates)."""
-    num, det = solve(t.lattice.transpose(), [(x,) for x in lam])
+    num, det = solve(list(zip(*t.lattice.entries)), [(x,) for x in lam])
     if any(x % det for (x,) in num):
         raise ValueError(f"{lam} is not in the translation lattice")
     return tuple(x // det for (x,) in num)
@@ -532,20 +545,21 @@ def _lattice_coefficients(t: PeriodicTriangulation, lam: Vector) -> Vector:
 
 # -- the certification checks -------------------------------------------------
 
-def _affine_frame(vertices: Sequence[Vector]) -> tuple[IntMatrix, IntMatrix, int]:
-    """(Eᵀ, adj G·E, det G) for affinely independent v_0, ..., v_k: E has the
-    rows v_i − v_0 and G = E·Eᵀ, whose determinant is positive.  adj G·E and
+def _affine_frame(vertices: Sequence[Vector]) -> tuple[list, list[Vector], int]:
+    """(rows of Eᵀ, rows of adj G·E, det G) for affinely independent v_0, ...,
+    v_k: E has the rows v_i − v_0 and G = E·Eᵀ, whose determinant is
+    positive.  Eᵀ has one row per coordinate, empty when k = 0.  adj G·E and
     det G come from one solve of G·X = E."""
-    e = IntMatrix([tuple(map(sub, v, vertices[0])) for v in vertices[1:]],
-                  shape=(len(vertices) - 1, len(vertices[0])))
-    et = e.transpose()
-    solver, det = solve(e.mul(et), e.entries)
-    return et, IntMatrix(solver, shape=(e.rows, e.cols)), det
+    origin = vertices[0]
+    et = [[v[j] - origin[j] for v in vertices[1:]] for j in range(len(origin))]
+    e = list(zip(*et))
+    solver, det = solve([[sum(map(mul, a, b)) for b in e] for a in e], e)
+    return et, solver, det
 
 
-def _meets_translate(frame: tuple[IntMatrix, IntMatrix, int], lam: Vector) -> bool:
+def _meets_translate(frame: tuple[list, list[Vector], int], lam: Vector) -> bool:
     """Whether hull(S) and hull(S + λ) share a point, for the
-    ``_affine_frame`` (Eᵀ, adj G·E, det G) of S, in any rank.
+    ``_affine_frame`` (rows of Eᵀ, rows of adj G·E, det G) of S, in any rank.
 
     Proof.  A common point is Σα_i·v_i = Σβ_i·v_i + λ for barycentric α, β,
     so one exists iff λ = Σγ_i·v_i for a γ = α − β.  A γ with Σγ_i = 0 is
@@ -557,8 +571,8 @@ def _meets_translate(frame: tuple[IntMatrix, IntMatrix, int], lam: Vector) -> bo
     ‖γ‖₁ <= 2 iff |Σc| + Σ|c_i| <= 2·det G.
     """
     et, solver, det = frame
-    c = solver.matvec(lam)
-    return (et.matvec(c) == tuple(det * x for x in lam)
+    c = [sum(map(mul, row, lam)) for row in solver]
+    return ([sum(map(mul, row, c)) for row in et] == [det * x for x in lam]
             and abs(sum(c)) + sum(map(abs, c)) <= 2 * det)
 
 
@@ -720,7 +734,7 @@ def _polarization_margins(t: PeriodicTriangulation) -> list[int] | None:
     # shape: the vertices of s and w relative to the first vertex of s.
     @functools.cache
     def margin(shape: tuple[Vector, ...], w: Vector) -> int:
-        column, det = solve(IntMatrix([(1,) + v for v in shape]), [(_form(v),) for v in shape])
+        column, det = solve([(1,) + v for v in shape], [(_form(v),) for v in shape])
         num_0, *num = (x for (x,) in column)
         return det * (_form(w) * det - num_0 - sum(map(mul, num, w)))
 

@@ -3,17 +3,19 @@
 Determinant and rank come from one fraction-free (Bareiss) Gauss–Jordan
 elimination, and inverses and solves from the same pass, which gives the
 determinant and adj(m)·B together (Cramer's rule); cokernels come from the
-Smith normal form.  All arithmetic is over Python's arbitrary-precision
-integers, so nothing here can overflow.  Matrices are immutable.  The Smith
-normal form uses a deterministic pivot rule (smallest absolute value, ties
-broken in row-major order) so the transform matrices are reproducible.
+Smith normal form.  These functions take and return matrices as plain
+rows, checked only for equal lengths; ``IntMatrix`` is the checked,
+immutable matrix of a datum or a fan document's lattice.  All arithmetic is
+over Python's arbitrary-precision integers, so nothing here can overflow.
+The Smith normal form uses a deterministic pivot rule (smallest absolute
+value, ties broken in row-major order) so the transform matrices are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import SingularPairing
@@ -56,8 +58,32 @@ def _bareiss(rows: Sequence[Sequence[int]], cols: int) -> tuple[int, int, list[l
     return rank, prev, a
 
 
+def _width(rows: Sequence[Sequence[int]]) -> int:
+    """The common length of the rows, 0 for none; ValueError if they differ."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError("ragged rows")
+    return widths.pop() if widths else 0
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of the square matrix with these rows (Bareiss)."""
+    n = _width(rows)
+    if len(rows) != n:
+        raise ValueError("determinant of non-square matrix")
+    found, last, _ = _bareiss(rows, n)
+    return last if found == n else 0
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of the matrix with these rows (Bareiss)."""
+    return _bareiss(rows, _width(rows))[0]
+
+
 class IntMatrix:
-    """Immutable integer matrix.  Degenerate shapes (0 rows/cols) are allowed."""
+    """Immutable integer matrix, checked on construction: the matrices of a
+    datum and of a fan document's lattice.  Degenerate shapes (0 rows/cols)
+    are allowed."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -85,12 +111,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], shape=(n, n))
 
-    @staticmethod
-    def diagonal(values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return IntMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)],
-                         shape=(n, n))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
                          shape=(self.cols, self.rows))
@@ -103,27 +123,13 @@ class IntMatrix:
               for j in range(other.cols)] for i in range(self.rows)],
             shape=(self.rows, other.cols))
 
-    def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(self.entries[i][k] * v[k] for k in range(self.cols))
-                     for i in range(self.rows))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square():
+        if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        rank, last, _ = _bareiss(self.entries, self.cols)
-        return last if rank == self.rows else 0
+        return det(self.entries)
 
     def rank(self) -> int:
-        return _bareiss(self.entries, self.cols)[0]
+        return rank(self.entries)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -136,15 +142,18 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U*m*V = D in Smith normal form.
+def smith_normal_form(m: Sequence[Sequence[int]]
+                      ) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The Smith form U·m·V = D of the matrix with the rows ``m``: the
+    diagonal of D, and the rows of U and of V.
 
-    D is diagonal with nonnegative entries forming a divisibility chain,
-    and U, V are unimodular.  Pivots are chosen by smallest absolute value
-    with row-major tie-breaking, so the output is deterministic.
+    The diagonal entries, min(rows, cols) of them, are nonnegative and form a
+    divisibility chain, and U, V are unimodular.  Pivots are chosen by
+    smallest absolute value with row-major tie-breaking, so the output is
+    deterministic.
     """
-    r, c = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    r, c = len(m), _width(m)
+    a = [list(row) for row in m]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
@@ -172,21 +181,14 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in v:
             row[j], row[k] = row[k], row[j]
 
-    k = 0
-    n = min(r, c)
-    while k < n:
+    for k in range(min(r, c)):
         # Smallest-absolute-value pivot in the trailing block, row-major ties.
-        pivot = None
-        best = None
-        for i in range(k, r):
-            for j in range(k, c):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    pivot, best = (i, j), abs(x)
+        pivot = min(((abs(a[i][j]), i, j) for i in range(k, r) for j in range(k, c)
+                     if a[i][j]), default=None)
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
+        swap_rows(k, pivot[1])
+        swap_cols(k, pivot[2])
 
         while True:
             dirty = False
@@ -210,14 +212,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if dirty:
                 continue
             # Divisibility: the pivot must divide the trailing block.
-            offender = None
-            for i in range(k + 1, r):
-                for j in range(k + 1, c):
-                    if a[i][j] % a[k][k] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(k + 1, r) for j in range(k + 1, c)
+                             if a[i][j] % a[k][k]), None)
             if offender is None:
                 break
             row_sub(k, offender, -1)
@@ -225,52 +221,30 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
-        k += 1
 
-    return IntMatrix(a, shape=(r, c)), IntMatrix(u, shape=(r, r)), IntMatrix(v, shape=(c, c))
+    return (tuple(a[i][i] for i in range(min(r, c))), list(map(tuple, u)),
+            list(map(tuple, v)))
 
 
-def solve(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
-    """m·X = B by Cramer's rule, for B with the rows ``rhs`` (any one width):
-    the integer pair (rows of adj(m)·B, det m) from one elimination of
-    [m | B].  The solution is X = adj(m)·B / det m."""
-    n = m.rows
-    if not m.is_square() or len(rhs) != n:
+def solve(m: Sequence[Sequence[int]],
+          rhs: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
+    """m·X = B by Cramer's rule, for the rows ``m`` of a square matrix and
+    the rows ``rhs`` of B (any one width): the integer pair (rows of
+    adj(m)·B, det m) from one elimination of [m | B].  The solution is
+    X = adj(m)·B / det m."""
+    n = len(m)
+    if _width(m) != n or len(rhs) != n:
         raise ValueError("shape mismatch")
-    rank, d, rows = _bareiss([(*row, *b) for row, b in zip(m.entries, rhs)], n)
-    if rank < n:
+    _width(rhs)  # refuses ragged rows of B too
+    found, d, rows = _bareiss([(*row, *b) for row, b in zip(m, rhs)], n)
+    if found < n:
         raise ValueError("singular system")
     return [tuple(row[n:]) for row in rows], d
 
 
-def leading_principal_minors(m: IntMatrix) -> list[int]:
+def leading_principal_minors(m: Sequence[Sequence[int]]) -> list[int]:
     """det of the top-left k x k blocks, k = 1..n (Sylvester's criterion)."""
-    return [IntMatrix([row[: k + 1] for row in m.entries[: k + 1]], shape=(k + 1, k + 1)).det()
-            for k in range(m.rows)]
-
-
-def minor_gcd_divisors(m: IntMatrix) -> tuple[int, ...]:
-    """Elementary divisors computed from gcds of k x k minors.
-
-    Independent of the reduction algorithm; intended as a cross-check for
-    small matrices (cost grows with binomial(n, k)^2).
-    """
-    n = min(m.rows, m.cols)
-    gs = [1]
-    for k in range(1, n + 1):
-        g = 0
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
-                sub = IntMatrix([[m.entries[i][j] for j in cols] for i in rows], shape=(k, k))
-                g = math.gcd(g, sub.det())
-        gs.append(g)
-    out = []
-    for k in range(1, n + 1):
-        if gs[k] == 0:
-            out.append(0)
-        else:
-            out.append(gs[k] // gs[k - 1])
-    return tuple(out)
+    return [det([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
 
 
 @dataclass(frozen=True)
@@ -302,12 +276,12 @@ def component_group(b: IntMatrix) -> ComponentGroup:
     """Component group of the Neron model: coker(Y -> X^v), y -> b(y,-).
 
     The map's matrix (columns = images of the Y basis) is b^T; its cokernel
-    is Z^t modulo the lattice spanned by the rows of b.
+    is Z^t modulo the lattice spanned by the rows of b.  Its elementary
+    divisors are those of b, since U·b·V = D gives V^T·b^T·U^T = D.
     """
-    if not b.is_square():
+    if b.rows != b.cols:
         raise ValueError("pairing matrix must be square")
-    d, _, _ = smith_normal_form(b.transpose())
-    divisors = d.diagonal_entries()
+    divisors, _, _ = smith_normal_form(b.entries)
     if 0 in divisors:
         raise SingularPairing("pairing has determinant 0; Y -> X^v is not injective")
     return ComponentGroup(tuple(x for x in divisors if x != 1))

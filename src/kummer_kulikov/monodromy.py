@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     UnsupportedRank,
 )
-from .lattice import IntMatrix
+from .lattice import rank as matrix_rank
 
 # Lexicographic basis of the wedge square of a 4-space, fixed once:
 # e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4.
@@ -138,7 +138,7 @@ class RationalOperator:
 
     def rank(self) -> int:
         """Rank over Q: that of the numerators, since den is a nonzero scalar."""
-        return IntMatrix(self.num, shape=(self.dim, self.dim)).rank()
+        return matrix_rank(self.num)
 
     def __eq__(self, other) -> bool:
         same_type = isinstance(other, RationalOperator)

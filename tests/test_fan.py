@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -41,7 +42,7 @@ from kummer_kulikov.fan import (
     standard_triangulation,
     vertices_complete,
 )
-from kummer_kulikov.lattice import IntMatrix, smith_normal_form, solve
+from kummer_kulikov.lattice import IntMatrix, component_group, smith_normal_form, solve
 
 GOLDEN_INPUTS = Path(__file__).parent / "data" / "golden" / "inputs"
 
@@ -129,7 +130,7 @@ def test_property_d_in_rank_3():
     # The translates of this edge by (0, 0, ±2) are disjoint, though their
     # projections to the first two coordinates coincide.
     t = PeriodicTriangulation(3, [LatticeSimplex([(1, 1, 0), (2, 1, 2)])],
-                              IntMatrix.diagonal([4, 4, 2]))
+                              IntMatrix([[4, 0, 0], [0, 4, 0], [0, 0, 2]]))
     assert check_property_d(t) == []
     edge = LatticeSimplex([(0, 0, 0), (0, 0, 1)])
     assert not meets_translate(edge, (0, 0, 5))
@@ -253,7 +254,8 @@ def test_polarization_examples():
     # Rank 3 does not occur: a semistable unimodular fan of that rank is refused.
     tetrahedron = LatticeSimplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(UnsupportedRank):
-        certify(PeriodicTriangulation(3, [tetrahedron], IntMatrix.diagonal([2, 2, 2])))
+        certify(PeriodicTriangulation(3, [tetrahedron],
+                                      IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])))
 
 
 def test_polarization_margin_value():
@@ -497,10 +499,10 @@ oracle_fans = st.one_of(fans.map(lambda fan: developed(*fan)),
 def matrix_canonical_point(lattice, x):
     """The coset representative by the matrix route: U^{-1}·(U·x mod D), with
     U^{-1} = adj(U)·det U from a solve of U·X = I, det U = ±1."""
-    d, u, _ = smith_normal_form(lattice.transpose())
-    r = tuple(zi % di for zi, di in zip(u.matvec(x), d.diagonal_entries()))
-    adj, det = solve(u, IntMatrix.identity(u.rows).entries)
-    return tuple(det * y for y in IntMatrix(adj, shape=(u.rows, u.rows)).matvec(r))
+    d, u, _ = smith_normal_form(lattice.transpose().entries)
+    r = tuple(sum(a * b for a, b in zip(row, x)) % di for row, di in zip(u, d))
+    adj, det = solve(u, IntMatrix.identity(len(u)).entries)
+    return tuple(det * sum(a * b for a, b in zip(row, r)) for row in adj)
 
 
 @settings(max_examples=60, deadline=None)
@@ -874,7 +876,7 @@ def former_margins(t):
         w = next(v for v in neighbor.vertices if v not in set(f.vertices))
         key = (fan_module._shape(s), fan_module._offset(w, s.vertices[0]))
         if key not in by_shape:
-            column, det = solve(IntMatrix([(1,) + v for v in s.vertices]),
+            column, det = solve([(1,) + v for v in s.vertices],
                                 [(form(v),) for v in s.vertices])
             num = [x for (x,) in column]
             by_shape[key] = form(w) - Fraction(
@@ -1144,3 +1146,80 @@ def test_lattice_coefficients_divide_exactly(y0, y1):
     assert fan_module._lattice_coefficients(t, lam) == (y0, y1)
     with pytest.raises(ValueError, match="not in the translation lattice"):
         fan_module._lattice_coefficients(t, (lam[0] + 1, lam[1]))
+
+
+@st.composite
+def bases_of_one_lattice(draw):
+    """Rows of a nonsingular 2x2 basis B and of S·B, for S a unimodular
+    product of row swaps, sign changes and shears by up to 40."""
+    b = draw(rank2)
+    s = [[1, 0], [0, 1]]
+    for step, i, c in draw(st.lists(st.tuples(st.sampled_from(("swap", "negate", "shear")),
+                                              st.integers(0, 1), st.integers(-40, 40)),
+                                    max_size=4)):
+        if step == "swap":
+            s.reverse()
+        elif step == "negate":
+            s[i] = [-x for x in s[i]]
+        else:
+            s[i] = [x + c * y for x, y in zip(s[i], s[1 - i])]
+    return b, [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)] for row in s]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_of_one_lattice(), st.tuples(st.integers(0, 6), st.integers(0, 6)))
+def test_lattice_translates_do_not_depend_on_the_basis(bases, reach):
+    unit = standard_triangulation(2)
+    b, sb = bases
+    found = [fan_module._lattice_translates(unit.with_lattice(IntMatrix(rows)), reach)
+             for rows in (b, sb)]
+    # Oracle: every lattice point of the window, filtered to the reach.
+    expected = [lam for lam, _ in lattice_points(b, max(reach))
+                if all(abs(x) <= r for x, r in zip(lam, reach))]
+    assert found[0] == found[1] == expected
+
+
+def test_translate_box_does_not_grow_with_the_skew_of_the_basis(monkeypatch):
+    # Over Z² listed with the rows [[1, 100000], [0, 1]], the reduced basis
+    # bounds the coefficients of the λ with |λ_i| <= 1 by 1: a box of 9.
+    boxes = []
+
+    def counted(*ranges):
+        boxes.append(math.prod(map(len, ranges)))
+        # A larger box fails the count below without being walked.
+        return product(*ranges) if boxes[-1] <= 100 else iter(())
+
+    monkeypatch.setattr(fan_module, "product", counted)
+    unit = standard_triangulation(2)
+    found = [fan_module._lattice_translates(unit.with_lattice(IntMatrix(rows)), (1, 1))
+             for rows in ([[1, 100000], [0, 1]], [[1, 0], [0, 1]])]
+    assert boxes == [9, 9]
+    assert found[0] == found[1] == [lam for lam in product((-1, 0, 1), repeat=2) if any(lam)]
+
+
+def test_no_int_matrix_below_the_input_boundary(monkeypatch):
+    """Past the checked matrices of a datum or a document, the package passes
+    plain rows: certify (a development, a constructor fan and a fan with
+    fixed classes), with_lattice, component_group, smith_normal_form and
+    solve build no IntMatrix."""
+    fan_module._unit_cell.cache_clear()  # so that certify computes every flag
+    fans = [fan_from_json(json.loads((GOLDEN_INPUTS / f"{name}.json").read_text()))
+            for name in ("f_standard_diag44", "f_asym_cut_22", "f_odd_3113")]
+    assert [t._unit is not None for t in fans] == [True, False, True]
+    b = IntMatrix([[4, 2], [2, 6]])
+    built = []
+    init = IntMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counted)
+    certificates = [certify(t) for t in fans]
+    standard_triangulation(2).with_lattice(b)
+    component_group(b)
+    assert len(built) == 0
+    smith_normal_form([[4, 2], [2, 6]])
+    solve([[4, 2], [2, 6]], [[1, 0], [0, 1]])
+    assert len(built) == 0
+    assert [c.h_free for c in certificates] == [True, True, False]

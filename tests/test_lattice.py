@@ -1,16 +1,17 @@
+import math
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummer_kulikov import lattice
 from kummer_kulikov.errors import SingularPairing
 from kummer_kulikov.lattice import (
     ComponentGroup,
     IntMatrix,
     component_group,
-    minor_gcd_divisors,
     smith_normal_form,
     solve,
     two_torsion_order,
@@ -18,51 +19,73 @@ from kummer_kulikov.lattice import (
 
 
 def assert_snf_contract(m):
-    d, u, v = smith_normal_form(m)
-    assert u.mul(m).mul(v) == d
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
-    assert all(x == 0 for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
-    diag = [x for x in d.diagonal_entries() if x != 0]
-    assert all(x > 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
+    """U·m·V = D for the rows m, with U, V unimodular and D diagonal with a
+    divisibility chain; returns the diagonal of D."""
+    diag, u, v = smith_normal_form(m)
+    d = [[diag[i] if i == j else 0 for j in range(len(v))] for i in range(len(u))]
+    assert IntMatrix(u).mul(IntMatrix(m)).mul(IntMatrix(v)) == IntMatrix(d)
+    assert abs(lattice.det(u)) == 1
+    assert abs(lattice.det(v)) == 1
+    assert len(diag) == min(len(u), len(v))
+    nonzero = [x for x in diag if x != 0]
+    assert all(x > 0 for x in nonzero)
+    for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
-    return d
+    return diag
+
+
+def minor_gcd_divisors(m):
+    """Elementary divisors of the rows m from the gcds of k x k minors by
+    Leibniz: independent of the reduction, for small matrices only (cost
+    grows with binomial(n, k)^2)."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    gs = [1]
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                g = math.gcd(g, leibniz_det([[m[i][j] for j in cs] for i in rs]))
+        gs.append(g)
+    return tuple(0 if gs[k] == 0 else gs[k] // gs[k - 1] for k in range(1, len(gs)))
 
 
 def test_snf_already_diagonal():
-    d = assert_snf_contract(IntMatrix([[2, 0], [0, 4]]))
-    assert d.entries == ((2, 0), (0, 4))
+    assert assert_snf_contract([[2, 0], [0, 4]]) == (2, 4)
 
 
 def test_snf_hand_reduction():
     # Oracle: gcd of entries is 1, |det| = 3, so divisors are (1, 3).
-    m = IntMatrix([[2, 1], [1, 2]])
+    m = [[2, 1], [1, 2]]
     assert minor_gcd_divisors(m) == (1, 3)
-    d = assert_snf_contract(m)
-    assert d.entries == ((1, 0), (0, 3))
+    assert assert_snf_contract(m) == (1, 3)
 
 
 def test_snf_empty_matrix():
-    d, u, v = smith_normal_form(IntMatrix([], shape=(0, 0)))
-    assert (d.rows, d.cols) == (0, 0)
-    assert (u.rows, v.rows) == (0, 0)
+    assert smith_normal_form([]) == ((), [], [])
+    assert assert_snf_contract([]) == ()
 
 
 def test_snf_idempotent_on_diagonal_forms():
     for diag in [(1, 2), (2, 4), (3,), (1, 1, 6)]:
-        m = IntMatrix.diagonal(list(diag))
+        m = [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]
         d, _, _ = smith_normal_form(m)
-        assert d == m
+        assert d == diag
+
+
+def test_ragged_rows_are_refused():
+    ragged = [[1, 2], [3]]
+    for call in (lambda: lattice.det(ragged), lambda: lattice.rank(ragged),
+                 lambda: smith_normal_form(ragged), lambda: solve(ragged, [(1,), (1,)]),
+                 lambda: solve([[1, 0], [0, 1]], ragged)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_snf_random_matrices(rows, cols, data):
     entries = [[data.draw(st.integers(-30, 30)) for _ in range(cols)] for _ in range(rows)]
-    m = IntMatrix(entries)
-    d = assert_snf_contract(m)
-    assert d.diagonal_entries() == minor_gcd_divisors(m)
+    assert assert_snf_contract(entries) == minor_gcd_divisors(entries)
 
 
 @settings(max_examples=100, deadline=None)
@@ -73,9 +96,9 @@ def test_snf_divisor_product_is_det(n, data):
     det = m.det()
     if det == 0:
         return
-    d, _, _ = smith_normal_form(m)
+    d, _, _ = smith_normal_form(entries)
     prod = 1
-    for x in d.diagonal_entries():
+    for x in d:
         prod *= x
     assert prod == abs(det)
 
@@ -83,14 +106,15 @@ def test_snf_divisor_product_is_det(n, data):
 # -- the elimination core against independent routes ----------------------------
 
 def leibniz_det(m):
-    """Sum over permutations; shares no code with the Bareiss elimination."""
-    n = m.rows
+    """Sum over permutations of the rows m; shares no code with the Bareiss
+    elimination."""
+    n = len(m)
     total = 0
     for perm in permutations(range(n)):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         term = (-1) ** inversions
         for i, j in enumerate(perm):
-            term *= m.entries[i][j]
+            term *= m[i][j]
         total += term
     return total
 
@@ -101,31 +125,31 @@ def int_matrices(draw, square=False):
     rows = draw(st.integers(1, 5))
     cols = rows if square else draw(st.integers(1, 5))
     entry = st.one_of(st.just(0), st.integers(-6, 6))
-    return IntMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(square=True))
 def test_det_matches_leibniz(m):
-    assert m.det() == leibniz_det(m)
+    assert lattice.det(m) == leibniz_det(m) == IntMatrix(m).det()
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_matrices())
 def test_rank_matches_minor_gcd_divisors(m):
-    assert m.rank() == sum(1 for x in minor_gcd_divisors(m) if x != 0)
+    assert lattice.rank(m) == sum(1 for x in minor_gcd_divisors(m) if x != 0)
+    assert IntMatrix(m).rank() == lattice.rank(m)
 
 
 def cofactor_adjugate(m):
     """adj(m) by cofactor expansion, adj(m)[i][j] being the (j, i) cofactor:
     the package's former route, with Leibniz minors, so it shares no code
     with the elimination."""
-    n = m.rows
+    n = len(m)
 
     def minor(i, j):
-        return leibniz_det(IntMatrix([[x for q, x in enumerate(row) if q != j]
-                                      for p, row in enumerate(m.entries) if p != i],
-                                     shape=(n - 1, n - 1)))
+        return leibniz_det([[x for q, x in enumerate(row) if q != j]
+                            for p, row in enumerate(m) if p != i])
 
     return [tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)]
 
@@ -133,7 +157,7 @@ def cofactor_adjugate(m):
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(square=True))
 def test_adjugate_times_matrix_is_det(m):
-    identity = IntMatrix.identity(m.rows).entries
+    identity = IntMatrix.identity(len(m)).entries
     det = leibniz_det(m)
     if det == 0:
         with pytest.raises(ValueError, match="singular system"):
@@ -141,32 +165,31 @@ def test_adjugate_times_matrix_is_det(m):
         return
     adj = cofactor_adjugate(m)
     assert solve(m, identity) == (adj, det)
-    scalar = IntMatrix.diagonal([det] * m.rows)
-    assert m.mul(IntMatrix(adj)) == scalar
-    assert IntMatrix(adj).mul(m) == scalar
+    scalar = IntMatrix([[det if i == j else 0 for j in range(len(m))] for i in range(len(m))])
+    assert IntMatrix(m).mul(IntMatrix(adj)) == scalar
+    assert IntMatrix(adj).mul(IntMatrix(m)) == scalar
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(square=True), st.integers(0, 3), st.data())
 def test_solve_satisfies_the_system(m, width, data):
-    rhs = [[data.draw(st.integers(-9, 9)) for _ in range(width)] for _ in range(m.rows)]
-    if m.det() == 0:
+    rhs = [[data.draw(st.integers(-9, 9)) for _ in range(width)] for _ in range(len(m))]
+    if lattice.det(m) == 0:
         with pytest.raises(ValueError, match="singular system"):
             solve(m, rhs)
         return
     x, det = solve(m, rhs)
-    assert det == m.det()
+    assert det == lattice.det(m)
     assert all(isinstance(v, int) for row in x for v in row)
-    shape = (m.rows, width)
-    assert m.mul(IntMatrix(x, shape=shape)) == IntMatrix([[det * y for y in row] for row in rhs],
-                                                         shape=shape)
+    shape = (len(m), width)
+    assert IntMatrix(m).mul(IntMatrix(x, shape=shape)) == IntMatrix(
+        [[det * y for y in row] for row in rhs], shape=shape)
 
 
 def test_the_empty_system():
-    empty = IntMatrix([], shape=(0, 0))
-    assert solve(empty, []) == ([], 1)
+    assert solve([], []) == ([], 1)
     with pytest.raises(ValueError, match="shape mismatch"):
-        solve(empty, [(1,)])
+        solve([], [(1,)])
 
 
 def test_component_group_examples():
@@ -220,13 +243,12 @@ def _brute_two_torsion_classes(b):
     det = bt.det()
     n = abs(det)
     if t == 1:
-        adj = IntMatrix([[1]])
+        adj = [[1]]
     else:
-        adj = IntMatrix([[bt.entries[1][1], -bt.entries[0][1]],
-                         [-bt.entries[1][0], bt.entries[0][0]]])
+        adj = [[bt.entries[1][1], -bt.entries[0][1]], [-bt.entries[1][0], bt.entries[0][0]]]
 
     def in_lattice(v):
-        return all(x % det == 0 for x in adj.matvec(v))
+        return all(sum(a * x for a, x in zip(row, v)) % det == 0 for row in adj)
 
     hits = sum(1 for v in product(range(n), repeat=t)
                if in_lattice(tuple(2 * x for x in v)))

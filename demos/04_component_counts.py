@@ -18,9 +18,8 @@ from kummer_kulikov import (
 
 
 def data(rank, b_rows):
-    phi = IntMatrix([[1 if i == j else 0 for j in range(rank)] for i in range(rank)],
-                    shape=(rank, rank))
-    b = IntMatrix(b_rows, shape=(rank, rank))
+    phi = IntMatrix([[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
+    b = IntMatrix(b_rows)
     m = b.mul(phi).entries
     return DegenerationData(rank, phi, b, tuple(m[i][i] // 2 for i in range(rank)))
 

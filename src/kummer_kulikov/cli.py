@@ -87,7 +87,7 @@ def _classify_payload(d) -> tuple[dict, list[str]]:
     expected_chi_a = 1 if d.rank == 0 else 0
     expected_chi_x = {0: 1, 1: 1, 2: 2}[d.rank]
 
-    divisors = [] if d.rank == 0 else list(lattice.component_group(d.b).divisors)
+    divisors = list(lattice.component_group(d.b).divisors)
 
     report = {
         "input": degeneration.to_json_dict(d),
@@ -221,8 +221,9 @@ def cmd_monodromy(args) -> int:
         n_op = monodromy.operator_from_json(_load_json(args.matrix))
         if n_op.dim != 4:
             raise SchemaError(f"monodromy operator must be 4x4, got dim {n_op.dim}")
-    rank = monodromy.toric_rank_from_N(n_op)
-    idx = monodromy.nilpotency_index(monodromy.kummer_monodromy(n_op))
+    n_x = monodromy.kummer_monodromy(n_op)  # refuses N unless N² = 0
+    rank = n_op.rank()  # the toric rank, as N² = 0
+    idx = monodromy.nilpotency_index(n_x)
     ktype = monodromy.type_from_index(idx)
     report = {"toric_rank": rank, "nilpotency_index": idx, "kulikov_type": ktype.value}
     _emit(report, [f"rank {rank}: index {idx}, type {ktype.value}"], args.quiet)

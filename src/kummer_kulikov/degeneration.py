@@ -137,7 +137,7 @@ def base_change(d: DegenerationData, nu: int) -> DegenerationData:
     return DegenerationData(
         rank=d.rank,
         phi=d.phi,
-        b=IntMatrix([[nu * x for x in row] for row in d.b.entries], shape=(d.rank, d.rank)),
+        b=IntMatrix([[nu * x for x in row] for row in d.b.entries]),
         a_basis=tuple(nu * x for x in d.a_basis),
     )
 
@@ -167,7 +167,7 @@ def _require_matrix(doc: Mapping, key: str, t: int) -> IntMatrix:
         raise SchemaError(f"field {key!r} must be a {t}x{t} matrix")
     if any(not isinstance(x, int) or isinstance(x, bool) for r in raw for x in r):
         raise SchemaError(f"field {key!r} must contain integers")
-    return IntMatrix(raw, shape=(t, t))
+    return IntMatrix(raw)
 
 
 def from_json_dict(doc: Mapping) -> DegenerationData:

@@ -377,9 +377,6 @@ class PeriodicTriangulation:
         moved, ords = self._cosets.moved(v, sign), self._ord
         return [ords[moved[r]] for r in self._order]
 
-    def canonical_point(self, x: Vector) -> Vector:
-        return self._cosets.canonical_point(x)
-
     def canonical_shift(self, s: LatticeSimplex) -> Vector:
         anchor = s.vertices[0]
         target = self._cosets.canonical_point(anchor)
@@ -903,7 +900,7 @@ def fan_from_json(doc: Mapping) -> PeriodicTriangulation:
     if malformed is not None:
         raise SchemaError("each simplex must be a nonempty list of rank-length integer vectors")
     try:
-        lattice = IntMatrix(raw_lattice, shape=(rank, rank))
+        lattice = IntMatrix(raw_lattice)
         return _development(rank, groups, _CosetMap(rank, lattice)) or PeriodicTriangulation(
             rank, [_simplex(tuple(map(tuple, row))) for rows, _, _, _ in groups for row in rows],
             lattice)

@@ -82,54 +82,31 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 
 class IntMatrix:
     """Immutable integer matrix, checked on construction: the matrices of a
-    datum and of a fan document's lattice.  Degenerate shapes (0 rows/cols)
-    are allowed."""
+    datum and of a fan document's lattice.  The shape is read off the rows,
+    which must have one length; degenerate shapes (0 rows/cols) are allowed."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable[int]], shape: tuple[int, int] | None = None):
+    def __init__(self, entries: Iterable[Iterable[int]]):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if shape is not None:
-            r, c = shape
-            if len(rows) not in (0, r) or any(len(row) != c for row in rows):
-                raise ValueError(f"entries do not match shape {shape}")
-            if len(rows) == 0 and r > 0:
-                raise ValueError(f"entries do not match shape {shape}")
-        else:
-            r = len(rows)
-            c = len(rows[0]) if rows else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", r)
-        object.__setattr__(self, "cols", c)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", _width(rows))
         object.__setattr__(self, "entries", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], shape=(n, n))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                         shape=(self.cols, self.rows))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         return IntMatrix(
             [[sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-              for j in range(other.cols)] for i in range(self.rows)],
-            shape=(self.rows, other.cols))
+              for j in range(other.cols)] for i in range(self.rows)])
 
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         return det(self.entries)
-
-    def rank(self) -> int:
-        return rank(self.entries)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows

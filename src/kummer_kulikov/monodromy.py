@@ -81,28 +81,8 @@ class RationalOperator:
     def identity(n: int) -> "RationalOperator":
         return RationalOperator._reduced([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
-    @staticmethod
-    def zero(n: int) -> "RationalOperator":
-        return RationalOperator._reduced([[0] * n for _ in range(n)], 1)
-
-    def __add__(self, other: "RationalOperator") -> "RationalOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return RationalOperator._reduced([[a * x + b * y for x, y in zip(r1, r2)]
-                                          for r1, r2 in zip(self.num, other.num)], den)
-
-    def __sub__(self, other: "RationalOperator") -> "RationalOperator":
-        return self + -other
-
     def __neg__(self) -> "RationalOperator":
         return RationalOperator._reduced([[-x for x in r] for r in self.num], self.den)
-
-    def scale(self, c) -> "RationalOperator":
-        c = Fraction(c)
-        return RationalOperator._reduced([[c.numerator * x for x in r] for r in self.num],
-                                         c.denominator * self.den)
 
     def __mul__(self, other: "RationalOperator") -> "RationalOperator":
         if self.dim != other.dim:
@@ -114,19 +94,21 @@ class RationalOperator:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def trace(self) -> Fraction:
-        return Fraction(sum(self.num[i][i] for i in range(self.dim)), self.den)
-
     def char_poly(self) -> tuple[Fraction, ...]:
         """Coefficients (1, c1, ..., cn) of x^n + c1 x^(n-1) + ... + cn,
-        by the Faddeev-LeVerrier recursion (exact)."""
+        by the Faddeev-LeVerrier recursion M_k = A·(M_(k-1) + c_(k-1)·Id),
+        c_k = -tr(M_k)/k (exact).  For A = num/den it runs on the numerators:
+        P_k = M_k·den^k and C_k = c_k·den^k are the recursion's terms for the
+        integer matrix num, and each C_k, a coefficient of its characteristic
+        polynomial, is an integer."""
         n = self.dim
-        coeffs = [Fraction(1)]
-        m = RationalOperator.zero(n)
+        coeffs, p = [1], [[0] * n for _ in range(n)]
         for k in range(1, n + 1):
-            m = self * (m + RationalOperator.identity(n).scale(coeffs[-1]))
-            coeffs.append(-m.trace() / k)
-        return tuple(coeffs)
+            shifted = [[x + coeffs[-1] * (i == j) for j, x in enumerate(r)]
+                       for i, r in enumerate(p)]
+            p = [[sum(map(mul, r, c)) for c in zip(*shifted)] for r in self.num]
+            coeffs.append(-sum(p[i][i] for i in range(n)) // k)
+        return tuple(Fraction(c, self.den ** k) for k, c in enumerate(coeffs))
 
     def is_unipotent(self) -> bool:
         """Characteristic polynomial equals (x - 1)^n, decided as (σ - 1)^n = 0.
@@ -263,16 +245,16 @@ def kummer_monodromy(n_op: RationalOperator) -> KummerOperator:
     """N_X = (N∧Id + Id∧N) ⊕ 0 for a 4x4 monodromy operator N with N² = 0."""
     if n_op.dim != 4:
         raise ValueError("kummer_monodromy expects a 4x4 operator")
-    _require_square_zero(n_op, "monodromy operator must be nilpotent")
+    _require_square_zero(n_op)
     return KummerOperator(wedge_derivation(n_op))
 
 
-def _require_square_zero(n_op: RationalOperator, not_nilpotent: str) -> None:
+def _require_square_zero(n_op: RationalOperator) -> None:
     """Raise NotNilpotent, else BadSquare, unless N² = 0; N is nilpotent iff N² is."""
     square = n_op * n_op
     if not square.is_zero():
         if not _is_nilpotent(square):
-            raise NotNilpotent(not_nilpotent)
+            raise NotNilpotent("operator is not nilpotent")
         raise BadSquare("semiabelian monodromy satisfies N² = 0")
 
 
@@ -298,7 +280,7 @@ def type_from_index(m: int) -> KulikovType:
 
 def toric_rank_from_N(n_op: RationalOperator) -> int:
     """rank_Q N; equals the toric rank for semiabelian monodromy."""
-    _require_square_zero(n_op, "operator is not nilpotent")
+    _require_square_zero(n_op)
     return n_op.rank()
 
 
@@ -330,10 +312,6 @@ class TwoTorsionPermutation:
         if sorted(m) != list(range(16)):
             raise ValueError("mapping must be a bijection of 16 labels")
 
-    @staticmethod
-    def identity() -> "TwoTorsionPermutation":
-        return TwoTorsionPermutation(tuple(range(16)))
-
     def matrix(self) -> RationalOperator:
         return RationalOperator._reduced([[int(self.mapping[j] == i) for j in range(16)]
                                           for i in range(16)], 1)
@@ -354,10 +332,6 @@ def two_torsion_trivial(p: TwoTorsionPermutation) -> bool:
 # -- JSON documents ---------------------------------------------------------------
 #
 # Matrix document: {"dim": n, "entries": [[rational strings "p/q"]]}
-
-
-def operator_to_json(m: RationalOperator) -> dict:
-    return {"dim": m.dim, "entries": [[str(x) for x in row] for row in m.entries]}
 
 
 def operator_from_json(doc: Mapping) -> RationalOperator:

@@ -18,6 +18,12 @@ def elem(i, j, c=1):
                              for r in range(4)])
 
 
+def shear(i, j, c):
+    """The 4x4 shear Id + c·E_ij."""
+    return RationalOperator([[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(4)]
+                             for r in range(4)])
+
+
 def random_unimodular(rng, steps=6):
     """Product of integer shears; returns (g, g^{-1}) exactly."""
     g = I4
@@ -25,22 +31,24 @@ def random_unimodular(rng, steps=6):
     for _ in range(steps):
         i, j = rng.sample(range(4), 2)
         c = rng.randint(-2, 2)
-        g = g * (I4 + elem(i, j, c))
-        ginv = (I4 + elem(i, j, -c)) * ginv
+        g = g * shear(i, j, c)
+        ginv = shear(i, j, -c) * ginv
     return g, ginv
 
 
 def random_unipotent(rng):
-    n = RationalOperator([[rng.randint(-3, 3) if r < s else 0 for s in range(4)]
+    """Id plus a random strictly upper triangular N, conjugated."""
+    u = RationalOperator([[rng.randint(-3, 3) if r < s else int(r == s) for s in range(4)]
                           for r in range(4)])
     g, ginv = random_unimodular(rng)
-    return g * (I4 + n) * ginv
+    return g * u * ginv
 
 
 def random_square_zero(rng):
     # Support on (0,1), (0,3), (2,3) maps im into ker, so the square is 0.
-    m = elem(0, 1, rng.randint(-3, 3)) + elem(0, 3, rng.randint(-3, 3)) \
-        + elem(2, 3, rng.randint(-3, 3))
+    support = {(0, 1): rng.randint(-3, 3), (0, 3): rng.randint(-3, 3),
+               (2, 3): rng.randint(-3, 3)}
+    m = RationalOperator([[support.get((r, s), 0) for s in range(4)] for r in range(4)])
     g, ginv = random_unimodular(rng)
     return g * m * ginv
 
@@ -50,8 +58,8 @@ def make_data(rank, b_rows, phi_rows=None, a_basis=None):
     the H-invariant choice M_ii/2."""
     if phi_rows is None:
         phi_rows = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    phi = IntMatrix(phi_rows, shape=(rank, rank))
-    b = IntMatrix(b_rows, shape=(rank, rank))
+    phi = IntMatrix(phi_rows)
+    b = IntMatrix(b_rows)
     if a_basis is None:
         m = b.mul(phi).entries
         assert all(m[i][i] % 2 == 0 for i in range(rank))
@@ -97,7 +105,7 @@ def lattice_points(rows, window):
     if n == 0:
         return []
     adj = [[1]] if n == 1 else [[rows[1][1], -rows[0][1]], [-rows[1][0], rows[0][0]]]
-    det = IntMatrix(rows, shape=(n, n)).det()
+    det = IntMatrix(rows).det()
     out = []
     for lam in product(range(-window, window + 1), repeat=n):
         y = [sum(lam[i] * adj[i][j] for i in range(n)) for j in range(n)]

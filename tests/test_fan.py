@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
 import kummer_kulikov.fan as fan_module
+import kummer_kulikov.lattice as lattice_module
 from conftest import (
     SQUARE_CUTS,
     certify_loop,
@@ -114,8 +115,8 @@ def simplices_and_translates(draw):
     k = draw(st.integers(0, t))
     point = st.tuples(*[st.integers(-3, 3)] * t)
     vertices = draw(st.lists(point, min_size=k + 1, max_size=k + 1, unique=True))
-    assume(IntMatrix([[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]],
-                     shape=(k, t)).rank() == k)
+    edges = [[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]]
+    assume(lattice_module.rank(edges) == k)
     return LatticeSimplex(vertices), draw(st.tuples(*[st.integers(-6, 6)] * t))
 
 
@@ -147,7 +148,7 @@ def test_property_d_certified_and_violated():
     violations = check_property_d(t1)
     assert (((1, 0)), LatticeSimplex([(0, 0), (1, 0), (1, 1)])) in violations
 
-    t_zero = standard_triangulation(0).with_lattice(IntMatrix([], shape=(0, 0)))
+    t_zero = standard_triangulation(0).with_lattice(IntMatrix([]))
     assert check_property_d(t_zero) == []
 
 
@@ -161,7 +162,7 @@ def test_h_freeness_even_vs_odd():
     violations = check_h_freeness(t3)
     assert violations == [((-1,), LatticeSimplex([(1,), (2,)]))]
 
-    t0 = standard_triangulation(0).with_lattice(IntMatrix([], shape=(0, 0)))
+    t0 = standard_triangulation(0).with_lattice(IntMatrix([]))
     assert check_h_freeness(t0) == []
 
 
@@ -376,7 +377,7 @@ def developed(kind, rows):
     n = len(rows)
     unit = (standard_triangulation(n) if kind == "standard" else
             PeriodicTriangulation(2, [LatticeSimplex(s) for s in ANTI_CELL], None))
-    return unit.with_lattice(IntMatrix(rows, shape=(n, n)))
+    return unit.with_lattice(IntMatrix(rows))
 
 
 def pairwise_diameter(s):
@@ -402,12 +403,11 @@ def direct_margins(t):
         w = next(v for v in neighbor.vertices if v not in f.vertices)
         rows = [[1, *v] for v in s.vertices]
         values = [form(v) for v in s.vertices]
-        det = IntMatrix(rows, shape=(len(rows), len(rows))).det()
+        det = IntMatrix(rows).det()
         coeffs = []
         for c in range(len(rows)):
             swapped = [r[:c] + [values[i]] + r[c + 1:] for i, r in enumerate(rows)]
-            coeffs.append(Fraction(IntMatrix(swapped, shape=(len(rows), len(rows))).det(),
-                                   det))
+            coeffs.append(Fraction(IntMatrix(swapped).det(), det))
         out.append(form(w) - coeffs[0] - sum(c * x for c, x in zip(coeffs[1:], w)))
     return out
 
@@ -499,9 +499,9 @@ oracle_fans = st.one_of(fans.map(lambda fan: developed(*fan)),
 def matrix_canonical_point(lattice, x):
     """The coset representative by the matrix route: U^{-1}·(U·x mod D), with
     U^{-1} = adj(U)·det U from a solve of U·X = I, det U = ±1."""
-    d, u, _ = smith_normal_form(lattice.transpose().entries)
+    d, u, _ = smith_normal_form(list(zip(*lattice.entries)))
     r = tuple(sum(a * b for a, b in zip(row, x)) % di for row, di in zip(u, d))
-    adj, det = solve(u, IntMatrix.identity(len(u)).entries)
+    adj, det = solve(u, [tuple(int(i == j) for j in range(len(u))) for i in range(len(u))])
     return tuple(det * sum(a * b for a, b in zip(row, r)) for row in adj)
 
 
@@ -540,9 +540,9 @@ def test_sort_free_simplices_match_sorting_constructor(t, shift):
 def test_canonical_point_matches_matrix_route(t, points):
     for p in points:
         x = p[:t.rank]
-        assert t.canonical_point(x) == matrix_canonical_point(t.lattice, x)
+        assert t._cosets.canonical_point(x) == matrix_canonical_point(t.lattice, x)
     for x in {s.vertices[0] for s in t.simplices}:
-        assert t.canonical_point(x) == matrix_canonical_point(t.lattice, x)
+        assert t._cosets.canonical_point(x) == matrix_canonical_point(t.lattice, x)
 
 
 # -- unit cells and lattices --------------------------------------------------------
@@ -629,7 +629,7 @@ cell_cases = st.one_of(
 @given(cell_cases)
 def test_residue_development_matches_canonical_points(case):
     rank, name, rows = case
-    assert_residue_route_matches(unit_cell(rank, name), IntMatrix(rows, shape=(rank, rank)))
+    assert_residue_route_matches(unit_cell(rank, name), IntMatrix(rows))
 
 
 @pytest.mark.parametrize("path", JSON_FANS, ids=lambda p: p.stem)
@@ -643,7 +643,7 @@ def test_residue_development_on_golden_fans(path):
 
 
 def test_residue_development_edge_cases():
-    assert_residue_route_matches(standard_triangulation(0), IntMatrix([], shape=(0, 0)))
+    assert_residue_route_matches(standard_triangulation(0), IntMatrix([]))
     assert_residue_route_matches(unit_cell(2, "empty"), IntMatrix([[2, 1], [0, 3]]))
     # −WIDE is no unit class, so no developed class has a negative.
     wide = unit_cell(2, "wide")
@@ -665,7 +665,7 @@ def test_coset_map_columns_match_per_point_routes(case, points):
     # product, and the residue indices of points read by columns against the
     # residue of each point.
     rank, _, rows = case
-    cosets = fan_module._CosetMap(rank, IntMatrix(rows, shape=(rank, rank)))
+    cosets = fan_module._CosetMap(rank, IntMatrix(rows))
     residues = list(product(*(range(d) for d in cosets.diag)))
     reps = cosets.coset_representatives()
     assert reps == [tuple(sum(a * b for a, b in zip(row, r)) for row in cosets.uinv)
@@ -685,7 +685,7 @@ def test_development_labels_match_simplex_labels(case):
     # Formatted per dimension from unit-cell templates and the columns of the
     # representatives, against each developed class formatted on its own.
     rank, name, rows = case
-    t = unit_cell(rank, name).with_lattice(IntMatrix(rows, shape=(rank, rank)))
+    t = unit_cell(rank, name).with_lattice(IntMatrix(rows))
     for k in range(rank + 1):
         assert t.class_labels(k) == list(map(fan_module._simplex_label, t.by_dim(k)))
 
@@ -698,7 +698,7 @@ def assert_unit_route_matches(rank, name, rows):
     cell, against the constructor's fan on every developed class and the
     full-window scans of that fan."""
     unit = unit_cell(rank, name)
-    lattice = IntMatrix(rows, shape=(rank, rank))
+    lattice = IntMatrix(rows)
     t = unit.with_lattice(lattice)
     cert = certify(t)
     expected = develop_by_canonical_points(unit, lattice)
@@ -793,7 +793,7 @@ def test_development_bounds_match_class_scans(case):
     # developed class and every lattice point.
     rank, name, rows = case
     unit = unit_cell(rank, name)
-    t = unit.with_lattice(IntMatrix(rows, shape=(rank, rank)))
+    t = unit.with_lattice(IntMatrix(rows))
 
     def largest(classes):
         return tuple(max((max(c) - min(c) for s in classes for c in [[v[i] for v in s.vertices]]),
@@ -827,7 +827,7 @@ def dual_from_dicts(t):
 @given(cell_cases)
 def test_table_dual_complex_matches_dicts(case):
     rank, name, rows = case
-    unit, lattice = unit_cell(rank, name), IntMatrix(rows, shape=(rank, rank))
+    unit, lattice = unit_cell(rank, name), IntMatrix(rows)
     t = unit.with_lattice(lattice)
     if certify(t).complex_refusal() is not None:
         return
@@ -956,7 +956,8 @@ def document_listing(t, rows, rng, damage):
         classes.append(LatticeSimplex([(0,) * rank, v if any(v) else (7,) * rank]))
     elif damage == "stray" and classes and t.class_index() > 1:
         # A shift outside Λ moves one listed class to another coset.
-        strays = [v for v in product(range(-2, 3), repeat=rank) if any(t.canonical_point(v))]
+        strays = [v for v in product(range(-2, 3), repeat=rank)
+                  if any(t._cosets.canonical_point(v))]
         i = rng.randrange(len(classes))
         classes[i] = classes[i].translate(rng.choice(strays))
     classes += rng.sample(classes, rng.randint(0, min(3, len(classes))))
@@ -984,7 +985,7 @@ def test_document_matches_constructor(case):
     # The oracle is the constructor's fan on the listed simplices, each class
     # made canonical, and the full-window scans of that fan.
     (rank, name, rows), damage, rng = case
-    lattice = IntMatrix(rows, shape=(rank, rank))
+    lattice = IntMatrix(rows)
     listing = document_listing(unit_cell(rank, name).with_lattice(lattice), rows, rng, damage)
     got = fan_from_json({"rank": rank, "lattice": rows, "simplices": listing})
     expected = PeriodicTriangulation(rank, [LatticeSimplex(s) for s in listing], lattice)

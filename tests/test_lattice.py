@@ -138,7 +138,6 @@ def test_det_matches_leibniz(m):
 @given(int_matrices())
 def test_rank_matches_minor_gcd_divisors(m):
     assert lattice.rank(m) == sum(1 for x in minor_gcd_divisors(m) if x != 0)
-    assert IntMatrix(m).rank() == lattice.rank(m)
 
 
 def cofactor_adjugate(m):
@@ -157,7 +156,7 @@ def cofactor_adjugate(m):
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(square=True))
 def test_adjugate_times_matrix_is_det(m):
-    identity = IntMatrix.identity(len(m)).entries
+    identity = [tuple(int(i == j) for j in range(len(m))) for i in range(len(m))]
     det = leibniz_det(m)
     if det == 0:
         with pytest.raises(ValueError, match="singular system"):
@@ -181,9 +180,7 @@ def test_solve_satisfies_the_system(m, width, data):
     x, det = solve(m, rhs)
     assert det == lattice.det(m)
     assert all(isinstance(v, int) for row in x for v in row)
-    shape = (len(m), width)
-    assert IntMatrix(m).mul(IntMatrix(x, shape=shape)) == IntMatrix(
-        [[det * y for y in row] for row in rhs], shape=shape)
+    assert IntMatrix(m).mul(IntMatrix(x)) == IntMatrix([[det * y for y in row] for row in rhs])
 
 
 def test_the_empty_system():
@@ -196,7 +193,7 @@ def test_component_group_examples():
     assert component_group(IntMatrix([[2, 0], [0, 2]])).divisors == (2, 2)
     assert component_group(IntMatrix([[2, 0], [0, 2]])).order == 4
     assert component_group(IntMatrix([[4]])).divisors == (4,)
-    assert component_group(IntMatrix([], shape=(0, 0))).order == 1
+    assert component_group(IntMatrix([])).order == 1
     assert component_group(IntMatrix([[2, 1], [1, 2]])).divisors == (3,)
 
 
@@ -239,7 +236,7 @@ def _brute_two_torsion_classes(b):
     class in exactly |det|^(t-1) points.
     """
     t = b.rows
-    bt = b.transpose()
+    bt = IntMatrix(zip(*b.entries))
     det = bt.det()
     n = abs(det)
     if t == 1:

@@ -24,7 +24,6 @@ from kummer_kulikov.monodromy import (
     log_unipotent,
     nilpotency_index,
     operator_from_json,
-    operator_to_json,
     standard_N,
     toric_rank_from_N,
     two_torsion_trivial,
@@ -34,16 +33,19 @@ from kummer_kulikov.monodromy import (
     wedge_square,
 )
 
-from conftest import I4, elem, random_square_zero, random_unimodular, random_unipotent
+from conftest import I4, elem, random_square_zero, random_unimodular, random_unipotent, shear
+
+ZERO4 = RationalOperator([[0] * 4 for _ in range(4)])
+JORDAN3 = RationalOperator([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
 
 
 def test_log_examples():
     assert log_unipotent(I4).is_zero()
-    sigma = I4 + elem(0, 1)
+    sigma = shear(0, 1, 1)
     assert log_unipotent(sigma) == elem(0, 1)
-    sigma2 = I4 + elem(0, 1) + elem(0, 2)
+    sigma2 = RationalOperator([[1, 1, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     n = log_unipotent(sigma2)
-    assert n == sigma2 - I4
+    assert n == RationalOperator([[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert (n * n).is_zero()
 
 
@@ -102,18 +104,17 @@ def test_kummer_monodromy_images():
 
 
 def test_kummer_monodromy_zero_and_errors():
-    k = kummer_monodromy(RationalOperator.zero(4))
+    k = kummer_monodromy(ZERO4)
     assert k.wedge.is_zero()
     assert k.dim == 22
     with pytest.raises(NotNilpotent):
         kummer_monodromy(I4)
-    jordan3 = elem(0, 1) + elem(1, 2)  # nilpotent but square nonzero
-    with pytest.raises(BadSquare):
-        kummer_monodromy(jordan3)
+    with pytest.raises(BadSquare):  # nilpotent but square nonzero
+        kummer_monodromy(JORDAN3)
 
 
 def test_nilpotency_index():
-    assert nilpotency_index(RationalOperator.zero(4)) == 1
+    assert nilpotency_index(ZERO4) == 1
     assert nilpotency_index(kummer_monodromy(standard_N(0))) == 1
     assert nilpotency_index(kummer_monodromy(standard_N(1))) == 2
     assert nilpotency_index(kummer_monodromy(standard_N(2))) == 3
@@ -132,14 +133,14 @@ def test_type_from_index():
 
 
 def test_toric_rank_from_N():
-    assert toric_rank_from_N(RationalOperator.zero(4)) == 0
+    assert toric_rank_from_N(ZERO4) == 0
     assert toric_rank_from_N(standard_N(1)) == 1
     rng = random.Random(33)
     for t in (0, 1, 2):
         g, ginv = random_unimodular(rng)
         assert toric_rank_from_N(g * standard_N(t) * ginv) == t
     with pytest.raises(BadSquare):
-        toric_rank_from_N(elem(0, 1) + elem(1, 2))
+        toric_rank_from_N(JORDAN3)
     with pytest.raises(NotNilpotent):
         toric_rank_from_N(I4)
 
@@ -184,8 +185,8 @@ def test_derivation_rule():
 def test_unipotent_or_negative():
     assert unipotent_or_negative(I4) == 1
     assert unipotent_or_negative(-I4) == -1
-    assert unipotent_or_negative(-(I4 + elem(0, 1))) == -1
-    assert unipotent_or_negative(I4 + elem(0, 1)) == 1
+    assert unipotent_or_negative(-shear(0, 1, 1)) == -1
+    assert unipotent_or_negative(shear(0, 1, 1)) == 1
     with pytest.raises(HypothesisFailed):
         unipotent_or_negative(RationalOperator([[2, 0, 0, 0], [0, 1, 0, 0],
                                                 [0, 0, 1, 0], [0, 0, 0, 1]]))
@@ -196,11 +197,11 @@ def test_sign_consistency_random():
     for _ in range(40):
         u = random_unipotent(rng)
         s = rng.choice((1, -1))
-        assert unipotent_or_negative(u.scale(s)) == s
+        assert unipotent_or_negative(u if s == 1 else -u) == s
 
 
 def test_two_torsion_trivial():
-    assert two_torsion_trivial(TwoTorsionPermutation.identity())
+    assert two_torsion_trivial(TwoTorsionPermutation(tuple(range(16))))
     swap = list(range(16))
     swap[0], swap[1] = 1, 0
     assert not two_torsion_trivial(TwoTorsionPermutation(tuple(swap)))
@@ -218,21 +219,11 @@ def test_two_torsion_unipotence_equivalence():
         assert p.matrix().is_unipotent() == (tuple(perm) == tuple(range(16)))
 
 
-def test_sum_and_difference_refuse_dimension_mismatch():
-    i3, i4 = RationalOperator.identity(3), RationalOperator.identity(4)
-    for op in (lambda a, b: a + b, lambda a, b: a - b):
-        for a, b in ((i3, i4), (i4, i3)):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                op(a, b)
-    assert i3 + i3 == i3.scale(2)
-
-
 def test_operator_json_round_trip():
     m = RationalOperator([[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0],
                           [0, 0, Fraction(-3, 7), 0], [0, 0, 0, 2]])
-    doc = operator_to_json(m)
-    assert doc["dim"] == 4
-    assert doc["entries"][0][0] == "1/2"
+    doc = {"dim": 4, "entries": [["1/2", "0", "0", "0"], ["0", "1", "0", "0"],
+                                 ["0", "0", "-3/7", "0"], ["0", "0", "0", "2"]]}
     assert operator_from_json(doc) == m
     assert operator_from_json({"dim": 1, "entries": [[5]]}).entries[0][0] == 5
 
@@ -425,12 +416,10 @@ def test_operator_matches_fraction_per_entry_reference(n, data):
     c = data.draw(nonzero_rationals)
     assert a.entries == ra.entries
     assert_canonical(a)
-    for new, ref in [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
-                     (a.scale(c), ra.scale(c)), (a.scale(0), ra.scale(0))]:
+    for new, ref in [(a * b, ra * rb), (-a, -ra)]:
         assert new.entries == ref.entries
         assert new.is_zero() == ref.is_zero()
         assert_canonical(new)
-    assert a.trace() == ra.trace()
     assert a.rank() == fraction_gauss_jordan_rank(ra)
     assert a.char_poly() == ra.char_poly()
     assert a.is_unipotent() == ra.is_unipotent()
@@ -439,7 +428,8 @@ def test_operator_matches_fraction_per_entry_reference(n, data):
              for i, r in enumerate(ra.entries)]
     assert RationalOperator(upper).is_unipotent() and FractionOperator(upper).is_unipotent()
     # Equal operators have one form: scaling there and back gives A, hash and all.
-    back = a.scale(c).scale(1 / c)
+    scaled = RationalOperator([[c * x for x in r] for r in a.entries])
+    back = RationalOperator([[x / c for x in r] for r in scaled.entries])
     assert back == a and hash(back) == hash(a)
     assert (back.num, back.den) == (a.num, a.den)
 
@@ -531,8 +521,8 @@ def power_sequence_operators(draw):
 @given(power_sequence_operators())
 def test_log_exp_and_index_match_term_by_term_series(m):
     ref = FractionOperator(m.entries)
-    sigma = m + RationalOperator.identity(m.dim)
     ref_sigma = ref + reference_identity(m.dim)
+    sigma = RationalOperator(ref_sigma.entries)
     assert outcome(nilpotency_index, m) == outcome(reference_index, ref)
     assert outcome(exp_nilpotent, m) == outcome(reference_exp, ref)
     assert outcome(log_unipotent, sigma) == outcome(reference_log, ref_sigma)

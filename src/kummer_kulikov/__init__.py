@@ -39,8 +39,7 @@ _EXPORTS = {
     "monodromy": (
         "KummerOperator", "RationalOperator", "TwoTorsionPermutation", "exp_nilpotent",
         "kummer_monodromy", "log_unipotent", "nilpotency_index", "standard_N",
-        "toric_rank_from_N", "two_torsion_trivial", "type_from_index",
-        "unipotent_or_negative", "wedge_square",
+        "two_torsion_trivial", "type_from_index", "unipotent_or_negative", "wedge_square",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

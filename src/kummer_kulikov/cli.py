@@ -257,55 +257,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariants of Kulikov models of degenerating Kummer surfaces")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", parents=[common],
-                        help="check the degeneration-data axioms")
-    sp.add_argument("path")
-    sp.set_defaults(func=cmd_validate)
+    def add(group, name: str, handler, help: str, path: bool = True):
+        """Register a subcommand of group: its parser, its path and its handler."""
+        sp = group.add_parser(name, parents=[common], help=help)
+        if path:
+            sp.add_argument("path")
+        sp.set_defaults(func=handler)
+        return sp
 
-    sp = sub.add_parser("classify", parents=[common],
-                        help="full pipeline: fan, complexes, counts, type")
-    sp.add_argument("path")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("base-change", parents=[common],
-                        help="component counts after base extension, both routes")
-    sp.add_argument("path")
+    add(sub, "validate", cmd_validate, "check the degeneration-data axioms")
+    add(sub, "classify", cmd_classify, "full pipeline: fan, complexes, counts, type")
+    sp = add(sub, "base-change", cmd_base_change,
+             "component counts after base extension, both routes")
     sp.add_argument("--e", type=_positive_int, required=True, help="ramification index")
-    sp.set_defaults(func=cmd_base_change)
 
     fp = sub.add_parser("fan", help="fan construction and certification")
     fsub = fp.add_subparsers(dest="fan_command", required=True)
-    sp = fsub.add_parser("build", parents=[common],
-                         help="auto-scale and certify the standard fan")
-    sp.add_argument("path")
-    sp.set_defaults(func=cmd_fan_build)
-    sp = fsub.add_parser("check", parents=[common],
-                         help="certify a fan document")
-    sp.add_argument("path")
-    sp.set_defaults(func=cmd_fan_check)
+    add(fsub, "build", cmd_fan_build, "auto-scale and certify the standard fan")
+    add(fsub, "check", cmd_fan_check, "certify a fan document")
 
     cp = sub.add_parser("complex", help="dual complexes")
     csub = cp.add_subparsers(dest="complex_command", required=True)
-    sp = csub.add_parser("dual", parents=[common], help="dual complex of a fan")
-    sp.add_argument("path")
-    sp.set_defaults(func=cmd_complex)
-    sp = csub.add_parser("quotient", parents=[common],
-                         help="inversion quotient of the dual complex")
-    sp.add_argument("path")
-    sp.set_defaults(func=cmd_complex)
+    add(csub, "dual", cmd_complex, "dual complex of a fan")
+    add(csub, "quotient", cmd_complex, "inversion quotient of the dual complex")
 
-    sp = sub.add_parser("monodromy", parents=[common],
-                        help="nilpotency index and type from a monodromy operator")
+    sp = add(sub, "monodromy", cmd_monodromy,
+             "nilpotency index and type from a monodromy operator", path=False)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--toric-rank", type=int, default=None)
     group.add_argument("--matrix", default=None, help="path to a matrix document")
-    sp.set_defaults(func=cmd_monodromy)
 
-    sp = sub.add_parser("report", parents=[common],
-                        help="classification report, optionally with base-change table")
-    sp.add_argument("path")
+    sp = add(sub, "report", cmd_report,
+             "classification report, optionally with base-change table")
     sp.add_argument("--base-change-max", type=_positive_int, default=None)
-    sp.set_defaults(func=cmd_report)
 
     return p
 

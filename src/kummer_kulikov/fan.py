@@ -125,15 +125,15 @@ from .lattice import rank as matrix_rank
 Vector = tuple[int, ...]
 
 
-class LatticeSimplex:
-    """A lattice simplex: 1 to t+1 distinct, affinely independent points of Z^t."""
+class LatticeSimplex(tuple):
+    """A lattice simplex: 1 to t+1 distinct, affinely independent points of Z^t,
+    stored as the tuple of its vertices in lexicographic order.  So it is
+    immutable, and it equals and hashes as the plain tuple of its vertices."""
 
-    __slots__ = ("vertices", "_hash")
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable[Sequence[int]]):
+    def __new__(cls, vertices: Iterable[Sequence[int]]):
         verts = tuple(sorted(tuple(int(x) for x in v) for v in vertices))
-        _set_vertices(self, verts)
-        _set_hash(self, hash(verts))
         if not verts:
             raise ValueError("a simplex needs at least one vertex")
         if len(set(verts)) != len(verts):
@@ -142,42 +142,33 @@ class LatticeSimplex:
             raise ValueError("vertices of mixed dimension")
         if matrix_rank([tuple(map(sub, v, verts[0])) for v in verts[1:]]) != len(verts) - 1:
             raise ValueError(f"vertices are affinely dependent: {verts}")
+        return tuple.__new__(cls, verts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeSimplex is immutable")
+    @property
+    def vertices(self) -> tuple[Vector, ...]:
+        """The vertices in lexicographic order, as a plain tuple."""
+        return tuple(self)
 
     @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
     def translate(self, shift: Sequence[int]) -> "LatticeSimplex":
         """S + shift; translation preserves the lexicographic order."""
-        return _simplex(tuple(tuple(map(add, v, shift)) for v in self.vertices))
+        return _simplex(tuple(tuple(map(add, v, shift)) for v in self))
 
     def negate(self) -> "LatticeSimplex":
         """−S; negation reverses the lexicographic order."""
-        return _simplex(tuple(tuple(-a for a in v) for v in reversed(self.vertices)))
+        return _simplex(tuple(tuple(-a for a in v) for v in reversed(self)))
 
     def faces(self) -> list["LatticeSimplex"]:
         """Codimension-1 faces, in vertex-deletion order."""
         if self.dim == 0:
             return []
-        vs = self.vertices
-        return [_simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeSimplex) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return self._hash
+        return [_simplex(self[:i] + self[i + 1:]) for i in range(len(self))]
 
     def __repr__(self) -> str:
-        return f"LatticeSimplex({list(self.vertices)!r})"
-
-
-# The slot setters, which bypass the immutability guard of __setattr__.
-_set_vertices = LatticeSimplex.vertices.__set__
-_set_hash = LatticeSimplex._hash.__set__
+        return f"LatticeSimplex({list(self)!r})"
 
 
 def _simplex_label(s: LatticeSimplex) -> str:
@@ -186,10 +177,7 @@ def _simplex_label(s: LatticeSimplex) -> str:
 
 def _simplex(vertices: tuple[Vector, ...]) -> LatticeSimplex:
     """A simplex from vertices already sorted, distinct and independent."""
-    s = object.__new__(LatticeSimplex)
-    _set_vertices(s, vertices)
-    _set_hash(s, hash(vertices))
-    return s
+    return tuple.__new__(LatticeSimplex, vertices)
 
 
 def _identity(n: int) -> list[Vector]:
@@ -234,8 +222,6 @@ class _CosetMap:
         return index
 
     def canonical_point(self, x: Vector) -> Vector:
-        if self.lattice is None:  # every point of Z^t is equivalent to 0
-            return (0,) * len(x)
         r = self.residue(x)
         return tuple(sum(map(mul, row, r)) for row in self.uinv)
 
@@ -377,13 +363,9 @@ class PeriodicTriangulation:
         moved, ords = self._cosets.moved(v, sign), self._ord
         return [ords[moved[r]] for r in self._order]
 
-    def canonical_shift(self, s: LatticeSimplex) -> Vector:
-        anchor = s.vertices[0]
-        target = self._cosets.canonical_point(anchor)
-        return tuple(t - a for t, a in zip(target, anchor))
-
     def canonical_simplex(self, s: LatticeSimplex) -> LatticeSimplex:
-        return s.translate(self.canonical_shift(s))
+        anchor = s[0]
+        return s.translate(tuple(map(sub, self._cosets.canonical_point(anchor), anchor)))
 
     def by_dim(self, k: int) -> tuple[LatticeSimplex, ...]:
         return self._by_dim.get(k, ())
@@ -499,8 +481,6 @@ def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]
     |adj(Wᵀ)_ij|·reach_j / |det|, and since |y_i| is an integer it is at
     most the floor of that bound: the box of y below is complete.
     """
-    if t.rank == 0 or t.lattice is None:
-        return []
     w = _reduced_basis(t.lattice.entries)
     n = t.rank
     adj, det = solve(list(zip(*w)), _identity(n))

@@ -13,6 +13,7 @@ on wedge-square ⊕ (16-dim permutation part).  The nilpotency index of N_X
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -23,7 +24,6 @@ from typing import Iterable, Mapping
 from .complexes import KulikovType
 from .errors import (
     BadSquare,
-    ConsistencyError,
     HypothesisFailed,
     InvalidIndex,
     NotNilpotent,
@@ -278,12 +278,6 @@ def type_from_index(m: int) -> KulikovType:
     return mapping[m]
 
 
-def toric_rank_from_N(n_op: RationalOperator) -> int:
-    """rank_Q N; equals the toric rank for semiabelian monodromy."""
-    _require_square_zero(n_op)
-    return n_op.rank()
-
-
 def unipotent_or_negative(f: RationalOperator) -> int:
     """Given ∧²f unipotent, return the sign s with s·f unipotent.
 
@@ -312,26 +306,22 @@ class TwoTorsionPermutation:
         if sorted(m) != list(range(16)):
             raise ValueError("mapping must be a bijection of 16 labels")
 
-    def matrix(self) -> RationalOperator:
-        return RationalOperator._reduced([[int(self.mapping[j] == i) for j in range(16)]
-                                          for i in range(16)], 1)
-
 
 def two_torsion_trivial(p: TwoTorsionPermutation) -> bool:
-    """True iff the permutation matrix is unipotent, i.e. p is the identity.
+    """True iff p acts trivially, read off the permutation: p is the identity.
 
-    Both routes are computed and asserted to agree: a permutation matrix has
-    finite order, so unipotence forces it to be the identity."""
-    is_id = p.mapping == tuple(range(16))
-    unip = p.matrix().is_unipotent()
-    if is_id != unip:
-        raise ConsistencyError("unipotence and identity checks disagree")
-    return is_id
+    That is the same as its 16x16 permutation matrix being unipotent, since
+    a permutation matrix has finite order and a unipotent matrix of finite
+    order over Q is the identity; a test checks that equivalence."""
+    return p.mapping == tuple(range(16))
 
 
 # -- JSON documents ---------------------------------------------------------------
 #
 # Matrix document: {"dim": n, "entries": [[rational strings "p/q"]]}
+# A string must be "p" or "p/q", signed or not: Fraction alone would also
+# read "1e100000000", and build its 10^8-digit integer first.
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def operator_from_json(doc: Mapping) -> RationalOperator:
@@ -348,7 +338,8 @@ def operator_from_json(doc: Mapping) -> RationalOperator:
     for r in raw:
         row = []
         for x in r:
-            if isinstance(x, bool) or not isinstance(x, (int, str)):
+            if isinstance(x, bool) or not isinstance(x, (int, str)) or (
+                    isinstance(x, str) and not _RATIONAL.fullmatch(x)):
                 raise SchemaError(f"matrix entries must be integers or 'p/q' strings, got {x!r}")
             try:
                 row.append(Fraction(x))

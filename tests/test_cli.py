@@ -271,6 +271,11 @@ def test_unreadable_files_are_bad_input(tmp_path, capsys, command, name):
     assert message in report["error"]
 
 
+def square_zero_matrix(entry):
+    """The 4x4 matrix document with entry at (0, 1) and zeros elsewhere: N² = 0."""
+    return {"dim": 4, "entries": [["0", entry, "0", "0"]] + [["0"] * 4 for _ in range(3)]}
+
+
 # Documents that the readers refuse, each with its own message:
 # (command, document, error).
 REFUSED_DOCUMENTS = {
@@ -290,6 +295,14 @@ REFUSED_DOCUMENTS = {
                              "matrix document must be a JSON object"),
     "matrix_float_entry": (["monodromy", "--matrix"], {"dim": 1, "entries": [[0.5]]},
                            "matrix entries must be integers or 'p/q' strings, got 0.5"),
+    "matrix_decimal_string": (["monodromy", "--matrix"], square_zero_matrix("2.5"),
+                              "matrix entries must be integers or 'p/q' strings, got '2.5'"),
+    "matrix_exponent_string": (["monodromy", "--matrix"], square_zero_matrix("1e3"),
+                               "matrix entries must be integers or 'p/q' strings, got '1e3'"),
+    "matrix_underscore_string": (["monodromy", "--matrix"], square_zero_matrix("1_000"),
+                                 "matrix entries must be integers or 'p/q' strings, got '1_000'"),
+    "matrix_space_string": (["monodromy", "--matrix"], square_zero_matrix(" 1/2"),
+                            "matrix entries must be integers or 'p/q' strings, got ' 1/2'"),
 }
 
 
@@ -298,6 +311,17 @@ def test_malformed_documents_are_refused_by_name(tmp_path, capsys, name):
     command, doc, message = REFUSED_DOCUMENTS[name]
     code, report = run(capsys, *command, write(tmp_path, "doc.json", doc))
     assert (code, report) == (2, {"error": message, "kind": "SchemaError"})
+
+
+def test_an_exponent_string_is_refused_at_once(tmp_path):
+    # Fraction("1e100000000") would build a 10^8-digit integer first.
+    path = write(tmp_path, "m.json", square_zero_matrix("1e100000000"))
+    src = str(Path(kummer_kulikov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "kummer_kulikov.cli", "monodromy",
+                           "--matrix", path, "--quiet"], capture_output=True, timeout=20,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["kind"] == "SchemaError"
 
 
 def test_report_with_base_change_table(capsys, d4_path):

@@ -60,6 +60,21 @@ def test_simplex_validation():
         (((1, 0), (1, 1))), (((0, 0), (1, 1))), (((0, 0), (1, 0)))]
 
 
+def test_simplex_is_an_immutable_tuple_of_sorted_vertices():
+    s = LatticeSimplex([(1, 1), (0, 0), (1, 0)])
+    assert isinstance(s, tuple)
+    for name in ("vertices", "dim", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, ())
+    other = LatticeSimplex([(1, 0), (1, 1), (0, 0)])
+    assert s == other and hash(s) == hash(other)
+    assert s == ((0, 0), (1, 0), (1, 1)) and hash(s) == hash(((0, 0), (1, 0), (1, 1)))
+    # Demo 02 prints .vertices, so it is a plain tuple, not a simplex.
+    assert type(s.vertices) is tuple and type(s.translate((1, 1)).vertices) is tuple
+    assert repr(s) == "LatticeSimplex([(0, 0), (1, 0), (1, 1)])"
+    assert repr(s.faces()[0]) == "LatticeSimplex([(1, 0), (1, 1)])"
+
+
 def test_standard_triangulation_classes():
     t0 = standard_triangulation(0)
     assert [len(t0.by_dim(k)) for k in range(1)] == [1]
@@ -511,8 +526,10 @@ def test_carried_face_classes_match_recomputation(t):
     assert set(t.face_classes) == set(t.simplices)
     for s in t.simplices:
         pairs = t.face_classes[s]
-        assert pairs == tuple((t.canonical_simplex(f), t.canonical_shift(f))
-                              for f in s.faces())
+        # The shift moves the lexmin vertex of f to its canonical point.
+        shifts = [tuple(c - a for c, a in zip(t._cosets.canonical_point(f.vertices[0]),
+                                              f.vertices[0])) for f in s.faces()]
+        assert pairs == tuple(zip(map(t.canonical_simplex, s.faces()), shifts))
         for f, (cf, shift) in zip(s.faces(), pairs):
             assert f.translate(shift) == cf and cf in t.face_classes
     assert t.tables[1] == negatives_table(t, negatives_by_canonical_points(t))

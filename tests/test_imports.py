@@ -42,8 +42,7 @@ EXPORTS = {
     "monodromy": [
         "KummerOperator", "RationalOperator", "TwoTorsionPermutation", "exp_nilpotent",
         "kummer_monodromy", "log_unipotent", "nilpotency_index", "standard_N",
-        "toric_rank_from_N", "two_torsion_trivial", "type_from_index",
-        "unipotent_or_negative", "wedge_square",
+        "two_torsion_trivial", "type_from_index", "unipotent_or_negative", "wedge_square",
     ],
 }
 
@@ -88,7 +87,7 @@ def test_each_command_imports_only_its_layers(argv, code, layers, fractions):
 
 def test_exports_are_the_submodules_own_objects():
     names = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
-    assert len(names) == 58
+    assert len(names) == 57
     assert kummer_kulikov.__all__ == names
     assert set(names) <= set(dir(kummer_kulikov))
     for module, exports in EXPORTS.items():

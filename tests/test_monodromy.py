@@ -25,7 +25,6 @@ from kummer_kulikov.monodromy import (
     nilpotency_index,
     operator_from_json,
     standard_N,
-    toric_rank_from_N,
     two_torsion_trivial,
     type_from_index,
     unipotent_or_negative,
@@ -133,16 +132,22 @@ def test_type_from_index():
 
 
 def test_toric_rank_from_N():
-    assert toric_rank_from_N(ZERO4) == 0
-    assert toric_rank_from_N(standard_N(1)) == 1
+    # The route of ``monodromy``: kummer_monodromy refuses N unless N² = 0,
+    # and then rank N is the toric rank.
+    def toric_rank(n_op):
+        kummer_monodromy(n_op)
+        return n_op.rank()
+
+    assert toric_rank(ZERO4) == 0
+    assert toric_rank(standard_N(1)) == 1
     rng = random.Random(33)
     for t in (0, 1, 2):
         g, ginv = random_unimodular(rng)
-        assert toric_rank_from_N(g * standard_N(t) * ginv) == t
+        assert toric_rank(g * standard_N(t) * ginv) == t
     with pytest.raises(BadSquare):
-        toric_rank_from_N(JORDAN3)
+        toric_rank(JORDAN3)
     with pytest.raises(NotNilpotent):
-        toric_rank_from_N(I4)
+        toric_rank(I4)
 
 
 def test_nilpotency_index_conjugation_invariant():
@@ -210,13 +215,19 @@ def test_two_torsion_trivial():
 
 
 def test_two_torsion_unipotence_equivalence():
-    # For permutation matrices, unipotent and identity coincide.
+    # For permutation matrices, unipotent and identity coincide, so
+    # two_torsion_trivial reads the permutation alone.
     rng = random.Random(4)
+    perms = [list(range(16)), [1, 0, *range(2, 16)]]
     for _ in range(10):
         perm = list(range(16))
         rng.shuffle(perm)
-        p = TwoTorsionPermutation(tuple(perm))
-        assert p.matrix().is_unipotent() == (tuple(perm) == tuple(range(16)))
+        perms.append(perm)
+    for perm in perms:
+        matrix = RationalOperator([[int(perm[j] == i) for j in range(16)] for i in range(16)])
+        identity = tuple(perm) == tuple(range(16))
+        assert matrix.is_unipotent() == identity
+        assert two_torsion_trivial(TwoTorsionPermutation(tuple(perm))) == identity
 
 
 def test_operator_json_round_trip():

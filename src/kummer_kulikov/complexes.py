@@ -13,11 +13,10 @@ from __future__ import annotations
 import enum
 import functools
 import sys
-from collections import Counter
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .degeneration import DegenerationData, base_change, is_even
 from .errors import (
@@ -41,11 +40,7 @@ class KulikovType(enum.Enum):
     III = "III"
 
 
-Boundary = dict[int, tuple[tuple[int, ...], ...]]
-
-
-@dataclass(eq=False)
-class DeltaComplex:
+class DeltaComplex(namedtuple("DeltaComplex", "counts boundary label")):
     """Cells with ordered face maps, dimensions 0..2, on integer positions.
 
     ``counts[k]`` is the number of k-cells.  ``boundary[k]``, for k >= 1,
@@ -56,9 +51,7 @@ class DeltaComplex:
     and labels are.
     """
 
-    counts: dict[int, int]
-    boundary: Boundary
-    label: Callable[[int, int], str] = field(repr=False)
+    __slots__ = ()
 
     def num(self, k: int) -> int:
         return self.counts.get(k, 0)
@@ -69,6 +62,12 @@ class DeltaComplex:
         return (self.counts == other.counts and self.boundary == other.boundary
                 and all(self.label(k, i) == other.label(k, i)
                         for k, n in self.counts.items() for i in range(n)))
+
+    def __ne__(self, other):  # tuple's != would compare the label functions
+        return not self == other
+
+    def __repr__(self) -> str:
+        return f"DeltaComplex(counts={self.counts!r}, boundary={self.boundary!r})"
 
 
 def _check_involution(complex_: DeltaComplex, perms: dict[int, tuple[int, ...]]) -> None:
@@ -275,9 +274,7 @@ def classify_kummer_type(d: DegenerationData, quotient: DeltaComplex) -> Kulikov
 
 # -- component counts --------------------------------------------------------------
 
-class ComponentCounts(NamedTuple):
-    N_A: int
-    N_X: int
+ComponentCounts = namedtuple("ComponentCounts", "N_A N_X")
 
 
 def component_counts(d: DegenerationData) -> ComponentCounts:
@@ -298,10 +295,7 @@ def _counts(phi: ComponentGroup) -> ComponentCounts:
     return ComponentCounts(order, tt + (order - tt) // 2)
 
 
-class BaseChangeCounts(NamedTuple):
-    N: int
-    N_L: int
-    formula_N_L: int
+BaseChangeCounts = namedtuple("BaseChangeCounts", "N N_L formula_N_L")
 
 
 def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:

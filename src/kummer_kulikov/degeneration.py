@@ -15,55 +15,45 @@ action on its simplex classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 from .errors import InvalidScale, SchemaError, UnsupportedRank
 from .lattice import IntMatrix, leading_principal_minors
 
 
-@dataclass(frozen=True)
-class DegenerationData:
+class DegenerationData(namedtuple("DegenerationData", "rank phi b a_basis")):
     """The tuple (X, Y, φ, a, b) with X = Y = Z^rank.
 
     b.entries[i][j] = b(e_i^Y, e_j^X); phi is the matrix of φ (columns are
     images of basis vectors); a_basis[i] = a(e_i^Y).
     """
 
-    rank: int
-    phi: IntMatrix
-    b: IntMatrix
-    a_basis: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = self.rank
+    def __new__(cls, rank: int, phi: IntMatrix, b: IntMatrix, a_basis: Sequence[int]):
+        t = rank
         if t < 0:
             raise SchemaError("rank must be nonnegative")
         if t > 2:
             raise UnsupportedRank(f"toric rank {t} does not occur for abelian surfaces")
-        for name, m in (("phi", self.phi), ("b", self.b)):
+        for name, m in (("phi", phi), ("b", b)):
             if m.rows != t or m.cols != t:
                 raise SchemaError(f"{name} must be {t}x{t}, got {m.rows}x{m.cols}")
-        if len(self.a_basis) != t:
+        if len(a_basis) != t:
             raise SchemaError(f"a_basis must have length {t}")
-        object.__setattr__(self, "a_basis", tuple(int(x) for x in self.a_basis))
+        return super().__new__(cls, rank, phi, b, tuple(int(x) for x in a_basis))
 
     def pairing_matrix(self) -> IntMatrix:
         """Matrix of (y, y') -> b(y, φ(y')), i.e. b·phi."""
         return self.b.mul(self.phi)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    detail: str
+AxiomCheck = namedtuple("AxiomCheck", "name passed detail")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[AxiomCheck, ...]
-    h_invariant: bool
+class ValidationReport(namedtuple("ValidationReport", "checks h_invariant")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

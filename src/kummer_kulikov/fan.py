@@ -112,17 +112,25 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, groupby, product, repeat
 from operator import add, le, mod, mul, sub
-from typing import Iterable, Mapping, Sequence
 
 from .degeneration import DegenerationData, base_change, is_even
-from .errors import SchemaError, SingularPairing, UnsupportedRank
+from .errors import ResourceLimit, SchemaError, SingularPairing, UnsupportedRank
 from .lattice import IntMatrix, smith_normal_form, solve
 from .lattice import rank as matrix_rank
 
 Vector = tuple[int, ...]
+
+# Size limits, checked before the work they bound.  A development holds about
+# 290 bytes per class at its peak (b = (10^6): 2·10^6 classes, 5 s, 577 MB),
+# and property (d) takes about 30 µs and 2 kB per point of its translate box
+# when every translate is a violation (10^5 points: 3 s, 230 MB), on a
+# 2-vCPU Xeon VM under Python 3.11.
+MAX_DEVELOPED_CLASSES = 3_000_000
+MAX_TRANSLATE_BOX = 100_000
 
 
 class LatticeSimplex(tuple):
@@ -399,11 +407,16 @@ class PeriodicTriangulation:
         residue r; their order, face pairs and negatives are read off the
         unit cell's by residue arithmetic (see the module docstring).  No
         two coincide, because the unit classes all have the lexmin vertex 0,
-        which ``lattice is None`` guarantees.
+        which ``lattice is None`` guarantees.  More than MAX_DEVELOPED_CLASSES
+        classes are refused with ResourceLimit, before any is developed.
         """
         if self.lattice is not None:
             raise ValueError("triangulation already has a lattice attached")
-        return self._develop(_CosetMap(self.rank, lattice))
+        cosets = _CosetMap(self.rank, lattice)
+        if cosets.index * len(self.simplices) > MAX_DEVELOPED_CLASSES:
+            raise ResourceLimit(f"the development would pass the limit of "
+                                f"{MAX_DEVELOPED_CLASSES} classes")
+        return self._develop(cosets)
 
     def _develop(self, cosets: _CosetMap) -> "PeriodicTriangulation":
         t = PeriodicTriangulation.__new__(PeriodicTriangulation)
@@ -479,12 +492,16 @@ def _lattice_translates(t: PeriodicTriangulation, reach: Vector) -> list[Vector]
     λ = Wᵀ·y for the rows W of a basis, reduced by ``_reduced_basis``, and
     the integer coefficients y = adj(Wᵀ)·λ / det Wᵀ, so |y_i| <= Σ_j
     |adj(Wᵀ)_ij|·reach_j / |det|, and since |y_i| is an integer it is at
-    most the floor of that bound: the box of y below is complete.
+    most the floor of that bound: the box of y below is complete.  A box
+    past MAX_TRANSLATE_BOX points is refused with ResourceLimit.
     """
     w = _reduced_basis(t.lattice.entries)
     n = t.rank
     adj, det = solve(list(zip(*w)), _identity(n))
     bounds = [sum(map(mul, map(abs, row), reach)) // abs(det) for row in adj]
+    if math.prod(2 * b + 1 for b in bounds) > MAX_TRANSLATE_BOX:
+        raise ResourceLimit(f"property (d) would scan more than {MAX_TRANSLATE_BOX} "
+                            f"lattice translates")
     out = []
     for y in product(*(range(-b, b + 1) for b in bounds)):
         if all(v == 0 for v in y):
@@ -726,21 +743,17 @@ def _polarization_margins(t: PeriodicTriangulation) -> list[int] | None:
 
 # -- certification and scaling --------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "semistable unimodular vertices_complete polarization "
+                             "property_d_violations h_free_violations", defaults=((), ()))):
     """The verdicts of the checks on a fan: four flags, and the violations of
-    property (d) and H-freeness, which hold exactly when there are none.
+    property (d) and H-freeness, tuples of (vector, class) pairs, which hold
+    exactly when there are none.
 
     ``passes`` is what ``fan check`` needs for exit 0; ``complex_refusal``
     names the first flag that the dual complex needs and that fails.
     """
 
-    semistable: bool
-    unimodular: bool
-    vertices_complete: bool
-    polarization: bool
-    property_d_violations: tuple[tuple[Vector, LatticeSimplex], ...] = ()
-    h_free_violations: tuple[tuple[Vector, LatticeSimplex], ...] = ()
+    __slots__ = ()
 
     @property
     def property_d(self) -> bool:

@@ -15,8 +15,8 @@ reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import SingularPairing
 
@@ -224,20 +224,19 @@ def leading_principal_minors(m: Sequence[Sequence[int]]) -> list[int]:
     return [det([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(namedtuple("ComponentGroup", "divisors")):
     """Finite abelian group ⊕ Z/d_i with d_1 | d_2 | ... | d_t, all d_i > 1."""
 
-    divisors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ds = tuple(int(d) for d in self.divisors)
-        object.__setattr__(self, "divisors", ds)
+    def __new__(cls, divisors: Iterable[int]):
+        ds = tuple(int(d) for d in divisors)
         if any(d < 2 for d in ds):
             raise ValueError("divisors must be > 1 (trivial factors are dropped)")
         for a, b in zip(ds, ds[1:]):
             if b % a != 0:
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
+        return super().__new__(cls, ds)
 
     @property
     def order(self) -> int:

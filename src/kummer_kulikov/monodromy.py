@@ -14,12 +14,12 @@ on wedge-square ⊕ (16-dim permutation part).  The nilpotency index of N_X
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping
 
 from .complexes import KulikovType
 from .errors import (
@@ -225,16 +225,14 @@ def wedge_derivation(n_op: RationalOperator) -> RationalOperator:
     return RationalOperator._reduced(rows, n_op.den)
 
 
-@dataclass(frozen=True)
-class KummerOperator:
+class KummerOperator(namedtuple("KummerOperator", "wedge torsion_dim", defaults=(16,))):
     """The 22-dimensional monodromy operator on wedge-square ⊕ 2-torsion part.
 
     Stored block-structured: the 6x6 derivation block plus an implicit zero
     block of dimension 16 (the Galois action on the 2-torsion part of a
     semistable Kummer degeneration is trivial)."""
 
-    wedge: RationalOperator
-    torsion_dim: int = 16
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -294,17 +292,16 @@ def unipotent_or_negative(f: RationalOperator) -> int:
     raise HypothesisFailed("neither f nor -f is unipotent despite unipotent ∧²f")
 
 
-@dataclass(frozen=True)
-class TwoTorsionPermutation:
+class TwoTorsionPermutation(namedtuple("TwoTorsionPermutation", "mapping")):
     """Permutation of the sixteen 2-torsion points, stored 0-based."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = tuple(int(x) for x in self.mapping)
-        object.__setattr__(self, "mapping", m)
+    def __new__(cls, mapping: Iterable[int]):
+        m = tuple(int(x) for x in mapping)
         if sorted(m) != list(range(16)):
             raise ValueError("mapping must be a bijection of 16 labels")
+        return super().__new__(cls, m)
 
 
 def two_torsion_trivial(p: TwoTorsionPermutation) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,35 @@ def test_an_exponent_string_is_refused_at_once(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["kind"] == "SchemaError"
+
+
+def _limit_address_space():
+    # Runs in the child only: a run that tries to hold the work fails fast.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+LONG_EDGE = {"rank": 2, "lattice": [[2, 0], [0, 2]],
+             "simplices": [[[0, 0]], [[0, 0], [10**11, 0]]]}
+HUGE_INDEX = {"rank": 1, "phi": [[1]], "b": [[10**20]]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["fan", "check"], LONG_EDGE, "property (d) would scan more than 100000 lattice translates"),
+    (["classify"], HUGE_INDEX, "the development would pass the limit of 3000000 classes"),
+    (["report"], HUGE_INDEX, "the development would pass the limit of 3000000 classes"),
+    (["fan", "build"], HUGE_INDEX, "the development would pass the limit of 3000000 classes"),
+], ids=["fan-check-long-edge", "classify-huge-index", "report-huge-index",
+        "fan-build-huge-index"])
+def test_oversized_work_is_refused_before_it_starts(tmp_path, command, doc, message):
+    # The edge puts 10^11 points in property (d)'s translate box, and b = (10^20)
+    # develops 2·10^20 classes: each is refused by name, under 1 GiB of address space.
+    src = str(Path(kummer_kulikov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "kummer_kulikov.cli", *command,
+                           write(tmp_path, "doc.json", doc), "--quiet"],
+                          capture_output=True, timeout=60, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"error": message, "kind": "ResourceLimit"}
 
 
 def test_report_with_base_change_table(capsys, d4_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_data
+from kummer_kulikov.complexes import dual_complex
 from kummer_kulikov.degeneration import (
     DegenerationData,
     a_value,
@@ -17,8 +18,9 @@ from kummer_kulikov.degeneration import (
     validate,
 )
 from kummer_kulikov.errors import InvalidScale, SchemaError, UnsupportedRank
-from kummer_kulikov.fan import LatticeSimplex
-from kummer_kulikov.lattice import IntMatrix, component_group
+from kummer_kulikov.fan import LatticeSimplex, auto_scale
+from kummer_kulikov.lattice import ComponentGroup, IntMatrix, component_group
+from kummer_kulikov.monodromy import TwoTorsionPermutation, kummer_monodromy, standard_N
 
 
 def test_validate_good_data():
@@ -225,11 +227,45 @@ I1, I2 = IntMatrix([[1]]), IntMatrix([[1, 0], [0, 1]])
     (lambda: DegenerationData(1, I2, I1, (0,)), SchemaError, "phi must be 1x1, got 2x2"),
     (lambda: DegenerationData(2, I2, I1, (0, 0)), SchemaError, "b must be 2x2, got 1x1"),
     (lambda: DegenerationData(1, I1, I1, (0, 0)), SchemaError, "a_basis must have length 1"),
+    (lambda: DegenerationData(3, I1, I1, ()), UnsupportedRank,
+     "toric rank 3 does not occur for abelian surfaces"),
     (lambda: LatticeSimplex([]), ValueError, "a simplex needs at least one vertex"),
     (lambda: LatticeSimplex([(0,), (0, 1)]), ValueError, "vertices of mixed dimension"),
-], ids=["negative_rank", "phi_shape", "b_shape", "a_basis_length", "empty_simplex",
-        "mixed_dimension"])
+    (lambda: ComponentGroup((1, 2)), ValueError,
+     "divisors must be > 1 (trivial factors are dropped)"),
+    (lambda: ComponentGroup((2, 3)), ValueError, "divisibility chain violated: 2 does not divide 3"),
+    (lambda: TwoTorsionPermutation([0] * 16), ValueError,
+     "mapping must be a bijection of 16 labels"),
+], ids=["negative_rank", "phi_shape", "b_shape", "a_basis_length", "rank_3", "empty_simplex",
+        "mixed_dimension", "trivial_divisor", "divisor_chain", "not_a_permutation"])
 def test_constructors_refuse_malformed_values(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+def _records():
+    d = make_data(2, [[2, 0], [0, 2]])
+    fan = auto_scale(d)[1]
+    report = validate(d)
+    return {"DegenerationData": (d, "b"), "AxiomCheck": (report.checks[0], "passed"),
+            "ValidationReport": (report, "h_invariant"),
+            "ComponentGroup": (component_group(d.b), "divisors"),
+            "Certificate": (fan.certificate, "polarization"),
+            "DeltaComplex": (dual_complex(fan)[0], "counts"),
+            "KummerOperator": (kummer_monodromy(standard_N(2)), "torsion_dim"),
+            "TwoTorsionPermutation": (TwoTorsionPermutation(range(16)), "mapping")}
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_immutable(name):
+    # Neither a field nor a new attribute can be set on a record.
+    record, field = RECORDS[name]
+    assert type(record).__name__ == name
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    assert getattr(record, field) is not None

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -772,7 +771,7 @@ def test_certificate_is_frozen():
     # The unit-cell flags are cached, so a certificate must not be changed.
     unit = standard_triangulation(2)
     first = certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]])))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         first.polarization = False
     assert certify(unit.with_lattice(IntMatrix([[2, 0], [0, 2]]))).polarization
 

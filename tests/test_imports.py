@@ -47,7 +47,8 @@ EXPORTS = {
 }
 
 # What a fresh interpreter loads besides the stdlib: the package, then `main`
-# on the given arguments.
+# on the given arguments.  `dataclasses` and `inspect`, which it imports, cost
+# a cold call about 10 ms, so no command loads either.
 PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -61,7 +62,8 @@ loaded = set(sys.modules) - before
 sys.stdout.write("\\n" + json.dumps({
     "code": code,
     "layers": sorted(m for m in loaded if m.startswith("kummer_kulikov.")),
-    "fractions": "fractions" in loaded}))
+    "fractions": "fractions" in loaded,
+    "introspection": sorted({"dataclasses", "inspect"} & loaded)}))
 """
 
 BASE = ["degeneration", "errors", "lattice"]
@@ -82,7 +84,8 @@ def test_each_command_imports_only_its_layers(argv, code, layers, fractions):
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     expected = sorted(f"kummer_kulikov.{n}" for n in layers)
-    assert probe == {"code": code, "layers": expected, "fractions": fractions}
+    assert probe == {"code": code, "layers": expected, "fractions": fractions,
+                     "introspection": []}
 
 
 def test_exports_are_the_submodules_own_objects():

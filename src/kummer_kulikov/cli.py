@@ -34,13 +34,6 @@ def _load_json(path: str):
             raise SchemaError(f"unreadable JSON document: {exc}") from exc
 
 
-def _emit(report: dict, summary: list[str], quiet: bool) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if not quiet:
-        for line in summary:
-            sys.stderr.write(line + "\n")
-
-
 class _Refusal(Exception):
     """A named check refuses the input; the payload, naming it as
     ``failed_check``, is the report, and the exit code is 1."""
@@ -141,9 +134,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# -- command handlers -----------------------------------------------------------
+# -- command handlers: each returns (report, stderr summary lines, exit code) ---
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, list[str], int]:
     d = degeneration.from_json_dict(_load_json(args.path))
     report = degeneration.validate(d)
     payload = {
@@ -154,32 +147,27 @@ def cmd_validate(args) -> int:
     }
     summary = [("all axioms pass" if report.ok else
                 "failed: " + ", ".join(report.failed_names()))]
-    _emit(payload, summary, args.quiet)
-    return 0 if report.ok else 1
+    return payload, summary, 0 if report.ok else 1
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, list[str], int]:
     report, summary = _classify_payload(_load_data(args.path, kummer=True))
-    _emit(report, summary, args.quiet)
-    return 0 if all(report["consistency"].values()) else 1
+    return report, summary, 0 if all(report["consistency"].values()) else 1
 
 
-def cmd_base_change(args) -> int:
+def cmd_base_change(args) -> tuple[dict, list[str], int]:
     row = _base_change_row(_load_data(args.path, kummer=True), args.e)
-    _emit(row, [f"e = {args.e}: N = {row['N']}, N_L = {row['N_L']} (both routes agree)"],
-          args.quiet)
-    return 0
+    return row, [f"e = {args.e}: N = {row['N']}, N_L = {row['N_L']} (both routes agree)"], 0
 
 
-def cmd_fan_build(args) -> int:
+def cmd_fan_build(args) -> tuple[dict, list[str], int]:
     from . import fan
     nu, tri = fan.auto_scale(_load_data(args.path, kummer=False))
     report = {"nu": nu, "fan": fan.fan_to_json(tri), "certificates": tri.certificate.flags()}
-    _emit(report, [f"nu = {nu}; {len(tri.simplices)} simplex classes"], args.quiet)
-    return 0
+    return report, [f"nu = {nu}; {len(tri.simplices)} simplex classes"], 0
 
 
-def cmd_fan_check(args) -> int:
+def cmd_fan_check(args) -> tuple[dict, list[str], int]:
     from . import fan
     cert = fan.certify(fan.fan_from_json(_load_json(args.path)))
     report = {
@@ -192,11 +180,10 @@ def cmd_fan_check(args) -> int:
         },
     }
     ok = cert.passes()
-    _emit(report, ["all checks pass" if ok else "certification failed"], args.quiet)
-    return 0 if ok else 1
+    return report, ["all checks pass" if ok else "certification failed"], 0 if ok else 1
 
 
-def cmd_complex(args) -> int:
+def cmd_complex(args) -> tuple[dict, list[str], int]:
     """``complex dual`` and ``complex quotient``: Δ_A, or its inversion quotient."""
     from . import complexes, fan
     tri = fan.fan_from_json(_load_json(args.path))
@@ -208,12 +195,10 @@ def cmd_complex(args) -> int:
         delta = complexes.h_quotient(delta, act)
     payload = complexes.complex_to_json(delta)
     payload["chi"] = complexes.euler_characteristic(delta)
-    _emit(payload, [f"{args.complex_command} complex: {[delta.num(k) for k in range(3)]} cells"],
-          args.quiet)
-    return 0
+    return payload, [f"{args.complex_command} complex: {[delta.num(k) for k in range(3)]} cells"], 0
 
 
-def cmd_monodromy(args) -> int:
+def cmd_monodromy(args) -> tuple[dict, list[str], int]:
     from . import monodromy
     if args.toric_rank is not None:
         n_op = monodromy.standard_N(args.toric_rank)
@@ -226,11 +211,10 @@ def cmd_monodromy(args) -> int:
     idx = monodromy.nilpotency_index(n_x)
     ktype = monodromy.type_from_index(idx)
     report = {"toric_rank": rank, "nilpotency_index": idx, "kulikov_type": ktype.value}
-    _emit(report, [f"rank {rank}: index {idx}, type {ktype.value}"], args.quiet)
-    return 0
+    return report, [f"rank {rank}: index {idx}, type {ktype.value}"], 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[dict, list[str], int]:
     d = _load_data(args.path, kummer=True)
     if args.base_change_max is not None and args.base_change_max > BASE_CHANGE_MAX_ROWS:
         raise ResourceLimit(f"a base-change table of {args.base_change_max} rows passes "
@@ -240,8 +224,7 @@ def cmd_report(args) -> int:
         report["base_change"] = [_base_change_row(d, e)
                                  for e in range(1, args.base_change_max + 1)]
         summary.append(f"base-change table for e = 1..{args.base_change_max}")
-    _emit(report, summary, args.quiet)
-    return 0 if all(report["consistency"].values()) else 1
+    return report, summary, 0 if all(report["consistency"].values()) else 1
 
 
 @functools.cache
@@ -295,34 +278,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its report, a refusal or an error: the
+    JSON to stdout, the summary to stderr unless --quiet.  Returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        report, summary, code = args.func(args)
+    except _Refusal as exc:
+        report, code = exc.args[0], 1
+        summary = [f"refused: {report['failed_check']}"]
+    except (SchemaError, json.JSONDecodeError, OSError) as exc:
+        report, summary, code = ({"error": str(exc), "kind": type(exc).__name__},
+                                 [f"input error: {exc}"], 2)
+    except KummerDegenerationError as exc:
+        report, summary, code = ({"error": str(exc), "kind": type(exc).__name__},
+                                 [f"failed: {exc}"], 1)
+    try:
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        if not args.quiet:
+            sys.stderr.write("".join(line + "\n" for line in summary))
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
         # The reader of stdout has gone.  Write nothing more there, and point
         # the descriptor at devnull so the flush at interpreter exit succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-
-
-def _run(args) -> int:
-    quiet = getattr(args, "quiet", False)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        raise
-    except _Refusal as exc:
-        refusal = exc.args[0]
-        _emit(refusal, [f"refused: {refusal['failed_check']}"], quiet)
-        return 1
-    except (SchemaError, json.JSONDecodeError, OSError) as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__}, [f"input error: {exc}"], quiet)
-        return 2
-    except KummerDegenerationError as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__}, [f"failed: {exc}"], quiet)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -408,12 +408,13 @@ class PeriodicTriangulation:
         unit cell's by residue arithmetic (see the module docstring).  No
         two coincide, because the unit classes all have the lexmin vertex 0,
         which ``lattice is None`` guarantees.  More than MAX_DEVELOPED_CLASSES
-        classes are refused with ResourceLimit, before any is developed.
+        classes are refused with ResourceLimit, before any is developed; each
+        coset counts as one class at least, as its representative is listed.
         """
         if self.lattice is not None:
             raise ValueError("triangulation already has a lattice attached")
         cosets = _CosetMap(self.rank, lattice)
-        if cosets.index * len(self.simplices) > MAX_DEVELOPED_CLASSES:
+        if cosets.index * max(len(self.simplices), 1) > MAX_DEVELOPED_CLASSES:
             raise ResourceLimit(f"the development would pass the limit of "
                                 f"{MAX_DEVELOPED_CLASSES} classes")
         return self._develop(cosets)
@@ -940,8 +941,9 @@ def _development(rank: int, groups: list, cosets: _CosetMap) -> PeriodicTriangul
     lattices, develop one cell and share its tables and flags."""
     # A development with more classes than the listed simplices' nonempty faces
     # is not the document's fan; the shapes, distinct unit classes, go first.
+    # An empty listing goes to the constructor, which lists no coset.
     faces = sum(len(rows) * (2 ** len(rows[0]) - 1) for rows, _, _, _ in groups)
-    if sum(len(shapes) for _, _, _, shapes in groups) * cosets.index > faces:
+    if not groups or sum(len(shapes) for _, _, _, shapes in groups) * cosets.index > faces:
         return None
     reached = {}  # u -> residue indices of x for the listed u + x
     for rows, lexmin, keys, shapes in groups:

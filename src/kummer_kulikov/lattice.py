@@ -104,8 +104,6 @@ class IntMatrix:
               for j in range(other.cols)] for i in range(self.rows)])
 
     def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
         return det(self.entries)
 
     def __eq__(self, other) -> bool:
@@ -130,32 +128,24 @@ def smith_normal_form(m: Sequence[Sequence[int]]
     deterministic.
     """
     r, c = len(m), _width(m)
-    a = [list(row) for row in m]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    # One block matrix [[m, I_r], [I_c, 0]]: a step on its first r rows acts on
+    # m and U together, and a step on its first c columns on m and V together.
+    a = [[*row, *(int(i == j) for j in range(r))] for i, row in enumerate(m)]
+    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
 
     def row_sub(i, k, q):
         if q == 0:
             return
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_sub(j, k, q):
         if q == 0:
             return
         for row in a:
             row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
 
     def swap_cols(j, k):
         for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
             row[j], row[k] = row[k], row[j]
 
     for k in range(min(r, c)):
@@ -164,7 +154,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]
                      if a[i][j]), default=None)
         if pivot is None:
             break
-        swap_rows(k, pivot[1])
+        a[k], a[pivot[1]] = a[pivot[1]], a[k]
         swap_cols(k, pivot[2])
 
         while True:
@@ -175,7 +165,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]
                     row_sub(i, k, q)
                     if a[i][k] != 0:
                         # Remainder is strictly smaller; promote it to pivot.
-                        swap_rows(i, k)
+                        a[i], a[k] = a[k], a[i]
                         dirty = True
             if dirty:
                 continue
@@ -197,10 +187,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]
 
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
 
-    return (tuple(a[i][i] for i in range(min(r, c))), list(map(tuple, u)),
-            list(map(tuple, v)))
+    return (tuple(a[i][i] for i in range(min(r, c))), [tuple(row[c:]) for row in a[:r]],
+            [tuple(row[:c]) for row in a[r:]])
 
 
 def solve(m: Sequence[Sequence[int]],

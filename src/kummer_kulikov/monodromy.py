@@ -225,7 +225,7 @@ def wedge_derivation(n_op: RationalOperator) -> RationalOperator:
     return RationalOperator._reduced(rows, n_op.den)
 
 
-class KummerOperator(namedtuple("KummerOperator", "wedge torsion_dim", defaults=(16,))):
+class KummerOperator(namedtuple("KummerOperator", "wedge")):
     """The 22-dimensional monodromy operator on wedge-square ⊕ 2-torsion part.
 
     Stored block-structured: the 6x6 derivation block plus an implicit zero
@@ -233,6 +233,7 @@ class KummerOperator(namedtuple("KummerOperator", "wedge torsion_dim", defaults=
     semistable Kummer degeneration is trivial)."""
 
     __slots__ = ()
+    torsion_dim = 16
 
     @property
     def dim(self) -> int:

@@ -354,6 +354,43 @@ def test_oversized_work_is_refused_before_it_starts(tmp_path, command, doc, mess
     assert json.loads(proc.stdout) == {"error": message, "kind": "ResourceLimit"}
 
 
+# No simplex over a lattice of index 10^19: a development would list every coset.
+EMPTY_OVER_HUGE_INDEX = {"rank": 1, "lattice": [[10**19]], "simplices": []}
+
+
+@pytest.mark.parametrize("command", [["fan", "check"], ["complex", "dual"],
+                                     ["complex", "quotient"]],
+                         ids=["fan-check", "complex-dual", "complex-quotient"])
+def test_an_empty_fan_document_lists_no_coset(tmp_path, command):
+    src = str(Path(kummer_kulikov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "kummer_kulikov.cli", *command,
+                           write(tmp_path, "doc.json", EMPTY_OVER_HUGE_INDEX), "--quiet"],
+                          capture_output=True, timeout=60, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    if command[0] == "fan":
+        assert report["certificates"]["semistable"] is False
+    else:
+        assert report == {"failed_check": "semistable"}
+
+
+def test_developing_an_empty_cell_counts_its_cosets():
+    # The representatives are listed even for a cell with no class.
+    script = ("from kummer_kulikov.errors import ResourceLimit\n"
+              "from kummer_kulikov.fan import PeriodicTriangulation\n"
+              "from kummer_kulikov.lattice import IntMatrix\n"
+              "try:\n"
+              "    PeriodicTriangulation(1, [], None).with_lattice(IntMatrix([[10**19]]))\n"
+              "except ResourceLimit as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(kummer_kulikov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60,
+                          preexec_fn=_limit_address_space, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"the development would pass the limit of 3000000 classes\n"
+
+
 def test_report_with_base_change_table(capsys, d4_path):
     code, report = run(capsys, "report", d4_path, "--base-change-max", "4")
     assert code == 0

@@ -20,7 +20,12 @@ from kummer_kulikov.degeneration import (
 from kummer_kulikov.errors import InvalidScale, SchemaError, UnsupportedRank
 from kummer_kulikov.fan import LatticeSimplex, auto_scale
 from kummer_kulikov.lattice import ComponentGroup, IntMatrix, component_group
-from kummer_kulikov.monodromy import TwoTorsionPermutation, kummer_monodromy, standard_N
+from kummer_kulikov.monodromy import (
+    RationalOperator,
+    TwoTorsionPermutation,
+    kummer_monodromy,
+    standard_N,
+)
 
 
 def test_validate_good_data():
@@ -254,6 +259,8 @@ def _records():
             "Certificate": (fan.certificate, "polarization"),
             "DeltaComplex": (dual_complex(fan)[0], "counts"),
             "KummerOperator": (kummer_monodromy(standard_N(2)), "torsion_dim"),
+            "IntMatrix": (d.b, "entries"),
+            "RationalOperator": (RationalOperator([[1, 2], ["1/2", 0]]), "num"),
             "TwoTorsionPermutation": (TwoTorsionPermutation(range(16)), "mapping")}
 
 

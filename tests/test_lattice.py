@@ -65,6 +65,24 @@ def test_snf_empty_matrix():
     assert assert_snf_contract([]) == ()
 
 
+# Exact (D, U, V): any unimodular pair passes the contract, but the coset
+# representatives U⁻¹·r, and so every developed class, follow this U.
+@pytest.mark.parametrize("m, expected", [
+    ([[4, 2], [2, 6]], ((2, 10), [(1, 0), (3, -1)], [(0, 1), (1, -2)])),
+    ([[2, 4, 4], [-6, 6, 12]],
+     ((2, 6), [(1, 0), (3, 1)], [(1, 0, -2), (0, -1, 4), (0, 1, -3)])),
+    ([[1, 2], [3, 4], [5, 6]],
+     ((1, 2), [(1, 0, 0), (3, -1, 0), (1, -2, 1)], [(1, -2), (0, 1)])),
+    ([[2, 4], [1, 2]], ((1, 0), [(0, 1), (1, -2)], [(1, -2), (0, 1)])),
+    ([[1, 10**7], [0, 1]], ((1, 1), [(1, 0), (0, 1)], [(1, -10**7), (0, 1)])),
+    ([[0, 0, 0], [0, 6, 0]],
+     ((6, 0), [(0, 1), (1, 0)], [(0, 1, 0), (1, 0, 0), (0, 0, 1)])),
+], ids=["square", "wide", "tall", "singular", "skewed", "zero-row"])
+def test_snf_transforms_are_pinned(m, expected):
+    assert smith_normal_form(m) == expected
+    assert_snf_contract(m)
+
+
 def test_snf_idempotent_on_diagonal_forms():
     for diag in [(1, 2), (2, 4), (3,), (1, 1, 6)]:
         m = [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]

@@ -85,11 +85,16 @@ class RationalOperator:
         return RationalOperator._reduced([[-x for x in r] for r in self.num], self.den)
 
     def __mul__(self, other: "RationalOperator") -> "RationalOperator":
+        """The product.  A zero row of self gives a zero row and a zero column
+        of other a zero column, so only the other dot products are formed; the
+        power M^k of a nilpotent M has at least k zero rows and k zero columns."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.num))
-        return RationalOperator._reduced([[sum(map(mul, r, c)) for c in cols]
-                                          for r in self.num], self.den * other.den)
+        cols = [c if any(c) else None for c in zip(*other.num)]
+        zero = [0] * self.dim
+        return RationalOperator._reduced(
+            [[sum(map(mul, r, c)) if c else 0 for c in cols] if any(r) else zero
+             for r in self.num], self.den * other.den)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -163,12 +168,14 @@ def _powers(m: RationalOperator) -> list[RationalOperator] | None:
 
 def _series(n: int, constant: int, divisors: list[int], powers: list) -> RationalOperator:
     """constant·Id + Σ powers[i] / divisors[i], summed on the numerators over one
-    common denominator L·den with the integer coefficients L / divisors[i]."""
+    common denominator L·den with the integer coefficients L / divisors[i];
+    a zero row of a power adds nothing and is passed over."""
     L, den = lcm(*divisors), lcm(*(p.den for p in powers))
     rows = [[constant * L * den * (i == j) for j in range(n)] for i in range(n)]
     for d, p in zip(divisors, powers):
         w = L // d * (den // p.den)
-        rows = [[x + w * y for x, y in zip(r, pr)] for r, pr in zip(rows, p.num)]
+        rows = [[x + w * y for x, y in zip(r, pr)] if any(pr) else r
+                for r, pr in zip(rows, p.num)]
     return RationalOperator._reduced(rows, L * den)
 
 
@@ -339,9 +346,11 @@ def operator_from_json(doc: Mapping) -> RationalOperator:
             if isinstance(x, bool) or not isinstance(x, (int, str)) or (
                     isinstance(x, str) and not _RATIONAL.fullmatch(x)):
                 raise SchemaError(f"matrix entries must be integers or 'p/q' strings, got {x!r}")
-            try:
-                row.append(Fraction(x))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"bad rational {x!r}: {exc}") from exc
+            if isinstance(x, str):  # a JSON integer is kept as an int
+                try:
+                    x = Fraction(x)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise SchemaError(f"bad rational {x!r}: {exc}") from exc
+            row.append(x)
         rows.append(row)
     return RationalOperator(rows)

@@ -304,6 +304,8 @@ REFUSED_DOCUMENTS = {
                                  "matrix entries must be integers or 'p/q' strings, got '1_000'"),
     "matrix_space_string": (["monodromy", "--matrix"], square_zero_matrix(" 1/2"),
                             "matrix entries must be integers or 'p/q' strings, got ' 1/2'"),
+    "matrix_bool_entry": (["monodromy", "--matrix"], square_zero_matrix(True),
+                          "matrix entries must be integers or 'p/q' strings, got True"),
 }
 
 

@@ -1,6 +1,9 @@
 """The exit contract over every command: whatever the documents and flags,
 ``cli.main`` returns 0, 1 or 2 (argparse's SystemExit counts as 2), no
-exception escapes, and stdout holds one JSON object or nothing.
+exception escapes, and stdout holds one JSON object or nothing.  A report
+with exit 1 names its failure: a refusal or a named error by
+``failed_check`` or ``kind``, and a command's full report by the entry that
+decides its exit code.
 
 Integers are drawn small (|x| <= 8) or huge (|x| >= 10^12): a small draw
 develops a small fan, and a huge one is refused before its work by a size
@@ -109,6 +112,19 @@ def matrix_documents(draw):
 FLAG_VALUES = INTS.map(str) | st.sampled_from(["", "x", "1.5", "0x10"])
 
 
+def names_its_failure(command, report):
+    """A refusal (failed_check), a named error (kind), or the full report of
+    command with the entry that decides its exit code false: ``ok`` of
+    validate, a certificate flag of ``fan check``, a consistency entry of
+    classify and report."""
+    if "failed_check" in report or "kind" in report:
+        return True
+    key = {"validate": "ok", "fan check": "certificates",
+           "classify": "consistency", "report": "consistency"}.get(command)
+    entry = report.get(key)
+    return entry is False or isinstance(entry, dict) and False in entry.values()
+
+
 @st.composite
 def invocations(draw):
     """(argv, files): a command line whose paths are names in files, and
@@ -150,4 +166,7 @@ def test_every_command_keeps_the_exit_contract(tmp_path, invocation):
             code = exc.code
     assert code in (0, 1, 2)
     if out.getvalue():
-        assert isinstance(json.loads(out.getvalue()), dict)
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict)
+        command = " ".join(argv[:2]) if argv[0] == "fan" else argv[0]
+        assert code != 1 or names_its_failure(command, report)

@@ -401,12 +401,17 @@ nonzero_rationals = small_rationals.filter(lambda x: x != 0)
 
 @st.composite
 def rational_rows(draw, n):
-    """An n x n matrix of rationals with some zero rows, each entry given to the
-    constructor as an int (when integral), a Fraction or a "p/q" string."""
+    """An n x n matrix of rationals with some zero rows and zero columns, each
+    entry given to the constructor as an int (when integral), a Fraction or a
+    "p/q" string."""
     rows = [[draw(small_rationals) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         if draw(st.integers(0, 3)) == 0:
             rows[i] = [Fraction(0)] * n
+    for j in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            for r in rows:
+                r[j] = Fraction(0)
     as_input = draw(st.sampled_from([Fraction, str, lambda x: int(x) if x.denominator == 1
                                      else x]))
     return [[as_input(x) for x in r] for r in rows]
@@ -443,6 +448,27 @@ def test_operator_matches_fraction_per_entry_reference(n, data):
     back = RationalOperator([[x / c for x in r] for r in scaled.entries])
     assert back == a and hash(back) == hash(a)
     assert (back.num, back.den) == (a.num, a.den)
+
+
+def test_products_that_cancel_or_are_empty_match_the_reference():
+    # Row 0 of A meets every column of B in a sum that cancels to 0, though
+    # no row of A and no column of B is zero; the other rows do not cancel.
+    a_rows = [[1, 1, 0], [Fraction(1, 2), 0, 3], [0, 2, -1]]
+    b_rows = [[1, 2, 3], [-1, -2, -3], [4, Fraction(1, 3), 0]]
+    # Every row of C cancels, so the product is 0, in the canonical form 0/1.
+    c_rows = [[1, -1], [Fraction(2, 3), Fraction(-2, 3)]]
+    d_rows = [[1, 3], [1, 3]]
+    for left, right in [(a_rows, b_rows), (c_rows, d_rows), ([], [])]:
+        new = RationalOperator(left) * RationalOperator(right)
+        ref = FractionOperator(left) * FractionOperator(right)
+        assert new.entries == ref.entries
+        assert new.is_zero() == ref.is_zero()
+        assert_canonical(new)
+    assert RationalOperator(c_rows) * RationalOperator(d_rows) == RationalOperator([[0, 0], [0, 0]])
+    empty = RationalOperator([]) * RationalOperator([])
+    assert (empty.dim, empty.num, empty.den) == (0, (), 1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        RationalOperator([]) * RationalOperator([[1]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,14 +534,17 @@ def outcome(f, op):
 
 @st.composite
 def power_sequence_operators(draw):
-    """M of dimension 1-8 from three families: strictly upper triangular
-    (nilpotent of any index), a single Jordan block of full index, and a
-    one-entry perturbation of a Jordan block that is not nilpotent (the corner
-    entry makes M^n a nonzero multiple of Id, a diagonal entry gives a nonzero
-    trace); conjugated by a product of rational shears."""
-    n = draw(st.integers(1, 8))
-    family = draw(st.sampled_from(["upper", "jordan", "perturbed"]))
-    if family == "upper":
+    """M from four families: strictly upper triangular (nilpotent of any
+    index), a single Jordan block of full index, and a one-entry perturbation
+    of a Jordan block that is not nilpotent (the corner entry makes M^n a
+    nonzero multiple of Id, a diagonal entry gives a nonzero trace), each of
+    dimension 1-8 and conjugated by a product of rational shears; and a
+    strictly upper triangular M of dimension 1-16 relabelled by a signed
+    permutation, so that the zero rows and columns of its powers are spread
+    over the matrix instead of gathered at one end."""
+    family = draw(st.sampled_from(["upper", "jordan", "perturbed", "relabelled"]))
+    n = draw(st.integers(1, 16 if family == "relabelled" else 8))
+    if family in ("upper", "relabelled"):
         rows = [[draw(small_rationals) if i < j else Fraction(0) for j in range(n)]
                 for i in range(n)]
     else:
@@ -524,6 +553,11 @@ def power_sequence_operators(draw):
         if family == "perturbed":
             i, j = draw(st.sampled_from([(n - 1, 0)] + [(k, k) for k in range(n)]))
             rows[i][j] += draw(nonzero_rationals)
+    if family == "relabelled":
+        order = draw(st.permutations(range(n)))
+        signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+        return RationalOperator([[signs[i] * signs[j] * rows[order[i]][order[j]]
+                                  for j in range(n)] for i in range(n)])
     g, ginv = unimodular_pair(draw(st.data()), n, small_rationals)
     return g * RationalOperator(rows) * ginv
 

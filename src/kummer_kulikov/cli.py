@@ -12,6 +12,8 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii as _encode_str
 
 # Each handler imports the layers it runs, so a cold start pays for those only.
 from . import degeneration
@@ -32,6 +34,57 @@ def _load_json(path: str):
             raise
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
             raise SchemaError(f"unreadable JSON document: {exc}") from exc
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """obj as ``json.dumps`` writes it with ``indent=2, sort_keys=True``, byte
+    for byte, for the values reports hold: dicts with str keys, lists,
+    tuples, str, int, bool and None.  indent is the newline and the
+    indentation of obj's own line.
+
+    With an indent, json runs its pure-Python encoder, token by token; here
+    each container is one join, a list of exact ints one join over a map,
+    a list of rows of exact ints one template per row, and leaves go
+    through the functions json itself uses.  The checks run in json's
+    order, so a bool is never written as an int, and str and int subclasses
+    are written as json writes them.  Any other leaf goes to ``json.dumps``,
+    which formats a float or raises the TypeError json raises."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif (kinds <= {list, tuple} and len(set(map(len, obj))) == 1
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            # Rows of ints of one length, as in every list of edges and
+            # triangles, fill one template; format writes an int as repr does.
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["{}"] * len(obj[0])) + inner + "]"
+            items = starmap(row.format, obj)
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        keys = sorted(obj)
+        values = [_dumps(obj[k], inner) for k in keys]
+        pairs = map(": ".join, zip(map(_encode_str, keys), values))
+        return "{" + inner + ("," + inner).join(pairs) + indent + "}"
+    return json.dumps(obj)
 
 
 class _Refusal(Exception):
@@ -293,7 +346,7 @@ def main(argv=None) -> int:
         report, summary, code = ({"error": str(exc), "kind": type(exc).__name__},
                                  [f"failed: {exc}"], 1)
     try:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(report) + "\n")
         if not args.quiet:
             sys.stderr.write("".join(line + "\n" for line in summary))
         sys.stdout.flush()

@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kummer_kulikov
-from kummer_kulikov import cli
+from kummer_kulikov import cli, complexes
 from kummer_kulikov.cli import main
 
 
@@ -454,6 +456,68 @@ def test_reports_are_deterministic(capsys, d22_path):
     out1 = json.dumps(first, sort_keys=True)
     _, second = run(capsys, "classify", d22_path)
     assert json.dumps(second, sort_keys=True) == out1
+
+
+# Strings with the characters json escapes (quote, backslash, controls), with
+# non-ASCII ones and with lone surrogates, which it writes as \udxxx escapes.
+TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u20ac\U0001f600')
+               | st.characters(categories=["Cs"]) | st.characters(), max_size=6)
+BIG_INTS = (st.integers() | st.integers(10**100, 10**120)
+            | st.integers(-10**120, -10**100))
+LEAVES = st.none() | st.booleans() | BIG_INTS | TEXT
+
+
+def json_values(depth):
+    """Values up to depth containers deep, with empty containers at every
+    depth, lists of strings, and the shapes the writer joins at once: lists
+    of ints (with a bool among them, which must not join as an int) and rows
+    of ints, as in every list of edges and triangles."""
+    if depth == 0:
+        return LEAVES
+    inner = json_values(depth - 1)
+    lists = st.lists(inner, max_size=4)
+    values = (inner | lists | lists.map(tuple) | st.dictionaries(TEXT, inner, max_size=4)
+              | st.lists(BIG_INTS | st.booleans(), max_size=5) | st.lists(TEXT, max_size=4)
+              | st.dictionaries(TEXT, TEXT, max_size=4))
+    if depth >= 2:
+        values |= st.lists(st.lists(BIG_INTS, max_size=3) | st.tuples(BIG_INTS, BIG_INTS),
+                           max_size=4)
+    return values
+
+
+@settings(max_examples=300)
+@given(json_values(4))
+def test_report_writer_matches_json(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_writer_refuses_what_json_refuses():
+    doc = {"a": [1, {2}]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as raised:
+        cli._dumps(doc)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["classify"], "classify__d_diag22"),
+    (["report", "--base-change-max", "3"], "report__d_diag22__bc3"),
+])
+def test_a_false_consistency_entry_exits_1_with_the_full_report(capsys, monkeypatch,
+                                                                argv, golden):
+    # N_X counted one too many disagrees with the vertices of delta_X.  No
+    # draw of the exit-contract property reaches this shape.
+    counts = complexes.component_counts
+    monkeypatch.setattr(complexes, "component_counts",
+                        lambda d: counts(d)._replace(N_X=counts(d).N_X + 1))
+    data = Path(__file__).parent / "data" / "golden"
+    expected = json.loads((data / "out" / f"{golden}.txt").read_text().split("\n", 1)[1])
+    code, report = run(capsys, argv[0], str(data / "inputs" / "d_diag22.json"), *argv[1:])
+    assert code == 1
+    assert report == {**expected, "N_X": expected["N_X"] + 1,
+                      "consistency": {**expected["consistency"],
+                                      "n_x_matches_enumeration": False}}
 
 
 def test_summary_goes_to_stderr(capsys, d22_path):

@@ -150,7 +150,7 @@ def invocations(draw):
 # coset representatives, so the document must be read without one.
 @example((["fan", "check", "fan.json"],
           {"fan.json": {"rank": 1, "lattice": [[10**19]], "simplices": []}}))
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300, deadline=10_000,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(invocations())
 def test_every_command_keeps_the_exit_contract(tmp_path, invocation):
@@ -168,5 +168,6 @@ def test_every_command_keeps_the_exit_contract(tmp_path, invocation):
     if out.getvalue():
         report = json.loads(out.getvalue())
         assert isinstance(report, dict)
+        assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
         command = " ".join(argv[:2]) if argv[0] == "fan" else argv[0]
         assert code != 1 or names_its_failure(command, report)

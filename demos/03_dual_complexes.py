@@ -15,6 +15,7 @@ from kummer_kulikov import (
     dual_complex,
     euler_characteristic,
     h_quotient,
+    quotient_labels,
 )
 
 
@@ -43,7 +44,8 @@ for rank, b_rows in [(2, [[2, 0], [0, 2]]), (2, [[4, 0], [0, 4]]),
 d = data(2, [[2, 0], [0, 2]])
 _, tri = auto_scale(d)
 delta_a, act = dual_complex(tri)
-doc = complex_to_json(h_quotient(delta_a, act))
+labels = quotient_labels([tri.class_labels(k) for k in range(3)], act)
+doc = complex_to_json(h_quotient(delta_a, act), labels)
 print("\ntetrahedron check for b = 2I:")
 print("  vertex orbits:", doc["vertices"])
 print("  edges (vertex pairs):", doc["edges"])

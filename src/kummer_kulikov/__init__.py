@@ -19,7 +19,7 @@ _EXPORTS = {
     "complexes": (
         "BaseChangeCounts", "ComponentCounts", "DeltaComplex", "KulikovType",
         "base_change_counts", "classify_kummer_type", "complex_to_json", "component_counts",
-        "dual_complex", "euler_characteristic", "h_quotient",
+        "dual_complex", "euler_characteristic", "h_quotient", "quotient_labels",
     ),
     "degeneration": (
         "DegenerationData", "ValidationReport", "a_value", "base_change", "from_json_dict",

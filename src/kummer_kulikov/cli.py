@@ -244,9 +244,11 @@ def cmd_complex(args) -> tuple[dict, list[str], int]:
     if failing is not None:
         raise _Refusal({"failed_check": failing})
     delta, act = complexes.dual_complex(tri)
+    labels = [tri.class_labels(k) for k in range(tri.rank + 1)]
     if args.complex_command == "quotient":
         delta = complexes.h_quotient(delta, act)
-    payload = complexes.complex_to_json(delta)
+        labels = complexes.quotient_labels(labels, act)
+    payload = complexes.complex_to_json(delta, labels)
     payload["chi"] = complexes.euler_characteristic(delta)
     return payload, [f"{args.complex_command} complex: {[delta.num(k) for k in range(3)]} cells"], 0
 

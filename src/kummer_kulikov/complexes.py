@@ -4,14 +4,16 @@ The special fibre attached to a certified fan is stratified by the nonzero
 cone classes, so the dual complex Δ_A has one k-cell per class of
 k-simplices of the slice triangulation modulo Λ_b.  The inversion acts by
 l -> -l; its quotient Δ_X is the dual complex of the Kummer-side model.
-Quotients are Δ-complexes (cells with ordered face maps), since the
-involution may identify faces of a single cell.
+The involution may identify faces of a single cell.  Each quotient cell
+records its faces by orbit, with the orientation of its orbit's least
+parent cell.  A partner k-cell, one that is not the least of its orbit,
+has sign (−1)^(k(k+1)/2) relative to the least one, so the quotient's rows
+are not Δ-complex face maps.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import sys
 from collections import Counter, namedtuple
 from collections.abc import Sequence
@@ -40,34 +42,20 @@ class KulikovType(enum.Enum):
     III = "III"
 
 
-class DeltaComplex(namedtuple("DeltaComplex", "counts boundary label")):
-    """Cells with ordered face maps, dimensions 0..2, on integer positions.
+class DeltaComplex(namedtuple("DeltaComplex", "counts boundary")):
+    """Cells of dimensions 0..2 on integer positions.
 
     ``counts[k]`` is the number of k-cells.  ``boundary[k]``, for k >= 1,
     lists the k+1 faces of each k-cell, in order, as positions among the
     (k−1)-cells: the ends of edge e are ``boundary[1][e]`` and the edges of
-    triangle τ are ``boundary[2][τ]``.  ``label(k, i)`` formats the label of
-    the i-th k-cell.  Two complexes are equal when their counts, boundaries
-    and labels are.
+    triangle τ are ``boundary[2][τ]``.  On a quotient a face is the orbit of
+    the least parent cell's face, unsigned (see the module docstring).
     """
 
     __slots__ = ()
 
     def num(self, k: int) -> int:
         return self.counts.get(k, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, DeltaComplex):
-            return NotImplemented
-        return (self.counts == other.counts and self.boundary == other.boundary
-                and all(self.label(k, i) == other.label(k, i)
-                        for k, n in self.counts.items() for i in range(n)))
-
-    def __ne__(self, other):  # tuple's != would compare the label functions
-        return not self == other
-
-    def __repr__(self) -> str:
-        return f"DeltaComplex(counts={self.counts!r}, boundary={self.boundary!r})"
 
 
 def _check_involution(complex_: DeltaComplex, perms: dict[int, tuple[int, ...]]) -> None:
@@ -105,10 +93,8 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, dict[int, tupl
     a cell is the class of the simplex with its i-th vertex deleted.  Raises
     UncertifiedFan unless the fan's certificate has what the complex needs,
     or when some −S is not a class, since the inversion then has no action on
-    the cells.  A cell's label lists the vertices of its class, and the
-    labels of a dimension are formatted when the first is read.  The
-    boundary and the involution are the fan's position ``tables``; a
-    development builds no class, and a constructor's fan only for labels.
+    the cells.  The boundary and the involution are the fan's position
+    ``tables``, so a development builds no class.  Labels are ``t.class_labels(k)``.
     """
     if t.certificate is None:
         raise UncertifiedFan("dual complex needs a certified fan; run certify() first")
@@ -122,38 +108,42 @@ def dual_complex(t: PeriodicTriangulation) -> tuple[DeltaComplex, dict[int, tupl
                 f"dual complex needs a fan stable under inversion; -S is not a class "
                 f"for S = {[list(v) for v in missing.vertices]}")
     counts = {k: len(images) for k, images in negatives.items()}
-    by_dim = functools.cache(t.class_labels)
-    return DeltaComplex(counts, dict(faces), lambda k, i: by_dim(k)[i]), dict(negatives)
+    return DeltaComplex(counts, dict(faces)), dict(negatives)
 
 
 def h_quotient(complex_: DeltaComplex, perms: dict[int, tuple[int, ...]]) -> DeltaComplex:
-    """Quotient Δ-complex by the involution ``perms``, the permutation of the
-    cell positions of each dimension (the identity where it has none);
+    """Quotient by the involution ``perms``, the permutation of the cell
+    positions of each dimension (the identity where it has none);
     identifications are permitted.  Raises ValueError unless ``perms`` is an
     involution that commutes with the faces.
 
     Each quotient cell is an orbit {i, perm[i]}, recorded by its least parent
-    position i; its label is theirs, joined by " ~ " when they differ.
+    position i, whose row of faces it takes, each face replaced by its orbit.
+    The rows carry no signs: a partner face of dimension k enters the signed
+    boundary with (−1)^(k(k+1)/2) on top of its alternating sign.
     """
     _check_involution(complex_, perms)
-    perms = {k: perms.get(k, range(n)) for k, n in complex_.counts.items()}
     firsts: dict[int, list[int]] = {}  # quotient position -> least parent position
     orbit_of: dict[int, list[int]] = {}  # parent position -> quotient position
-    for k, perm in perms.items():
+    for k, n in complex_.counts.items():
+        perm = perms.get(k, range(n))
         first = firsts[k] = [i for i, j in enumerate(perm) if i <= j]
-        where = orbit_of[k] = [0] * len(perm)
+        where = orbit_of[k] = [0] * n
         for q, i in enumerate(first):
             where[i] = where[perm[i]] = q
     boundary = {k: tuple(_map_rows(orbit_of[k - 1], map(rows.__getitem__, firsts[k])))
                 for k, rows in complex_.boundary.items()}
-    parent = complex_.label
+    return DeltaComplex({k: len(first) for k, first in firsts.items()}, boundary)
 
-    def label(k: int, q: int) -> str:
-        i = firsts[k][q]
-        j = perms[k][i]
-        return parent(k, i) if i == j else parent(k, i) + " ~ " + parent(k, j)
 
-    return DeltaComplex({k: len(first) for k, first in firsts.items()}, boundary, label)
+def quotient_labels(labels: Sequence[Sequence[str]],
+                    perms: dict[int, tuple[int, ...]]) -> list[list[str]]:
+    """The labels of ``h_quotient``'s cells by dimension, from ``labels[k]``,
+    the parent's k-cell labels by position: the orbit {i, perm[i]} with
+    i <= perm[i] is labelled as cell i, joined with " ~ " to its partner's."""
+    return [[x if i == j else x + " ~ " + row[j]
+             for i, (x, j) in enumerate(zip(row, perms.get(k, range(len(row))))) if i <= j]
+            for k, row in enumerate(labels)]
 
 
 def euler_characteristic(complex_: DeltaComplex) -> int:
@@ -335,15 +325,13 @@ def base_change_counts(d: DegenerationData, e: int) -> BaseChangeCounts:
 # {"vertices": [...], "edges": [[v,v],...], "triangles": [[e,e,e],...], "labels": {...}}
 
 
-def complex_to_json(complex_: DeltaComplex) -> dict:
+def complex_to_json(complex_: DeltaComplex, labels: Sequence[Sequence[str]]) -> dict:
     """The document of a complex, the one place that names cells: the i-th
-    k-cell is ``"vet"[k] + str(i)``, and ``vertices`` lists the labels of
-    the 0-cells by position."""
-    label, boundary = complex_.label, complex_.boundary
-    labels = {k: [label(k, i) for i in range(n)] for k, n in complex_.counts.items()}
+    k-cell is ``"vet"[k] + str(i)`` with label ``labels[k][i]``, and
+    ``vertices`` lists the labels of the 0-cells by position."""
     return {
-        "vertices": labels.get(0, []),
-        "edges": [list(row) for row in boundary.get(1, ())],
-        "triangles": [list(row) for row in boundary.get(2, ())],
-        "labels": {"vet"[k] + str(i): x for k, row in labels.items() for i, x in enumerate(row)},
+        "vertices": list(labels[0]),
+        "edges": [list(row) for row in complex_.boundary.get(1, ())],
+        "triangles": [list(row) for row in complex_.boundary.get(2, ())],
+        "labels": {"vet"[k] + str(i): x for k, row in enumerate(labels) for i, x in enumerate(row)},
     }

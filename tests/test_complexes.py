@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ import kummer_kulikov.cli as cli_module
 import kummer_kulikov.complexes as complexes_module
 import kummer_kulikov.fan as fan_module
 
-from conftest import make_data
+from conftest import flipped_fans, make_data
 from kummer_kulikov.complexes import (
     BaseChangeCounts,
     ComponentCounts,
@@ -23,6 +24,7 @@ from kummer_kulikov.complexes import (
     h_quotient,
     is_chain,
     is_closed_surface,
+    quotient_labels,
 )
 from kummer_kulikov.errors import (
     OddData,
@@ -30,7 +32,13 @@ from kummer_kulikov.errors import (
     UncertifiedFan,
     UnsupportedRank,
 )
-from kummer_kulikov.fan import auto_scale, certify, fan_to_json, standard_triangulation
+from kummer_kulikov.fan import (
+    auto_scale,
+    certify,
+    fan_from_json,
+    fan_to_json,
+    standard_triangulation,
+)
 from kummer_kulikov.lattice import IntMatrix, component_group, two_torsion_order
 
 
@@ -119,7 +127,7 @@ def test_involution_validate_rejects(rank, b_rows):
 
 def _with_triangles(complex_, triangles):
     counts = {**complex_.counts, 2: len(triangles)}
-    return DeltaComplex(counts, {**complex_.boundary, 2: tuple(triangles)}, complex_.label)
+    return DeltaComplex(counts, {**complex_.boundary, 2: tuple(triangles)})
 
 
 def test_involution_validate_falls_back_to_face_multisets():
@@ -159,7 +167,7 @@ def test_classify_and_report_build_no_cell_name(monkeypatch, tmp_path, capsys):
     named = []
     to_json = complexes_module.complex_to_json
     monkeypatch.setattr(complexes_module, "complex_to_json",
-                        lambda c: named.append(c.counts) or to_json(c))
+                        lambda c, labels: named.append(c.counts) or to_json(c, labels))
     data = [write("d2.json", {"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[4, 2], [2, 6]]}),
             write("d1.json", {"rank": 1, "phi": [[1]], "b": [[8]]}),
             write("d0.json", {"rank": 0, "phi": [], "b": []})]
@@ -175,12 +183,12 @@ def test_classify_and_report_build_no_cell_name(monkeypatch, tmp_path, capsys):
 
 
 def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
-    # A development formats all labels of a dimension when the first is
-    # read, and classify and report format none.
-    formatted = []
+    # classify and report format no label; each complex command formats the
+    # labels of every dimension once, from the fan.
+    calls, formatted = [], []
     by_dim, label = fan_module.PeriodicTriangulation.class_labels, fan_module._simplex_label
     monkeypatch.setattr(fan_module.PeriodicTriangulation, "class_labels",
-                        lambda t, k: formatted.append(k) or by_dim(t, k))
+                        lambda t, k: calls.append(k) or by_dim(t, k))
     monkeypatch.setattr(fan_module, "_simplex_label", lambda s: formatted.append(s) or label(s))
     for i, datum in enumerate(({"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[4, 2], [2, 6]]},
                                {"rank": 1, "phi": [[1]], "b": [[8]]},
@@ -190,25 +198,37 @@ def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
         for command in ("classify", "report"):
             assert cli_module.main([command, str(path), "--quiet"]) == 0
     capsys.readouterr()
-    assert formatted == []
+    assert calls == formatted == []
     delta_a, act, delta_x = build(make_data(1, [[4]]))
-    assert formatted == []
-    assert delta_x.label(0, 1) == "(1) ~ (3)"
-    assert formatted == [0]
-    assert delta_x.label(0, 2) == "(2)"
-    assert formatted == [0]
-    assert complex_to_json(delta_a)["labels"] == {
+    assert calls == formatted == []
+    _, t = auto_scale(make_data(1, [[4]]))
+    labels = [t.class_labels(k) for k in range(2)]
+    x_labels = quotient_labels(labels, act)
+    assert x_labels == [["(0)", "(1) ~ (3)", "(2)"], ["(0)|(1) ~ (3)|(4)", "(1)|(2) ~ (2)|(3)"]]
+    assert complex_to_json(delta_a, labels)["labels"] == {
         "v0": "(0)", "v1": "(1)", "v2": "(2)", "v3": "(3)",
         "e0": "(0)|(1)", "e1": "(1)|(2)", "e2": "(2)|(3)", "e3": "(3)|(4)"}
-    assert formatted == [0, 1]
-    assert complex_to_json(delta_x) == {
+    quotient_doc = {
         "vertices": ["(0)", "(1) ~ (3)", "(2)"], "edges": [[1, 0], [2, 1]], "triangles": [],
         "labels": {"v0": "(0)", "v1": "(1) ~ (3)", "v2": "(2)",
                    "e0": "(0)|(1) ~ (3)|(4)", "e1": "(1)|(2) ~ (2)|(3)"}}
+    assert complex_to_json(delta_x, x_labels) == quotient_doc
+    # Each complex command formats each dimension's labels exactly once.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(fan_to_json(t)))
+    docs = {}
+    for command in ("dual", "quotient"):
+        calls.clear()
+        assert cli_module.main(["complex", command, str(path), "--quiet"]) == 0
+        assert calls == [0, 1]
+        docs[command] = json.loads(capsys.readouterr().out)
+    assert docs["quotient"] == {**quotient_doc, "chi": 1}
+    assert docs["dual"] == {**complex_to_json(delta_a, labels), "chi": 0}
+    # A complex is plain data: equal when its counts and rows are.
     assert delta_x.boundary == {1: ((1, 0), (2, 1))}
-    names = {0: ["(0)", "(1) ~ (3)", "(2)"], 1: ["(0)|(1) ~ (3)|(4)", "(1)|(2) ~ (2)|(3)"]}
-    assert delta_x == DeltaComplex({0: 3, 1: 2}, {1: ((1, 0), (2, 1))}, lambda k, i: names[k][i])
-    assert delta_x != DeltaComplex({0: 3, 1: 2}, {1: ((1, 0), (2, 1))}, lambda k, i: "x")
+    assert delta_x == DeltaComplex({0: 3, 1: 2}, {1: ((1, 0), (2, 1))}) == build(
+        make_data(1, [[4]]))[2]
+    assert delta_x != DeltaComplex({0: 3, 1: 2}, {1: ((0, 1), (2, 1))})
 
 
 def test_euler_characteristic_examples():
@@ -330,7 +350,8 @@ def test_base_change_preconditions():
 def test_complex_json_schema():
     d = make_data(2, [[2, 0], [0, 2]])
     _, _, delta_x = build(d)
-    doc = complex_to_json(delta_x)
+    doc = complex_to_json(delta_x, [[f"{k}:{i}" for i in range(delta_x.num(k))]
+                                    for k in range(3)])
     assert set(doc) == {"vertices", "edges", "triangles", "labels"}
     assert len(doc["vertices"]) == 4
     assert all(len(e) == 2 and all(0 <= v < 4 for v in e) for e in doc["edges"])
@@ -338,10 +359,10 @@ def test_complex_json_schema():
                for t in doc["triangles"])
     assert doc["labels"]
     # The vertices are the 0-cells' labels, whatever the order of the counts.
-    edge = DeltaComplex({1: 1, 0: 2}, {1: ((0, 1),)}, lambda k, i: f"{k}:{i}")
-    assert complex_to_json(edge) == {"vertices": ["0:0", "0:1"], "edges": [[0, 1]],
-                                     "triangles": [],
-                                     "labels": {"e0": "1:0", "v0": "0:0", "v1": "0:1"}}
+    edge = DeltaComplex({1: 1, 0: 2}, {1: ((0, 1),)})
+    assert complex_to_json(edge, [["0:0", "0:1"], ["1:0"]]) == {
+        "vertices": ["0:0", "0:1"], "edges": [[0, 1]], "triangles": [],
+        "labels": {"e0": "1:0", "v0": "0:0", "v1": "0:1"}}
 
 
 def test_quotient_of_b2I2_is_tetrahedron():
@@ -349,8 +370,7 @@ def test_quotient_of_b2I2_is_tetrahedron():
     # spans an edge: the boundary of a tetrahedron.
     d = make_data(2, [[2, 0], [0, 2]])
     _, _, delta_x = build(d)
-    doc = complex_to_json(delta_x)
-    edge_sets = {frozenset(e) for e in doc["edges"]}
+    edge_sets = {frozenset(e) for e in delta_x.boundary[1]}
     assert len(edge_sets) == 6
     assert all(len(e) == 2 for e in edge_sets)
 
@@ -404,7 +424,7 @@ def wedge(c1, c2):
     boundary = {k: c1.boundary.get(k, ()) + tuple(tuple(place(k - 1, f) for f in row)
                                                   for row in c2.boundary.get(k, ()))
                 for k in (1, 2)}
-    return DeltaComplex(counts, boundary, lambda k, i: f"{k}:{i}")
+    return DeltaComplex(counts, boundary)
 
 
 def test_tetrahedra_glued_at_a_vertex_are_not_a_surface():
@@ -420,7 +440,7 @@ def test_tetrahedra_glued_at_a_vertex_are_not_a_surface():
     assert not is_closed_surface(glued)
     # Add an isolated vertex: its empty link and the glued vertex's two link
     # cycles are as many as the vertices, yet neither link is one cycle.
-    isolated = DeltaComplex({**glued.counts, 0: 8}, glued.boundary, glued.label)
+    isolated = DeltaComplex({**glued.counts, 0: 8}, glued.boundary)
     assert complexes_module._is_simplicial(isolated)
     assert not complexes_module._vertex_links_are_cycles(isolated)
     assert not quadratic_vertex_links_are_cycles(isolated)
@@ -576,10 +596,10 @@ def damaged(c, kind, i):
     cell to damage."""
     edges, triangles = c.boundary.get(1, ()), list(c.boundary.get(2, ()))
     if kind == "isolated vertex":
-        return DeltaComplex({**c.counts, 0: c.num(0) + 1}, c.boundary, c.label)
+        return DeltaComplex({**c.counts, 0: c.num(0) + 1}, c.boundary)
     if kind == "duplicated edge" and edges:
         return DeltaComplex({**c.counts, 1: len(edges) + 1},
-                            {**c.boundary, 1: edges + (edges[i % len(edges)],)}, c.label)
+                            {**c.boundary, 1: edges + (edges[i % len(edges)],)})
     if not triangles:
         return c
     i %= len(triangles)
@@ -605,3 +625,65 @@ def test_position_predicates_match_named_ones(case, other, i):
                              ("isolated vertex", "duplicated edge", "repeated edge",
                               "dropped triangle"))):
             assert position_predicates(variant) == named_predicates(variant)
+
+
+# -- the signed boundary ---------------------------------------------------------
+
+def squares_to_zero(complex_, signs):
+    """Whether ∂∂ = 0 when face j of the i-th k-cell enters its boundary
+    with the sign ``signs[k][i][j]``."""
+    rows = complex_.boundary
+    for k in range(2, max(rows, default=0) + 1):
+        for row, row_signs in zip(rows[k], signs[k]):
+            total = Counter()
+            for f, s in zip(row, row_signs):
+                for g, r in zip(rows[k - 1][f], signs[k - 1][f]):
+                    total[g] += s * r
+            if any(total.values()):
+                return False
+    return True
+
+
+def alternating(complex_):
+    return {k: [tuple((-1) ** j for j in range(k + 1))] * len(rows)
+            for k, rows in complex_.boundary.items()}
+
+
+def partner_signs(delta_a, act):
+    """The signs of the quotient's rows: (−1)^j on face j of the least parent
+    cell, times (−1)^((k−1)k/2) when that face, of dimension k − 1, is a
+    partner, i.e. not the least of its orbit."""
+    return {k: [tuple((-1) ** j * (-1) ** ((k - 1) * k // 2 * (act[k - 1][f] < f))
+                      for j, f in enumerate(row))
+                for i, row in enumerate(rows) if i <= act[k][i]]
+            for k, rows in delta_a.boundary.items()}
+
+
+def certified(doc):
+    fan = fan_from_json(doc)
+    certify(fan)
+    return fan
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(complex_cases.map(lambda case: auto_scale(make_data(*case))[1]),
+                 flipped_fans().map(lambda case: certified(case[1]))))
+def test_quotient_boundary_squares_to_zero_with_partner_signs(fan):
+    delta_a, act = dual_complex(fan)
+    delta_x = h_quotient(delta_a, act)
+    assert squares_to_zero(delta_a, alternating(delta_a))
+    assert squares_to_zero(delta_x, partner_signs(delta_a, act))
+    # Every datum here is even, so the inversion fixes exactly the 2^t
+    # vertices v with 2v ∈ Λ and no other cell: they alone keep a plain label.
+    labels = [fan.class_labels(k) for k in range(fan.rank + 1)]
+    assert not any(" ~ " in x for row in labels for x in row)
+    plain = [[x for x in row if " ~ " not in x] for row in quotient_labels(labels, act)]
+    if fan.rank >= 1:
+        assert [len(row) for row in plain] == [2 ** fan.rank] + [0] * fan.rank
+
+
+def test_quotient_rows_are_not_face_maps():
+    # On diag(2, 2) plain alternating signs on Δ_X give ∂∂ ≠ 0.
+    delta_a, act, delta_x = build(make_data(2, [[2, 0], [0, 2]]))
+    assert not squares_to_zero(delta_x, alternating(delta_x))
+    assert squares_to_zero(delta_x, partner_signs(delta_a, act))

@@ -857,7 +857,8 @@ def test_table_dual_complex_matches_dicts(case):
     oracle = dual_from_dicts(expected)
     for fan in (t, expected):
         delta, perms = complexes_module.dual_complex(fan)
-        labels = complexes_module.complex_to_json(delta)["labels"]
+        labels = complexes_module.complex_to_json(
+            delta, [fan.class_labels(k) for k in range(fan.rank + 1)])["labels"]
         assert (delta.boundary, perms, list(labels.values())) == oracle
 
 

@@ -22,7 +22,7 @@ EXPORTS = {
     "complexes": [
         "BaseChangeCounts", "ComponentCounts", "DeltaComplex", "KulikovType",
         "base_change_counts", "classify_kummer_type", "complex_to_json", "component_counts",
-        "dual_complex", "euler_characteristic", "h_quotient",
+        "dual_complex", "euler_characteristic", "h_quotient", "quotient_labels",
     ],
     "degeneration": [
         "DegenerationData", "ValidationReport", "a_value", "base_change", "from_json_dict",
@@ -90,7 +90,7 @@ def test_each_command_imports_only_its_layers(argv, code, layers, fractions):
 
 def test_exports_are_the_submodules_own_objects():
     names = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
-    assert len(names) == 57
+    assert len(names) == 58
     assert kummer_kulikov.__all__ == names
     assert set(names) <= set(dir(kummer_kulikov))
     for module, exports in EXPORTS.items():

@@ -35,9 +35,10 @@ canonical point is rep[ρ(x)] = U^{-1}·ρ(x); ρ is additive and
 ρ(rep[r]) = r.  So dev[u, r] = u + rep[r] has the canonical lexmin vertex
 rep[r], and is the stored class.  A development is carried as its unit
 cell and integer tables (``tables``), and builds no developed simplex until
-``simplices``, ``by_dim`` or ``face_classes`` is read.
+``simplices`` or ``by_dim`` is read.
 
-- Face pairs.  Let f + z = uf be the unit pair of the i-th face f of u.
+- Faces.  Let f + z = uf be the unit class of the i-th face f of u: for
+  i >= 1, f keeps the lexmin vertex 0 and z = 0, and for i = 0, z = −u[1].
   The i-th face of dev[u, r] is f + rep[r]; its lexmin is rep[r] − z, of
   residue r' = (r − U·z) mod D = moved(z, 1)[r], where moved(v, sign)
   maps r to (sign·r − U·v) mod D.  Its canonical shift is therefore
@@ -97,15 +98,13 @@ simplices of each length are sorted and flattened once, so the columns of x
 and the flat keys of u are strided slices, and ρ(x) is computed column by
 column.  ``PeriodicTriangulation(rank, simplices, Λ)`` stores the set C of
 the listed classes closed under faces.  It orders C by (dim, vertices); its
-face pairs are (class of f, canonical shift of f) and its negatives the
-class of −S when that lies in C.  Each is a function of C and Λ alone, and a
-development gives the same functions of its own classes (above).  So a
-document whose C is the developed class set *is* the development, with the
-same order, face pairs and negatives.  C lies inside that set, since it is
-closed under the developed face pairs, which are the canonical ones; the two
-are equal exactly when the walk from the listed pairs (u, ρ(x)) over the
-face pairs (u, r) -> (uf, moved(z, 1)[r]), top dimension down, reaches every
-pair.
+faces are the classes of the faces, and its negatives the class of −S when
+that lies in C.  Each is a function of C and Λ alone, and a development
+gives the same functions of its own classes (above).  So a document whose C
+is the developed class set *is* the development, with the same order, faces
+and negatives.  C lies inside that set, since it is closed under the
+developed faces, which are the canonical ones; the two are equal exactly
+when every maximal unit class is listed at every residue (``_development``).
 """
 
 from __future__ import annotations
@@ -264,9 +263,7 @@ class PeriodicTriangulation:
     of their faces and negatives: the constructor sets both from the closure
     of its simplices, and a development (``with_lattice``) computes them from
     its unit cell and builds no class until ``simplices`` or ``by_dim`` is
-    read.  ``face_classes[S]`` lists, in the vertex-deletion order of
-    ``S.faces()``, the pair (canonical class of the face f, shift with
-    f + shift equal to that class), read off ``tables`` when first read.
+    read.
     """
 
     def __init__(self, rank: int, simplices: Iterable[LatticeSimplex],
@@ -317,18 +314,6 @@ class PeriodicTriangulation:
         return tuple(chain.from_iterable(self._by_dim.values()))
 
     @functools.cached_property
-    def face_classes(self) -> dict[LatticeSimplex, tuple[tuple[LatticeSimplex, Vector], ...]]:
-        out = dict.fromkeys(self.by_dim(0), ())
-        for k, rows in self.tables[0].items():
-            below = self.by_dim(k - 1)
-            for s, row in zip(self.by_dim(k), rows):
-                vs = s.vertices
-                # The face without vertex i has the lexmin vs[0], or vs[1] for i = 0.
-                out[s] = tuple((f, tuple(map(sub, f.vertices[0], vs[1 if i == 0 else 0])))
-                               for i, f in enumerate(map(below.__getitem__, row)))
-        return out
-
-    @functools.cached_property
     def tables(self) -> tuple[dict[int, tuple[tuple[int, ...], ...]],
                               dict[int, tuple[int | None, ...]]]:
         """(faces, negatives) by position among the classes of a dimension.
@@ -342,17 +327,16 @@ class PeriodicTriangulation:
         unit, rank = self._unit, self.rank
         n = len(self._reps)
         moved = functools.cache(self._moved)
-        index = {u: j for k in range(rank + 1) for j, u in enumerate(unit.by_dim(k))}
         faces, negatives = {}, {}
         for k in range(rank + 1):
             units = unit.by_dim(k)
             m, below = len(units), len(unit.by_dim(k - 1))
             face_rows, images = [()] * (n * m), [None] * (n * m)
-            for j, u in enumerate(units):
-                columns = [[q * below + i for q in moved(z, 1)]
-                           for i, z in [(index[f], z) for f, z in unit.face_classes[u]]]
-                if columns:
-                    face_rows[j::m] = zip(*columns)
+            for j, (u, row) in enumerate(zip(units, unit.tables[0].get(k, repeat(())))):
+                # Only face 0 moves, by z = −u[1] (module docstring).
+                if row:
+                    first = [q * below + row[0] for q in moved(tuple(-x for x in u[1]), 1)]
+                    face_rows[j::m] = zip(first, *[range(p, n * below, below) for p in row[1:]])
                 if (i := unit.tables[1][k][j]) is not None:
                     images[j::m] = [q * m + i for q in moved(u.vertices[-1], -1)]
             if k:
@@ -469,7 +453,7 @@ def _unit_cell(rank: int, shapes: frozenset[LatticeSimplex]) -> PeriodicTriangul
     """The unit cell of these shapes, closed under faces, built once per
     process for each of the 64 shape sets used most recently.  Nothing in it
     depends on a lattice, so every development of it shares its classes,
-    ``tables``, ``face_classes`` and lattice-free flags."""
+    ``tables`` and lattice-free flags."""
     return PeriodicTriangulation(rank, shapes, None)
 
 
@@ -689,24 +673,26 @@ def _opposite_vertices(t: PeriodicTriangulation):
     order of ``s.faces()``; None where the wall is not interior.  Yields
     (s, opposite vertices).
 
-    A wall is an occurrence (top, face index) of a face class in the carried
-    ``face_classes``.  When its class has exactly one other occurrence
-    (o, j), and z, z_o shift the two occurrences into the class, the
-    neighbour is o + z_o − z and the vertex opposite the wall is
-    o.vertices[j] + z_o − z.
+    A wall is an occurrence (top, face index) of a face class position in
+    ``tables[0]``.  When its class has exactly one other occurrence (o, j),
+    the j-th face of o is moved onto the i-th face of s by the difference of
+    their lexmin vertices, and so is o onto the neighbour.  The lexmin of the
+    face without vertex i is vertex 1 for i = 0 and vertex 0 otherwise, so
+    the opposite vertex is o[j] + s[i == 0] − o[j == 0].
     """
     tops = t.by_dim(t.rank)
-    incidence: dict[LatticeSimplex, list[tuple[LatticeSimplex, int, Vector]]] = {}
-    for s in tops:
-        for i, (key, z) in enumerate(t.face_classes[s]):
-            incidence.setdefault(key, []).append((s, i, z))
-    for s in tops:
+    rows = t.tables[0].get(t.rank, [()] * len(tops))
+    incidence: dict[int, list[tuple[LatticeSimplex, int]]] = {}
+    for s, row in zip(tops, rows):
+        for i, f in enumerate(row):
+            incidence.setdefault(f, []).append((s, i))
+    for s, row in zip(tops, rows):
         opposite = []
-        for i, (key, z) in enumerate(t.face_classes[s]):
-            others = [(o, j, z_o) for o, j, z_o in incidence[key] if (o, j) != (s, i)]
+        for i, f in enumerate(row):
+            others = [(o, j) for o, j in incidence[f] if (o, j) != (s, i)]
             if len(others) == 1:
-                o, j, z_o = others[0]
-                opposite.append(tuple(v + a - b for v, a, b in zip(o.vertices[j], z_o, z)))
+                o, j = others[0]
+                opposite.append(tuple(v + a - b for v, a, b in zip(o[j], s[i == 0], o[j == 0])))
             else:
                 opposite.append(None)
         yield s, opposite
@@ -938,10 +924,19 @@ def _development(rank: int, groups: list, cosets: _CosetMap) -> PeriodicTriangul
     (``_by_length`` groups) if its classes are the listed ones closed under
     faces, and so the constructor's (module docstring); else None.  The cell
     comes from ``_unit_cell``, so documents with the same shapes, over any
-    lattices, develop one cell and share its tables and flags."""
-    # A development with more classes than the listed simplices' nonempty faces
-    # is not the document's fan; the shapes, distinct unit classes, go first.
-    # An empty listing goes to the constructor, which lists no coset.
+    lattices, develop one cell and share its tables and flags.
+
+    The closure C of the listed classes is the development exactly when each
+    maximal unit class, a face of no other, is listed at all |Z^t/Λ|
+    residues.  (⇐) Each unit class is an iterated face of a maximal one, and
+    each face map dev[u, r] ↦ dev[uf, moved(z, 1)[r]] permutes the residues,
+    so C holds every class.  (⇒) A class of a maximal shape is a face of no
+    class, so it is in C only if listed; every maximal unit class is a listed
+    shape, as the cell is the closure of the listed shapes.
+    """
+    # C has at most as many classes as the listed simplices have nonempty
+    # faces, so a development with more is not the document's fan.  The empty
+    # listing, which the criterion would pass, lists no coset.
     faces = sum(len(rows) * (2 ** len(rows[0]) - 1) for rows, _, _, _ in groups)
     if not groups or sum(len(shapes) for _, _, _, shapes in groups) * cosets.index > faces:
         return None
@@ -952,15 +947,9 @@ def _development(rank: int, groups: list, cosets: _CosetMap) -> PeriodicTriangul
             residues[key].add(r)
         reached.update((u, residues[key]) for key, (u, _) in shapes.items())
     unit = _unit_cell(rank, frozenset(reached))
-    if len(unit.simplices) * cosets.index > faces:
-        return None
-    moved = functools.cache(cosets.moved)
-    reached = {u: reached.get(u, set()) for u in unit.simplices}
-    # The faces of a k-class are (k−1)-classes: one pass, top dimension down.
-    for k in range(rank, 0, -1):
-        for u in unit.by_dim(k):
-            for f, z in unit.face_classes[u]:
-                reached[f].update(map(moved(z, 1).__getitem__, reached[u]))
-    if any(len(residues) != cosets.index for residues in reached.values()):
-        return None
+    for k in range(rank + 1):
+        below = set(chain.from_iterable(unit.tables[0].get(k + 1, ())))
+        if any(len(reached[u]) != cosets.index
+               for p, u in enumerate(unit.by_dim(k)) if p not in below):
+            return None
     return unit._develop(cosets)

@@ -140,6 +140,7 @@ class RationalOperator:
 
 def _is_nilpotent(m: RationalOperator) -> bool:
     """M^dim = 0, by squaring: the index of a nilpotent operator is at most dim."""
+    # Squaring, not ``_powers``: at most ⌈log2 dim⌉ products instead of up to dim − 1.
     exponent = 1
     while not m.is_zero():
         if exponent >= m.dim:

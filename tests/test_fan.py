@@ -522,15 +522,17 @@ def matrix_canonical_point(lattice, x):
 @settings(max_examples=60, deadline=None)
 @given(oracle_fans)
 def test_carried_face_classes_match_recomputation(t):
-    assert set(t.face_classes) == set(t.simplices)
-    for s in t.simplices:
-        pairs = t.face_classes[s]
-        # The shift moves the lexmin vertex of f to its canonical point.
-        shifts = [tuple(c - a for c, a in zip(t._cosets.canonical_point(f.vertices[0]),
-                                              f.vertices[0])) for f in s.faces()]
-        assert pairs == tuple(zip(map(t.canonical_simplex, s.faces()), shifts))
-        for f, (cf, shift) in zip(s.faces(), pairs):
-            assert f.translate(shift) == cf and cf in t.face_classes
+    assert t.tables[0] == faces_by_canonical_points(t)
+    for k in range(1, t.rank + 1):
+        below = t.by_dim(k - 1)
+        for s, row in zip(t.by_dim(k), t.tables[0][k]):
+            faces = s.faces()
+            # Every class has a canonical lexmin vertex, so faces 1..k, which
+            # keep it, are their own classes; face 0 is moved by the shift of
+            # its lexmin vertex s[1] to its canonical point.
+            assert [below[p] for p in row[1:]] == faces[1:]
+            shift = tuple(c - a for c, a in zip(t._cosets.canonical_point(s[1]), s[1]))
+            assert below[row[0]] == faces[0].translate(shift)
     assert t.tables[1] == negatives_table(t, negatives_by_canonical_points(t))
 
 
@@ -608,8 +610,24 @@ def develop_by_canonical_points(unit, lattice):
 
 
 def negatives_by_canonical_points(t):
+    classes = set(t.simplices)
     negated = {s: t.canonical_simplex(s.negate()) for s in t.simplices}
-    return {s: (n if n in t.face_classes else None) for s, n in negated.items()}
+    return {s: (n if n in classes else None) for s, n in negated.items()}
+
+
+def face_pairs(t, s):
+    """For each face f of the class s, in the order of ``faces()``, its
+    canonical class and the shift that moves f onto that class."""
+    return [(c, tuple(a - b for a, b in zip(c.vertices[0], f.vertices[0])))
+            for f, c in zip(s.faces(), map(t.canonical_simplex, s.faces()))]
+
+
+def faces_by_canonical_points(t):
+    """``tables[0]`` rebuilt from the classes: for each class of dimension
+    k >= 1, the positions of the canonical classes of its faces."""
+    position = {s: i for k in range(t.rank + 1) for i, s in enumerate(t.by_dim(k))}
+    return {k: tuple(tuple(position[c] for c, _ in face_pairs(t, s)) for s in t.by_dim(k))
+            for k in range(1, t.rank + 1)}
 
 
 def negatives_table(t, negatives):
@@ -630,7 +648,7 @@ def assert_residue_route_matches(unit, lattice):
     assert [t.by_dim(k) for k in range(t.rank + 1)] == [
         expected.by_dim(k) for k in range(t.rank + 1)]
     assert t.tables == expected.tables
-    assert t.face_classes == expected.face_classes
+    assert t.tables[0] == faces_by_canonical_points(expected)
     assert expected.tables[1] == negatives_table(expected, negatives_by_canonical_points(expected))
     assert t == expected
 
@@ -826,11 +844,11 @@ def test_development_bounds_match_class_scans(case):
 
 def dual_from_dicts(t):
     """Boundary, involution and labels of Δ_A from the classes, the
-    ``face_classes`` dict and the negatives by canonical points, position by
-    position."""
+    canonical classes of their faces and the negatives by canonical points,
+    position by position."""
     classes = {k: t.by_dim(k) for k in range(t.rank + 1)}
     position = {s: i for group in classes.values() for i, s in enumerate(group)}
-    boundary = {k: tuple(tuple(position[f] for f, _ in t.face_classes[s]) for s in classes[k])
+    boundary = {k: tuple(tuple(position[f] for f, _ in face_pairs(t, s)) for s in classes[k])
                 for k in range(1, t.rank + 1)}
     negatives = negatives_by_canonical_points(t)
     perms = {k: tuple(position[negatives[s]] for s in group) for k, group in classes.items()}
@@ -869,7 +887,7 @@ def former_wall_neighbors(t):
     walls = []
     incidence = {}
     for s in t.by_dim(t.rank):
-        for f, (key, shift) in zip(s.faces(), t.face_classes[s]):
+        for f, (key, shift) in zip(s.faces(), face_pairs(t, s)):
             walls.append((s, f, shift, key))
             incidence.setdefault(key, []).append((s, shift))
     for s, f, shift, key in walls:
@@ -949,9 +967,10 @@ def flip_a_diagonal(t, classes, rng):
     if t.rank != 2 or not t.by_dim(0):
         return classes
     corner = rng.choice(t.by_dim(0)).vertices[0]
+    present = set(t.simplices)
     for old, new in (SQUARE_CUTS, SQUARE_CUTS[::-1]):
         cut = [LatticeSimplex(s).translate(corner) for s in old]
-        if all(t.canonical_simplex(s) in t.face_classes for s in cut):
+        if all(t.canonical_simplex(s) in present for s in cut):
             gone = {t.canonical_simplex(s) for s in cut}
             return ([s for s in classes if s not in gone]
                     + [LatticeSimplex(s).translate(corner) for s in new])
@@ -977,6 +996,13 @@ def document_listing(t, rows, rng, damage):
                   if any(t._cosets.canonical_point(v))]
         i = rng.randrange(len(classes))
         classes[i] = classes[i].translate(rng.choice(strays))
+    elif damage in ("everywhere", "partial") and rank:
+        # An edge of a shape no cell has, at every coset representative or at
+        # all but one.  In rank 2 it is a maximal unit class below the top
+        # dimension, so the criterion must count it and not only triangles.
+        edge = LatticeSimplex([(0,) * rank, (2, 1)[:rank]])
+        reps = t._cosets.coset_representatives()
+        classes += [edge.translate(g) for g in reps[:len(reps) - (damage == "partial")]]
     classes += rng.sample(classes, rng.randint(0, min(3, len(classes))))
     common = tuple(rng.randint(-9, 9) for _ in range(rank))
     listing = []
@@ -991,8 +1017,38 @@ def document_listing(t, rows, rng, damage):
     return listing
 
 
+def walk_reads_a_development(rank, listing, lattice):
+    """The former reading criterion, a walk: the listed classes closed under
+    faces are the development of the unit cell of their shapes when the walk
+    from the listed pairs (shape, residue of the lexmin vertex) over the face
+    pairs, top dimension down, reaches every pair.  Residues are the tuples
+    ``U·x mod D``, and the unit cell comes from the constructor."""
+    if not listing:
+        return False
+    cosets = fan_module._CosetMap(rank, lattice)
+
+    def pair(s):
+        x = s.vertices[0]
+        return s.translate(tuple(-a for a in x)), tuple(cosets.residue(x))
+
+    reached = {}
+    for u, r in map(pair, map(LatticeSimplex, listing)):
+        reached.setdefault(u, set()).add(r)
+    unit = PeriodicTriangulation(rank, reached, None)
+    reached = {u: reached.get(u, set()) for u in unit.simplices}
+    for k in range(rank, 0, -1):
+        for u in unit.by_dim(k):
+            for f in u.faces():
+                # The face f + rep[r] of dev[u, r] has the residue r + ρ(lexmin f).
+                uf, z = pair(f)
+                reached[uf] |= {tuple((a + b) % d for a, b, d in zip(r, z, cosets.diag))
+                                for r in reached[u]}
+    return all(len(residues) == cosets.index for residues in reached.values())
+
+
 document_cases = st.tuples(cell_cases,
-                           st.sampled_from([None, None, "drop", "flip", "extra", "stray"]),
+                           st.sampled_from([None, None, "drop", "flip", "extra", "stray",
+                                            "everywhere", "partial"]),
                            st.randoms(use_true_random=False))
 
 
@@ -1009,8 +1065,9 @@ def test_document_matches_constructor(case):
     assert got.simplices == expected.simplices
     assert [got.by_dim(k) for k in range(rank + 1)] == [
         expected.by_dim(k) for k in range(rank + 1)]
-    assert got.face_classes == expected.face_classes
-    assert got.tables[1] == expected.tables[1]
+    assert got.tables == expected.tables
+    assert got.tables[0] == faces_by_canonical_points(expected)
+    assert (got._unit is not None) == walk_reads_a_development(rank, listing, lattice)
     cert = certify(got)
     assert cert == certify(expected)
     wd, wh = full_windows(expected)
@@ -1039,6 +1096,20 @@ def test_class_count_guard_reads_a_large_lattice_by_the_constructor(monkeypatch)
                        "simplices": [[[1, 1], [0, 0], [1, 0]]]})
     assert t._unit is None
     assert [len(t.by_dim(k)) for k in range(3)] == [3, 3, 1]
+
+
+def test_reading_a_document_computes_no_residue_permutation(monkeypatch):
+    # A document is read as a development by counting the residues of its
+    # maximal unit classes; the residue permutations are first computed
+    # when the tables are read, here by certify.
+    calls = []
+    moved = fan_module._CosetMap.moved
+    monkeypatch.setattr(fan_module._CosetMap, "moved",
+                        lambda self, v, sign: calls.append(v) or moved(self, v, sign))
+    doc = fan_to_json(developed("standard", [[8, 0], [0, 8]]))
+    t = fan_from_json(doc)
+    assert t._unit is not None and calls == []
+    assert certify(t).passes() and calls
 
 
 @pytest.mark.parametrize("det", [1, None])

@@ -7,11 +7,11 @@ human-readable summary goes to stderr unless --quiet is given.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+import types
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -177,13 +177,11 @@ def _base_change_row(d, e: int) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """A converter of the command table: an integer of at least 1.  Its
+    ValueError gives the reason the command line is refused."""
+    value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
@@ -282,60 +280,82 @@ def cmd_report(args) -> tuple[dict, list[str], int]:
     return report, summary, 0 if all(report["consistency"].values()) else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    ``main`` call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress the stderr summary")
+_USAGE = """\
+usage: kummer-kulikov validate data.json
+       kummer-kulikov classify data.json
+       kummer-kulikov base-change data.json --e E
+       kummer-kulikov fan build data.json
+       kummer-kulikov fan check fan.json
+       kummer-kulikov complex dual fan.json
+       kummer-kulikov complex quotient fan.json
+       kummer-kulikov monodromy (--toric-rank T | --matrix N.json)
+       kummer-kulikov report data.json [--base-change-max M]
+Every command also takes --quiet, which drops the stderr summary, and -h or --help.
+"""
 
-    p = argparse.ArgumentParser(
-        prog="kummer-kulikov",
-        description="Invariants of Kulikov models of degenerating Kummer surfaces")
-    sub = p.add_subparsers(dest="command", required=True)
+# command: (handler, whether a path follows, options and converters, one option due)
+_COMMANDS = {
+    "validate": (cmd_validate, True, {}, False),
+    "classify": (cmd_classify, True, {}, False),
+    "base-change": (cmd_base_change, True, {"--e": _positive_int}, True),
+    "fan build": (cmd_fan_build, True, {}, False),
+    "fan check": (cmd_fan_check, True, {}, False),
+    "complex dual": (cmd_complex, True, {}, False),
+    "complex quotient": (cmd_complex, True, {}, False),
+    "monodromy": (cmd_monodromy, False, {"--toric-rank": int, "--matrix": str}, True),
+    "report": (cmd_report, True, {"--base-change-max": _positive_int}, False),
+}
+# A path or an option's value: a token not led by "-", a lone "-" or a negative number.
+_is_value = re.compile(r"(?!-)|-\Z|-\d+$|-\d*\.\d+$").match
 
-    def add(group, name: str, handler, help: str, path: bool = True):
-        """Register a subcommand of group: its parser, its path and its handler."""
-        sp = group.add_parser(name, parents=[common], help=help)
-        if path:
-            sp.add_argument("path")
-        sp.set_defaults(func=handler)
-        return sp
 
-    add(sub, "validate", cmd_validate, "check the degeneration-data axioms")
-    add(sub, "classify", cmd_classify, "full pipeline: fan, complexes, counts, type")
-    sp = add(sub, "base-change", cmd_base_change,
-             "component counts after base extension, both routes")
-    sp.add_argument("--e", type=_positive_int, required=True, help="ramification index")
+def _fail(reason: str):
+    sys.stderr.write(f"{_USAGE}kummer-kulikov: error: {reason}\n")
+    raise SystemExit(2)
 
-    fp = sub.add_parser("fan", help="fan construction and certification")
-    fsub = fp.add_subparsers(dest="fan_command", required=True)
-    add(fsub, "build", cmd_fan_build, "auto-scale and certify the standard fan")
-    add(fsub, "check", cmd_fan_check, "certify a fan document")
 
-    cp = sub.add_parser("complex", help="dual complexes")
-    csub = cp.add_subparsers(dest="complex_command", required=True)
-    add(csub, "dual", cmd_complex, "dual complex of a fan")
-    add(csub, "quotient", cmd_complex, "inversion quotient of the dual complex")
-
-    sp = add(sub, "monodromy", cmd_monodromy,
-             "nilpotency index and type from a monodromy operator", path=False)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--toric-rank", type=int, default=None)
-    group.add_argument("--matrix", default=None, help="path to a matrix document")
-
-    sp = add(sub, "report", cmd_report,
-             "classification report, optionally with base-change table")
-    sp.add_argument("--base-change-max", type=_positive_int, default=None)
-
-    return p
+def parse_args(argv: list[str]) -> types.SimpleNamespace:
+    """argv read by the table into ``func``, ``path``, ``quiet``, ``complex_command``
+    and a field per option (None if not given), by README's "Command line" rules:
+    -h or --help writes the usage to stdout and exits 0, a fault exits 2 by ``_fail``."""
+    if any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv):
+        sys.stdout.write(_USAGE)
+        raise SystemExit(0)
+    words = argv[:2] if argv[:1] in (["fan"], ["complex"]) else argv[:1]
+    command = " ".join(words)
+    if command not in _COMMANDS:
+        _fail(f"expected a command, got {command!r}")
+    handler, takes_path, converters, one_due = _COMMANDS[command]
+    paths, given, tokens = [], {}, iter(argv[len(words):])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        names = [o for o in ("--quiet", *converters) if len(name) > 2 and o.startswith(name)]
+        if _is_value(token):
+            paths.append(token)
+        elif len(names) != 1 or names[0] == "--quiet" and eq:
+            _fail(f"unrecognized argument {token!r}")
+        elif names[0] == "--quiet":
+            given["--quiet"] = True
+        else:
+            if not (eq or _is_value(value := next(tokens, "--"))):  # "--": argv ran out
+                _fail(f"argument {names[0]}: expected one value")
+            try:
+                given[names[0]] = converters[names[0]](value)
+            except ValueError as exc:
+                _fail(f"argument {names[0]}: {exc}")
+    if len(paths) != takes_path or one_due and len(given.keys() - {"--quiet"}) != 1:
+        _fail(f"{command}: a path or an option is missing or extra")
+    return types.SimpleNamespace(
+        func=handler, path=paths[0] if takes_path else None, quiet="--quiet" in given,
+        complex_command=words[1] if words[0] == "complex" else None,
+        **{o[2:].replace("-", "_"): given.get(o)
+           for o in ("--e", "--toric-rank", "--matrix", "--base-change-max")})
 
 
 def main(argv=None) -> int:
     """Run one command and write its report, a refusal or an error: the
     JSON to stdout, the summary to stderr unless --quiet.  Returns the exit code."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report, summary, code = args.func(args)
     except _Refusal as exc:

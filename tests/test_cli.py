@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kummer_kulikov
@@ -544,3 +547,143 @@ def test_closed_stdout_exits_2_without_traceback(d22_path, command):
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     assert b"Exception ignored" not in proc.stderr
+
+
+# -- the command line -------------------------------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command table replaced: the reference its
+    grammar is checked against."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--quiet", action="store_true")
+    p = argparse.ArgumentParser(prog="kummer-kulikov")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add(group, name, handler, path=True):
+        sp = group.add_parser(name, parents=[common])
+        if path:
+            sp.add_argument("path")
+        sp.set_defaults(func=handler)
+        return sp
+
+    add(sub, "validate", cli.cmd_validate)
+    add(sub, "classify", cli.cmd_classify)
+    add(sub, "base-change", cli.cmd_base_change).add_argument(
+        "--e", type=cli._positive_int, required=True)
+    fsub = sub.add_parser("fan").add_subparsers(dest="fan_command", required=True)
+    add(fsub, "build", cli.cmd_fan_build)
+    add(fsub, "check", cli.cmd_fan_check)
+    csub = sub.add_parser("complex").add_subparsers(dest="complex_command", required=True)
+    add(csub, "dual", cli.cmd_complex)
+    add(csub, "quotient", cli.cmd_complex)
+    group = add(sub, "monodromy", cli.cmd_monodromy, path=False).add_mutually_exclusive_group(
+        required=True)
+    group.add_argument("--toric-rank", type=int, default=None)
+    group.add_argument("--matrix", default=None)
+    add(sub, "report", cli.cmd_report).add_argument(
+        "--base-change-max", type=cli._positive_int, default=None)
+    return p
+
+
+FIELDS = ["path", "quiet", "e", "toric_rank", "matrix", "base_change_max",
+          "complex_command", "func"]
+COMMANDS = [["validate"], ["classify"], ["base-change"], ["fan", "build"], ["fan", "check"],
+            ["complex", "dual"], ["complex", "quotient"], ["monodromy"], ["report"]]
+WORDS = sorted({w for words in COMMANDS for w in words})
+OPTIONS = {"base-change": ["--e"], "monodromy": ["--toric-rank", "--matrix"],
+           "report": ["--base-change-max"], "": ["--quiet"]}
+VALUES = st.sampled_from(["3", "-1", "0", "", "x", "0x10", "1_0"])
+ANY_OPTION = st.sampled_from([o for names in OPTIONS.values() for o in names])
+
+
+def spellings(option):
+    """option and its prefixes: no two options share a first letter, so each
+    prefix is unique among any command's options."""
+    return st.sampled_from([option[:n] for n in range(3, len(option) + 1)])
+
+
+def with_value(option):
+    """option, or a prefix of it, and a value, as two tokens or joined by "="."""
+    return st.tuples(spellings(option), VALUES, st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+
+
+HELP = ["-h", "--help", "--he"]
+STRAYS = st.one_of(
+    st.sampled_from([["data.json"], ["-"]]),
+    ANY_OPTION.flatmap(with_value),
+    ANY_OPTION.flatmap(spellings).map(lambda spelling: [spelling]),
+    st.sampled_from([*WORDS, "--bogus", "--bogus=3", "-x", *HELP]).map(lambda t: [t]))
+
+
+@st.composite
+def command_lines(draw):
+    """Command words (or a wrong or partial few), then, in any order, mostly a
+    well-formed rest: paths, the command's options with values and --quiet
+    or a prefix of it.  One time in two, one or two stray chunks join them:
+    a path, a lone "-", a command word, any option with or without a value,
+    an unknown or a help flag."""
+    words = draw(st.sampled_from([*COMMANDS, [], ["fan"], ["complex"], ["x"]]))
+    options = OPTIONS.get(" ".join(words), [])
+    paths = draw(st.sampled_from([0, 0, 0, 1] if words == ["monodromy"] else [1, 1, 1, 0, 2]))
+    chunks = [[draw(st.sampled_from(["data.json", "-"]))] for _ in range(paths)]
+    if options:
+        chunks += map(draw, map(with_value, draw(
+            st.lists(st.sampled_from(options), min_size=1, max_size=2))))
+    if draw(st.booleans()):
+        chunks.append([draw(spellings("--quiet"))])
+    if draw(st.booleans()):
+        chunks += draw(st.lists(STRAYS, min_size=1, max_size=2))
+    return words + [t for c in draw(st.permutations(chunks)) for t in c]
+
+
+def outcome(parse, argv):
+    """The fields parse reads from argv, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code
+    return {field: getattr(args, field, None) for field in FIELDS}
+
+
+@example(["base-change", "data.json", "--e", "-1"])
+@example(["base-change", "--quiet", "data.json", "--e=3", "--e", "1_0"])
+@example(["monodromy", "--t", "2", "--matrix", "-"])
+@example(["monodromy", "--m=", "--q"])
+@example(["monodromy", "--toric-rank", "-1"])
+@example(["monodromy", "--matrix", "--quiet"])
+@example(["monodromy", "--toric-rank=1", "--matrix"])
+@example(["report", "-", "--base=3"])
+@example(["complex", "quotient", "--quiet=", "data.json"])
+@settings(max_examples=500)
+@given(command_lines())
+def test_the_command_table_reads_what_argparse_reads(argv):
+    ours = outcome(cli.parse_args, argv)
+    if set(argv) & set(HELP):
+        assert ours == 0
+    else:
+        assert ours == outcome(build_parser().parse_args, argv)
+        assert isinstance(ours, dict) or ours == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["base-change", "--help"]], ids=" ".join)
+def test_help_writes_every_command_line_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert len(lines.splitlines()) == 9
+    assert all(line in out for line in lines.splitlines())
+
+
+@pytest.mark.parametrize("argv", [[], ["fan"], ["monodromy"]], ids=["none", "fan", "monodromy"])
+def test_a_bad_command_line_writes_usage_to_stderr_and_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and "kummer-kulikov: error: " in captured.err

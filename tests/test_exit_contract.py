@@ -1,6 +1,7 @@
 """The exit contract over every command: whatever the documents and flags,
-``cli.main`` returns 0, 1 or 2 (argparse's SystemExit counts as 2), no
-exception escapes, and stdout holds one JSON object or nothing.  A report
+``cli.main`` returns 0, 1 or 2 (the SystemExit(2) of a refused command
+line counts as 2), no exception escapes, and stdout holds one JSON object
+or nothing.  A report
 with exit 1 names its failure: a refusal or a named error by
 ``failed_check`` or ``kind``, and a command's full report by the entry that
 decides its exit code.
@@ -162,7 +163,7 @@ def test_every_command_keeps_the_exit_contract(tmp_path, invocation):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main([*argv, "--quiet"])
-        except SystemExit as exc:  # argparse refuses the command line
+        except SystemExit as exc:  # the command table refuses the command line
             code = exc.code
     assert code in (0, 1, 2)
     if out.getvalue():

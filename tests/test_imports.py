@@ -48,7 +48,8 @@ EXPORTS = {
 
 # What a fresh interpreter loads besides the stdlib: the package, then `main`
 # on the given arguments.  `dataclasses` and `inspect`, which it imports, cost
-# a cold call about 10 ms, so no command loads either.
+# a cold call about 10 ms, so no command loads either; the command table
+# reads the command line, so none loads `argparse` or its `gettext`.
 PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -63,7 +64,7 @@ sys.stdout.write("\\n" + json.dumps({
     "code": code,
     "layers": sorted(m for m in loaded if m.startswith("kummer_kulikov.")),
     "fractions": "fractions" in loaded,
-    "introspection": sorted({"dataclasses", "inspect"} & loaded)}))
+    "introspection": sorted({"argparse", "dataclasses", "gettext", "inspect"} & loaded)}))
 """
 
 BASE = ["degeneration", "errors", "lattice"]

@@ -388,7 +388,8 @@ def test_developing_an_empty_cell_counts_its_cosets():
               "from kummer_kulikov.fan import PeriodicTriangulation\n"
               "from kummer_kulikov.lattice import IntMatrix\n"
               "try:\n"
-              "    PeriodicTriangulation(1, [], None).with_lattice(IntMatrix([[10**19]]))\n"
+              "    cell = PeriodicTriangulation(1, [], IntMatrix([[1]]))\n"
+              "    cell.with_lattice(IntMatrix([[10**19]]))\n"
               "except ResourceLimit as exc:\n"
               "    print(exc)\n")
     src = str(Path(kummer_kulikov.__file__).resolve().parents[1])

@@ -45,6 +45,11 @@ from kummer_kulikov.fan import (
 from kummer_kulikov.lattice import IntMatrix, component_group, smith_normal_form, solve
 
 GOLDEN_INPUTS = Path(__file__).parent / "data" / "golden" / "inputs"
+JSON_FANS = sorted(GOLDEN_INPUTS.glob("f_*.json"))
+
+
+def read_fan(path):
+    return fan_from_json(json.loads(path.read_text()))
 
 
 def test_simplex_validation():
@@ -384,13 +389,15 @@ def test_auto_scale_nu_by_parity_matches_certify(d):
 
 ANTI_CELL = [[(0, 0)], [(0, 0), (1, 0)], [(0, 0), (0, 1)], [(1, 0), (0, 1)],
              [(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+# Z^t by rank, the lattice of a unit cell.
+UNIT_LATTICES = fan_module._UNIT_LATTICES
 
 
 def developed(kind, rows):
     """The standard or anti-diagonal unit cell developed over the lattice."""
     n = len(rows)
     unit = (standard_triangulation(n) if kind == "standard" else
-            PeriodicTriangulation(2, [LatticeSimplex(s) for s in ANTI_CELL], None))
+            PeriodicTriangulation(2, [LatticeSimplex(s) for s in ANTI_CELL], UNIT_LATTICES[2]))
     return unit.with_lattice(IntMatrix(rows))
 
 
@@ -440,16 +447,36 @@ fans = st.one_of(
                      ("standard", [[1, 0], [0, 9]]), ("anti", [[2, 0], [1, 8]])]))
 
 
+def partial_document(case):
+    """The fan of a document that lists an edge at all but one coset
+    representative ("partial" in ``document_cases``), which the constructor
+    reads when there is more than one coset."""
+    (rank, name, rows), rng = case
+    listing = document_listing(unit_cell(rank, name).with_lattice(IntMatrix(rows)), rows, rng,
+                               "partial")
+    return fan_from_json({"rank": rank, "lattice": rows, "simplices": listing})
+
+
 @settings(max_examples=60, deadline=None)
-@given(fans)
-def test_bounded_checks_match_full_window_scans(fan):
-    kind, rows = fan
-    t = developed(kind, rows)
+@given(st.one_of(fans.map(lambda fan: developed(*fan)),
+                 st.deferred(lambda: st.tuples(cell_cases, st.randoms(use_true_random=False)))
+                 .map(partial_document)))
+# The two goldens that the constructor reads, a single vertex over Z^2, and
+# a constructor fan with a violation: an edge meeting its translate by 2.
+@example(read_fan(GOLDEN_INPUTS / "f_asym_cut_22.json"))
+@example(read_fan(GOLDEN_INPUTS / "f_one_triangle_22.json"))
+@example(read_fan(GOLDEN_INPUTS / "f_single_vertex_Z2.json"))
+@example(PeriodicTriangulation(1, [LatticeSimplex([(0,), (2,)])], IntMatrix([[2]])))
+def test_bounded_checks_match_full_window_scans(t):
     wd, wh = full_windows(t)
     expected_d = scan_property_d(t, wd)
     expected_h = scan_h_freeness(t, wh)
     assert check_property_d(t) == expected_d
     assert check_h_freeness(t) == expected_h
+    # The checks build a class as cell class j plus representative q.
+    for k in range(t.rank + 1):
+        assert [fan_module._class_at(t, k, p) for p in range(len(t.by_dim(k)))] == list(
+            t.by_dim(k))
 
     cert = certify(t)
     assert cert.property_d_violations == tuple(expected_d)
@@ -458,9 +485,11 @@ def test_bounded_checks_match_full_window_scans(fan):
     assert cert.h_free == (not expected_h)
     assert cert.unimodular == all(is_unimodular(s) for s in t.simplices)
     if cert.semistable and cert.unimodular:
+        # None where a wall has no unique neighbour, as on one triangle.
         margins = fan_module._polarization_margins(t)
-        assert margins == direct_margins(t)
-        assert cert.polarization == all(m > 0 for m in margins)
+        neighbors = [neighbor for _, _, neighbor in former_wall_neighbors(t)]
+        assert margins == (None if None in neighbors else direct_margins(t))
+        assert cert.polarization == (margins is not None and all(m > 0 for m in margins))
 
 
 def skinny_strip(n):
@@ -497,13 +526,6 @@ def test_standard_fan_certified_at_nu_2(rows):
 
 
 # -- oracles for the sort-free simplices and the carried face map -----------------
-
-JSON_FANS = sorted(GOLDEN_INPUTS.glob("f_*.json"))
-
-
-def read_fan(path):
-    return fan_from_json(json.loads(path.read_text()))
-
 
 oracle_fans = st.one_of(fans.map(lambda fan: developed(*fan)),
                         st.sampled_from(JSON_FANS).map(read_fan),
@@ -582,7 +604,7 @@ def unit_cell(rank, name):
     cell = UNIT_CELLS[rank][name]
     if cell is None:
         return standard_triangulation(rank)
-    return PeriodicTriangulation(rank, [LatticeSimplex(s) for s in cell], None)
+    return PeriodicTriangulation(rank, [LatticeSimplex(s) for s in cell], UNIT_LATTICES[rank])
 
 
 lattices_1 = st.one_of(rank1, st.sampled_from([[[1]], [[-1]], [[2]], [[-3]], [[4]], [[5]]]))
@@ -670,7 +692,7 @@ def test_residue_development_matches_canonical_points(case):
 def test_residue_development_on_golden_fans(path):
     # Each golden fan's classes taken modulo Z^t, developed over its lattice.
     doc = read_fan(path)
-    unit = PeriodicTriangulation(doc.rank, doc.simplices, None)
+    unit = PeriodicTriangulation(doc.rank, doc.simplices, UNIT_LATTICES[doc.rank])
     assert_residue_route_matches(unit, doc.lattice)
     # A document the constructor reads carries the negatives of its closure.
     assert doc.tables[1] == negatives_table(doc, negatives_by_canonical_points(doc))
@@ -711,16 +733,20 @@ def test_coset_map_columns_match_per_point_routes(case, points):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cell_cases_0)
-# Two lattices whose representatives have negative coordinates.
-@example((2, "standard", [[-2, 0], [1, -3]]))
-@example((2, "anti", [[2, -3], [0, 2]]))
-def test_development_labels_match_simplex_labels(case):
-    # Formatted per dimension from unit-cell templates and the columns of the
-    # representatives, against each developed class formatted on its own.
-    rank, name, rows = case
-    t = unit_cell(rank, name).with_lattice(IntMatrix(rows))
-    for k in range(rank + 1):
+@given(st.one_of(
+    cell_cases_0.map(lambda case: unit_cell(*case[:2]).with_lattice(IntMatrix(case[2]))),
+    flipped_fans().map(lambda case: fan_from_json(case[1]))))
+# Two lattices whose representatives have negative coordinates, and the
+# asymmetric cut, which the constructor reads.
+@example(developed("standard", [[-2, 0], [1, -3]]))
+@example(developed("anti", [[2, -3], [0, 2]]))
+@example(read_fan(GOLDEN_INPUTS / "f_asym_cut_22.json"))
+def test_development_labels_match_simplex_labels(t):
+    # A development's labels are formatted per dimension from unit-cell
+    # templates and the columns of the representatives, a constructor fan's
+    # class by class (the flipped fans and the asymmetric cut); both against
+    # each class formatted on its own.
+    for k in range(t.rank + 1):
         assert t.class_labels(k) == list(map(fan_module._simplex_label, t.by_dim(k)))
 
 
@@ -769,9 +795,48 @@ def test_unit_cell_flags_take_both_values():
 
 
 def test_unit_cell_route_needs_a_unit_cell():
+    # Only a fan of index 1 develops: a development or a constructor fan of
+    # index 2 is refused.
     t = standard_triangulation(1).with_lattice(IntMatrix([[2]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index 1"):
         t.with_lattice(IntMatrix([[2]]))
+    with pytest.raises(ValueError, match="index 1"):
+        PeriodicTriangulation(1, t.simplices, IntMatrix([[2]])).with_lattice(IntMatrix([[2]]))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_unit_cell_is_certified_as_the_fan_over_z_t(rank):
+    # The cell's verdicts are those of the scans over the identity lattice:
+    # every edge is fixed by the inversion, and every class of extent 1 meets
+    # a translate, such as the triangle (0,0),(1,0),(1,1) its translate by (1, 0).
+    t = standard_triangulation(rank)
+    cert = certify(t)
+    wd, wh = full_windows(t)
+    assert (cert.property_d_violations, cert.h_free_violations) == (
+        tuple(scan_property_d(t, wd)), tuple(scan_h_freeness(t, wh)))
+    assert cert.h_free_violations
+    if rank == 2:
+        assert ((1, 0), LatticeSimplex([(0, 0), (1, 0), (1, 1)])) in cert.property_d_violations
+
+
+def test_unit_cell_document_round_trips():
+    cell = standard_triangulation(2)
+    doc = fan_to_json(cell)
+    assert doc["lattice"] == [[1, 0], [0, 1]]
+    assert fan_from_json(doc) == cell
+
+
+def test_constructor_fan_of_index_1_develops_as_the_unit_cell():
+    # The standard shapes over a skewed basis of Z^2, read by the constructor,
+    # develop class for class as the standard cell.
+    cell = standard_triangulation(2)
+    fan = PeriodicTriangulation(2, cell.simplices, IntMatrix([[1, 1], [0, 1]]))
+    b = IntMatrix([[4, 2], [2, 6]])
+    got, expected = fan.with_lattice(b), cell.with_lattice(b)
+    assert [got.by_dim(k) for k in range(3)] == [expected.by_dim(k) for k in range(3)]
+    assert got.tables == expected.tables
+    assert got == expected
+    assert certify(got) == certify(expected)
 
 
 def test_h_freeness_does_not_depend_on_the_basis():
@@ -1034,7 +1099,7 @@ def walk_reads_a_development(rank, listing, lattice):
     reached = {}
     for u, r in map(pair, map(LatticeSimplex, listing)):
         reached.setdefault(u, set()).add(r)
-    unit = PeriodicTriangulation(rank, reached, None)
+    unit = PeriodicTriangulation(rank, reached, UNIT_LATTICES[rank])
     reached = {u: reached.get(u, set()) for u in unit.simplices}
     for k in range(rank, 0, -1):
         for u in unit.by_dim(k):

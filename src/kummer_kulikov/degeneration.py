@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
+from operator import index
 
 from .errors import InvalidScale, SchemaError, UnsupportedRank
 from .lattice import IntMatrix, leading_principal_minors
@@ -42,7 +43,7 @@ class DegenerationData(namedtuple("DegenerationData", "rank phi b a_basis")):
                 raise SchemaError(f"{name} must be {t}x{t}, got {m.rows}x{m.cols}")
         if len(a_basis) != t:
             raise SchemaError(f"a_basis must have length {t}")
-        return super().__new__(cls, rank, phi, b, tuple(int(x) for x in a_basis))
+        return super().__new__(cls, rank, phi, b, tuple(map(index, a_basis)))
 
     def pairing_matrix(self) -> IntMatrix:
         """Matrix of (y, y') -> b(y, φ(y')), i.e. b·phi."""
@@ -93,7 +94,7 @@ def validate(d: DegenerationData) -> ValidationReport:
                              "quadratic identity extends a integrally" if integral
                              else "quadratic identity fails (a has no integral extension)"))
 
-    return ValidationReport(tuple(checks), h_invariance_check(d))
+    return ValidationReport(tuple(checks), _h_invariant(d, m))
 
 
 def a_value(d: DegenerationData, y: Sequence[int]) -> int:
@@ -103,7 +104,7 @@ def a_value(d: DegenerationData, y: Sequence[int]) -> int:
     with M the pairing matrix; in particular a(0) = 0.
     """
     t = d.rank
-    yv = tuple(int(v) for v in y)
+    yv = tuple(map(index, y))
     if len(yv) != t:
         raise ValueError(f"expected a vector of length {t}")
     m = d.pairing_matrix().entries
@@ -134,8 +135,12 @@ def base_change(d: DegenerationData, nu: int) -> DegenerationData:
 
 def h_invariance_check(d: DegenerationData) -> bool:
     """True iff a(-y) = a(y) for all y, i.e. 2·a(e_i) = M_ii for all i."""
-    m = d.pairing_matrix().entries
-    return all(2 * d.a_basis[i] == m[i][i] for i in range(d.rank))
+    return _h_invariant(d, d.pairing_matrix().entries)
+
+
+def _h_invariant(d: DegenerationData, m) -> bool:
+    """h_invariance_check on the rows m of the pairing matrix."""
+    return all(2 * a == m[i][i] for i, a in enumerate(d.a_basis))
 
 
 # -- JSON document format ----------------------------------------------------

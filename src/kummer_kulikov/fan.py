@@ -115,7 +115,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, groupby, product, repeat
-from operator import add, le, mod, mul, sub
+from operator import add, index, le, mod, mul, sub
 
 from .degeneration import DegenerationData, base_change, is_even
 from .errors import ResourceLimit, SchemaError, SingularPairing, UnsupportedRank
@@ -141,7 +141,7 @@ class LatticeSimplex(tuple):
     __slots__ = ()
 
     def __new__(cls, vertices: Iterable[Sequence[int]]):
-        verts = tuple(sorted(tuple(int(x) for x in v) for v in vertices))
+        verts = tuple(sorted(tuple(map(index, v)) for v in vertices))
         if not verts:
             raise ValueError("a simplex needs at least one vertex")
         if len(set(verts)) != len(verts):
@@ -811,7 +811,7 @@ def auto_scale(d: DegenerationData) -> tuple[int, PeriodicTriangulation]:
     """
     nu = 1 if is_even(d) else 2
     unit = _unit_cell(d.rank, _standard_shapes(d.rank))
-    tri = unit.with_lattice(base_change(d, nu).b)
+    tri = unit.with_lattice((d if nu == 1 else base_change(d, nu)).b)
     tri.certificate = Certificate(*unit._flags)
     return nu, tri
 

@@ -2,14 +2,14 @@
 
 Determinant and rank come from one fraction-free (Bareiss) Gauss–Jordan
 elimination, and inverses and solves from the same pass, which gives the
-determinant and adj(m)·B together (Cramer's rule); cokernels come from the
-Smith normal form.  These functions take and return matrices as plain
-rows, checked only for equal lengths; ``IntMatrix`` is the checked,
-immutable matrix of a datum or a fan document's lattice.  All arithmetic is
-over Python's arbitrary-precision integers, so nothing here can overflow.
-The Smith normal form uses a deterministic pivot rule (smallest absolute
-value, ties broken in row-major order) so the transform matrices are
-reproducible.
+determinant and adj(m)·B together (Cramer's rule).  The component group is
+read off the determinantal divisors.  The Smith normal form serves the coset
+map, which reads its transform, and the unimodularity test, whose rows need
+not be square; its pivot rule (smallest absolute value, row-major ties) is
+deterministic.  These functions take and return matrices as plain rows,
+checked only for equal lengths; ``IntMatrix`` is the checked, immutable
+matrix of a datum or a fan document's lattice.  Arithmetic is over Python's
+integers, exact and without overflow.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from operator import index, mul
 
-from .errors import SingularPairing
+from .errors import SingularPairing, UnsupportedRank
 
 
 def _bareiss(rows: Sequence[Sequence[int]], cols: int) -> tuple[int, int, list[list[int]]]:
@@ -88,7 +89,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", _width(rows))
         object.__setattr__(self, "entries", rows)
@@ -99,9 +100,9 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-              for j in range(other.cols)] for i in range(self.rows)])
+        columns = tuple(zip(*other.entries))
+        return IntMatrix([[sum(map(mul, row, column)) for column in columns]
+                          for row in self.entries])
 
     def det(self) -> int:
         return det(self.entries)
@@ -219,7 +220,7 @@ class ComponentGroup(namedtuple("ComponentGroup", "divisors")):
     __slots__ = ()
 
     def __new__(cls, divisors: Iterable[int]):
-        ds = tuple(int(d) for d in divisors)
+        ds = tuple(map(index, divisors))
         if any(d < 2 for d in ds):
             raise ValueError("divisors must be > 1 (trivial factors are dropped)")
         for a, b in zip(ds, ds[1:]):
@@ -238,18 +239,21 @@ class ComponentGroup(namedtuple("ComponentGroup", "divisors")):
 
 
 def component_group(b: IntMatrix) -> ComponentGroup:
-    """Component group of the Neron model: coker(Y -> X^v), y -> b(y,-).
-
-    The map's matrix (columns = images of the Y basis) is b^T; its cokernel
-    is Z^t modulo the lattice spanned by the rows of b.  Its elementary
-    divisors are those of b, since U·b·V = D gives V^T·b^T·U^T = D.
-    """
+    """Component group of the Neron model: coker(Y -> X^v), y -> b(y,-), with
+    the invariant factors of b.  Smith's theorem gives them as D_k/D_(k-1),
+    D_k the gcd of the k x k minors (D_0 = 1): for t <= 2, D_1 = gcd of the
+    entries and D_t = |det b|.  A 2 x 2 determinant sums products of two entries,
+    so D_1^2 | D_2, hence D_1 | D_2/D_1; the factors 1 are dropped."""
     if b.rows != b.cols:
         raise ValueError("pairing matrix must be square")
-    divisors, _, _ = smith_normal_form(b.entries)
-    if 0 in divisors:
+    if b.rows > 2:
+        raise UnsupportedRank(f"toric rank {b.rows} does not occur for abelian surfaces")
+    d_t = abs(b.det())
+    if d_t == 0:
         raise SingularPairing("pairing has determinant 0; Y -> X^v is not injective")
-    return ComponentGroup(tuple(x for x in divisors if x != 1))
+    d_1 = math.gcd(*sum(b.entries, ()))
+    factors = (d_1, d_t // d_1) if b.rows == 2 else (d_t,) * b.rows
+    return ComponentGroup(d for d in factors if d != 1)
 
 
 def two_torsion_order(group: ComponentGroup) -> int:

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from .complexes import KulikovType
 from .errors import (
@@ -63,7 +63,7 @@ class RationalOperator:
         return op
 
     def _store(self, num, den: int) -> None:
-        g = gcd(den, *chain.from_iterable(num))
+        g = 1 if den == 1 else gcd(den, *chain.from_iterable(num))
         if g != 1:
             num, den = [[x // g for x in r] for r in num], den // g
         object.__setattr__(self, "dim", len(num))
@@ -207,7 +207,7 @@ def standard_N(t: int) -> RationalOperator:
         rows[0][1] = 1
     if t == 2:
         rows[2][3] = 1
-    return RationalOperator(rows)
+    return RationalOperator._reduced(rows, 1)
 
 
 def wedge_square(f: RationalOperator) -> RationalOperator:
@@ -307,7 +307,7 @@ class TwoTorsionPermutation(namedtuple("TwoTorsionPermutation", "mapping")):
     __slots__ = ()
 
     def __new__(cls, mapping: Iterable[int]):
-        m = tuple(int(x) for x in mapping)
+        m = tuple(map(index, mapping))
         if sorted(m) != list(range(16)):
             raise ValueError("mapping must be a bijection of 16 labels")
         return super().__new__(cls, m)

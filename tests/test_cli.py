@@ -119,6 +119,40 @@ def test_base_change_command(capsys, d4_path):
     assert report["N_L"] == report["N"]
 
 
+def test_classify_and_base_change_repeat_no_derived_work(capsys, monkeypatch, d22_path):
+    """The component group comes from the determinantal divisors, so classify
+    runs one Smith form (the coset map's) and base-change none, and validate
+    forms the pairing b·φ once."""
+    from collections import Counter
+
+    from kummer_kulikov import degeneration, fan, lattice
+    assert main(["classify", d22_path, "--quiet"]) == 0  # fills the unit-cell cache
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (fan, lattice):
+        monkeypatch.setattr(module, "smith_normal_form",
+                            counted("smith", module.smith_normal_form))
+    monkeypatch.setattr(degeneration.DegenerationData, "pairing_matrix",
+                        counted("pairing", degeneration.DegenerationData.pairing_matrix))
+    for argv, smith in ((["classify", d22_path], 1), (["base-change", d22_path, "--e", "2"], 0)):
+        calls.clear()
+        assert main([*argv, "--quiet"]) == 0
+        assert (calls["smith"], calls["pairing"]) == (smith, 1), argv
+    capsys.readouterr()
+    for b in ([[2, 0], [0, 2]], [[2, 1], [0, 2]], [[2, 1], [1, 2]]):
+        d = degeneration.DegenerationData(2, lattice.IntMatrix([[1, 0], [0, 1]]),
+                                          lattice.IntMatrix(b), (1, 1))
+        calls.clear()
+        degeneration.validate(d)
+        assert calls["pairing"] == 1, b
+
+
 def test_fan_build_and_check(tmp_path, capsys, d22_path):
     code, built = run(capsys, "fan", "build", d22_path)
     assert code == 0

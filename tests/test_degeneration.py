@@ -94,6 +94,19 @@ def test_a_value_examples():
     assert a_value(d, (-1,)) == 1  # M_11 - a(1)
 
 
+@pytest.mark.parametrize("bad", [2.9, "2"])
+def test_a_basis_refuses_non_integers(bad):
+    """A float a_basis would be truncated, 2.9 to 2; a string would be parsed."""
+    with pytest.raises(TypeError):
+        DegenerationData(1, IntMatrix([[1]]), IntMatrix([[4]]), [bad])
+
+
+@pytest.mark.parametrize("bad", [1.5, "3"])
+def test_a_value_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        a_value(make_data(1, [[2]], a_basis=(1,)), (bad,))
+
+
 def test_a_value_matches_recursive_oracle():
     rng = random.Random(11)
     for b_rows in ([[2, 0], [0, 2]], [[4, 2], [2, 6]], [[2, 1], [1, 2]]):

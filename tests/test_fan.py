@@ -64,6 +64,13 @@ def test_simplex_validation():
         (((1, 0), (1, 1))), (((0, 0), (1, 1))), (((0, 0), (1, 0)))]
 
 
+@pytest.mark.parametrize("bad", [[(0.9, 0), (1.5, 0.2)], [("0", 0), (1, 0)]])
+def test_simplex_refuses_non_integer_coordinates(bad):
+    """(0.9, 0), (1.5, 0.2) would truncate to [(0, 0), (1, 0)]; a string would be parsed."""
+    with pytest.raises(TypeError):
+        LatticeSimplex(bad)
+
+
 def test_simplex_is_an_immutable_tuple_of_sorted_vertices():
     s = LatticeSimplex([(1, 1), (0, 0), (1, 0)])
     assert isinstance(s, tuple)

@@ -3,11 +3,11 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kummer_kulikov import lattice
-from kummer_kulikov.errors import SingularPairing
+from kummer_kulikov.errors import SingularPairing, UnsupportedRank
 from kummer_kulikov.lattice import (
     ComponentGroup,
     IntMatrix,
@@ -213,6 +213,41 @@ def test_component_group_examples():
     assert component_group(IntMatrix([[4]])).divisors == (4,)
     assert component_group(IntMatrix([])).order == 1
     assert component_group(IntMatrix([[2, 1], [1, 2]])).divisors == (3,)
+    # Sheared, zero diagonal, and entries near 10^12 with D_1 = 2.
+    assert component_group(IntMatrix([[4, 2], [2, 6]])).divisors == (2, 10)
+    assert component_group(IntMatrix([[0, 6], [4, 0]])).divisors == (2, 12)
+    big = 10**12
+    assert component_group(IntMatrix([[big, 2], [-2, big + 2]])).divisors == (
+        2, (big * (big + 2) + 4) // 2)
+    assert component_group(IntMatrix([[big - 1]])).divisors == (big - 1,)
+    with pytest.raises(UnsupportedRank):
+        component_group(IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+
+
+# An entry is 0 about half the time, else small (so the entries often share a
+# factor) or up to 10^12 in absolute value.
+_entries = st.tuples(st.booleans(), st.one_of(st.integers(-12, 12),
+                                              st.integers(-10**12, 10**12))
+                     ).map(lambda p: 0 if p[0] else p[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[1, 1], [1, 1]])
+@example([[2, 1], [1, 2]])
+@example([[4, 2], [2, 6]])
+@example([[7]])
+@example([])
+def test_component_group_matches_the_smith_form(rows):
+    """The determinantal divisors give the Smith form's diagonal without its
+    1s, and a singular pairing is refused."""
+    diag, _, _ = smith_normal_form(rows)
+    if 0 in diag:
+        with pytest.raises(SingularPairing):
+            component_group(IntMatrix(rows))
+    else:
+        assert component_group(IntMatrix(rows)).divisors == tuple(x for x in diag if x != 1)
 
 
 def test_component_group_order_is_det():
@@ -228,6 +263,19 @@ def test_component_group_order_is_det():
 def test_component_group_singular():
     with pytest.raises(SingularPairing):
         component_group(IntMatrix([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("bad", [2.7, "4"])
+def test_int_matrix_refuses_non_integers(bad):
+    """A float would be truncated and a string parsed; both are refused."""
+    with pytest.raises(TypeError):
+        IntMatrix([[bad, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("bad", [2.0, "2"])
+def test_component_group_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        ComponentGroup((bad,))
 
 
 def test_component_group_divisibility_enforced():

@@ -214,6 +214,12 @@ def test_two_torsion_trivial():
     assert not two_torsion_trivial(cycle)
 
 
+@pytest.mark.parametrize("bad", [[float(i) for i in range(16)], [str(i) for i in range(16)]])
+def test_two_torsion_permutation_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        TwoTorsionPermutation(bad)
+
+
 def test_two_torsion_unipotence_equivalence():
     # For permutation matrices, unipotent and identity coincide, so
     # two_torsion_trivial reads the permutation alone.

@@ -1,7 +1,7 @@
 """Component groups and the count of irreducible components.
 
 The component group Phi of the Neron model is the cokernel of Y -> X^v,
-computed from the Smith normal form of the pairing.  The Kummer-side model
+computed from the determinantal divisors of the pairing.  The Kummer-side model
 has N_X = #Phi[2] + (#Phi - #Phi[2])/2 components; for even pairings this
 is #Phi/2 + 2^(t-1).  Base change by a degree-e extension multiplies #Phi
 by e^t, giving N_L = e^t N - 2^(t-1) (e^t - 1).

@@ -201,11 +201,6 @@ def cmd_validate(args) -> tuple[dict, list[str], int]:
     return payload, summary, 0 if report.ok else 1
 
 
-def cmd_classify(args) -> tuple[dict, list[str], int]:
-    report, summary = _classify_payload(_load_data(args.path, kummer=True))
-    return report, summary, 0 if all(report["consistency"].values()) else 1
-
-
 def cmd_base_change(args) -> tuple[dict, list[str], int]:
     row = _base_change_row(_load_data(args.path, kummer=True), args.e)
     return row, [f"e = {args.e}: N = {row['N']}, N_L = {row['N_L']} (both routes agree)"], 0
@@ -296,7 +291,7 @@ Every command also takes --quiet, which drops the stderr summary, and -h or --he
 # command: (handler, whether a path follows, options and converters, one option due)
 _COMMANDS = {
     "validate": (cmd_validate, True, {}, False),
-    "classify": (cmd_classify, True, {}, False),
+    "classify": (cmd_report, True, {}, False),
     "base-change": (cmd_base_change, True, {"--e": _positive_int}, True),
     "fan build": (cmd_fan_build, True, {}, False),
     "fan check": (cmd_fan_check, True, {}, False),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from operator import index
+from operator import index, mul
 
 from .errors import InvalidScale, SchemaError, UnsupportedRank
 from .lattice import IntMatrix, leading_principal_minors
@@ -177,12 +177,13 @@ def from_json_dict(doc: Mapping) -> DegenerationData:
     b = _require_matrix(doc, "b", t)
     raw_a = doc.get("a_basis")
     if raw_a is None:
-        m = b.mul(phi).entries
-        if any(m[i][i] % 2 != 0 for i in range(t)):
+        # The diagonal M_ii = Σ_k b_ik·φ_ki of the pairing, which validate forms whole.
+        diagonal = [sum(map(mul, row, column)) for row, column in zip(b.entries, zip(*phi.entries))]
+        if any(x % 2 != 0 for x in diagonal):
             raise SchemaError(
                 "a_basis omitted but the pairing has an odd diagonal entry; "
                 "the default H-invariant choice a(e_i) = M_ii/2 is not integral")
-        a_basis = tuple(m[i][i] // 2 for i in range(t))
+        a_basis = tuple(x // 2 for x in diagonal)
     else:
         if (not isinstance(raw_a, list) or len(raw_a) != t
                 or any(not isinstance(x, int) or isinstance(x, bool) for x in raw_a)):

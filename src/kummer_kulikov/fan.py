@@ -179,10 +179,6 @@ class LatticeSimplex(tuple):
         return f"LatticeSimplex({list(self)!r})"
 
 
-def _simplex_label(s: LatticeSimplex) -> str:
-    return "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
-
-
 def _simplex(vertices: tuple[Vector, ...]) -> LatticeSimplex:
     """A simplex from vertices already sorted, distinct and independent."""
     return tuple.__new__(LatticeSimplex, vertices)
@@ -265,7 +261,7 @@ class PeriodicTriangulation:
     """
 
     def __init__(self, rank: int, simplices: Iterable[LatticeSimplex], lattice: IntMatrix):
-        self._fill(rank, _CosetMap(rank, lattice), None, [(0,) * rank])
+        self._fill(rank, _CosetMap(rank, lattice), self, [(0,) * rank])
         faces: dict[LatticeSimplex, list[LatticeSimplex]] = {}
         queue = list({self.canonical_simplex(s) for s in simplices})
         seen = set(queue)
@@ -290,12 +286,12 @@ class PeriodicTriangulation:
             {k: tuple(position.get(self.canonical_simplex(s.negate())) for s in classes)
              for k, classes in by_dim.items()})
 
-    def _fill(self, rank: int, cosets: _CosetMap, unit: PeriodicTriangulation | None,
+    def _fill(self, rank: int, cosets: _CosetMap, unit: PeriodicTriangulation,
               reps: list[Vector]) -> None:
         self.rank = rank
         self.lattice = cosets.lattice
         self._cosets = cosets
-        # The cell of a development; None for a constructor fan, its own cell.
+        # The cell: a development's unit cell, and a constructor fan itself.
         self._unit = unit
         self._reps = reps
         # Set by certify() and auto_scale().
@@ -366,23 +362,17 @@ class PeriodicTriangulation:
 
     def class_labels(self, k: int) -> list[str]:
         """The label of each k-class by position, its vertices as in
-        ``(0,0)|(1,0)``.  A development's class at q·m_k + j is u + g for the
-        j-th unit k-class u and the q-th representative g, so u gives one
-        ``str.format`` template, with a field for each coordinate i of each
-        vertex v, over the columns v_i + g_i."""
-        # A constructor fan's 24,574 classes: 52 ms here, 1.6 s by the templates below.
-        if self._unit is None:
-            return list(map(_simplex_label, self.by_dim(k)))
+        ``(0,0)|(1,0)``: one ``str.format`` template, a field per coordinate i
+        of each vertex j, over columns.  The class at position q·m_k + p is the
+        p-th k-class u of the cell plus the q-th representative g, of vertex j
+        u[j] + g (``translate``), so column (j, i) lists u[j][i] + g[i] by position."""
         units, reps = self._unit.by_dim(k), self._reps
-        fields: dict[tuple[int, int], int] = {}  # (i, v_i) -> field number
-        templates = ["|".join("(" + ",".join("{%d}" % fields.setdefault(c, len(fields))
-                                             for c in enumerate(v)) + ")" for v in u.vertices)
-                     for u in units]
-        g = list(zip(*reps))
-        # At rank 0 no template has a field, and the representatives stand in.
-        columns = [[x + a for a in g[i]] for i, x in fields] or [reps]
-        return list(chain.from_iterable(zip(*[map(template.format, *columns)
-                                              for template in templates])))
+        template = "|".join(["(" + ",".join(["{}"] * self.rank) + ")"] * (k + 1))
+        columns = [[u[j][i] + g[i] for g in reps for u in units]
+                   for j in range(k + 1) for i in range(self.rank)]
+        if not columns:  # rank 0: the template has no field
+            return [template] * (len(reps) * len(units))
+        return list(map(template.format, *columns))
 
     def with_lattice(self, lattice: IntMatrix) -> "PeriodicTriangulation":
         """Develop this fan of index 1 over the cosets of Z^t modulo Λ_b.
@@ -569,8 +559,7 @@ def check_property_d(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimp
     of S is built.  The cell is scanned, and each violation of the cell is
     listed at every representative (module docstring).
     """
-    cell = t._unit or t
-    extents = {s: tuple(max(c) - min(c) for c in zip(*s.vertices)) for s in cell.simplices}
+    extents = {s: tuple(max(c) - min(c) for c in zip(*s.vertices)) for s in t._unit.simplices}
     # The largest extent in each coordinate, 0 when there is no class.
     largest = tuple(map(max, zip((0,) * t.rank, *extents.values())))
     translates = _lattice_translates(t, largest)
@@ -586,7 +575,7 @@ def check_property_d(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimp
 
     out = []
     for k in range(t.rank + 1):
-        found = [hits(u) for u in cell.by_dim(k)]
+        found = [hits(u) for u in t._unit.by_dim(k)]
         if any(found):
             # The class at position q·m_k + j has the hits of cell class j.
             out += [(lam, _class_at(t, k, p)) for p in range(len(t._reps) * len(found))
@@ -619,9 +608,9 @@ def check_h_freeness(t: PeriodicTriangulation) -> list[tuple[Vector, LatticeSimp
 def _class_at(t: PeriodicTriangulation, k: int, p: int) -> LatticeSimplex:
     """The k-class at position p = q·m_k + j, built alone: the j-th k-class
     of the cell plus the q-th representative."""
-    cell = t._unit or t
-    q, j = divmod(p, len(cell.by_dim(k)))
-    return cell.by_dim(k)[j].translate(t._reps[q])
+    classes = t._unit.by_dim(k)
+    q, j = divmod(p, len(classes))
+    return classes[j].translate(t._reps[q])
 
 
 def vertices_complete(t: PeriodicTriangulation) -> bool:
@@ -764,7 +753,7 @@ def certify(t: PeriodicTriangulation) -> Certificate:
     unit cell (module docstring).
     """
     violations = tuple(check_property_d(t)), tuple(check_h_freeness(t))
-    t.certificate = Certificate(*(t._unit or t)._flags, *violations)
+    t.certificate = Certificate(*t._unit._flags, *violations)
     return t.certificate
 
 

@@ -37,6 +37,22 @@ from .lattice import rank as matrix_rank
 # e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4.
 WEDGE_BASIS: tuple[tuple[int, int], ...] = tuple(combinations(range(4), 2))
 
+# A string entry must be "p" or "p/q", signed or not: Fraction alone would
+# also read "1e100000000", and build its 10^8-digit integer first.
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _entry(x) -> int | Fraction:
+    """An exact entry: an int, a Fraction or a string of the ``_RATIONAL`` form."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise TypeError(f"an entry must be an int, a Fraction or a 'p/q' string, got {x!r}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:  # past the digit limit, or q = 0
+        raise ValueError(f"bad rational {x!r}: {exc}") from exc
+
 
 class RationalOperator:
     """Immutable square matrix of exact rationals acting on column vectors.
@@ -48,8 +64,7 @@ class RationalOperator:
     __slots__ = ("dim", "num", "den")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-                for row in entries]
+        rows = [list(map(_entry, row)) for row in entries]
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("operator matrix must be square")
         den = lcm(*(x.denominator for r in rows for x in r))
@@ -325,9 +340,6 @@ def two_torsion_trivial(p: TwoTorsionPermutation) -> bool:
 # -- JSON documents ---------------------------------------------------------------
 #
 # Matrix document: {"dim": n, "entries": [[rational strings "p/q"]]}
-# A string must be "p" or "p/q", signed or not: Fraction alone would also
-# read "1e100000000", and build its 10^8-digit integer first.
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def operator_from_json(doc: Mapping) -> RationalOperator:
@@ -340,18 +352,11 @@ def operator_from_json(doc: Mapping) -> RationalOperator:
     if (not isinstance(raw, list) or len(raw) != n
             or any(not isinstance(r, list) or len(r) != n for r in raw)):
         raise SchemaError(f"field 'entries' must be an {n}x{n} array")
-    rows = []
-    for r in raw:
-        row = []
-        for x in r:
-            if isinstance(x, bool) or not isinstance(x, (int, str)) or (
-                    isinstance(x, str) and not _RATIONAL.fullmatch(x)):
-                raise SchemaError(f"matrix entries must be integers or 'p/q' strings, got {x!r}")
-            if isinstance(x, str):  # a JSON integer is kept as an int
-                try:
-                    x = Fraction(x)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise SchemaError(f"bad rational {x!r}: {exc}") from exc
-            row.append(x)
-        rows.append(row)
-    return RationalOperator(rows)
+    for x in chain.from_iterable(raw):
+        if isinstance(x, bool) or not isinstance(x, (int, str)) or (
+                isinstance(x, str) and not _RATIONAL.fullmatch(x)):
+            raise SchemaError(f"matrix entries must be integers or 'p/q' strings, got {x!r}")
+    try:
+        return RationalOperator(raw)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc

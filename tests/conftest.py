@@ -186,6 +186,11 @@ def hulls_intersect(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
                for a, b in _edges(s1) for c, d in _edges(s2))
 
 
+def simplex_label(s: LatticeSimplex) -> str:
+    """The label of one class formatted on its own, as in ``(0,0)|(1,0)``."""
+    return "|".join("(" + ",".join(map(str, v)) + ")" for v in s.vertices)
+
+
 def scan_property_d(t, window):
     """The full-window property-(d) scan: every translate, every class."""
     lams = [lam for lam, _ in lattice_points(t.lattice.entries, window)]

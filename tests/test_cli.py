@@ -122,7 +122,8 @@ def test_base_change_command(capsys, d4_path):
 def test_classify_and_base_change_repeat_no_derived_work(capsys, monkeypatch, d22_path):
     """The component group comes from the determinantal divisors, so classify
     runs one Smith form (the coset map's) and base-change none, and validate
-    forms the pairing b·φ once."""
+    forms the pairing b·φ once: a datum without a_basis takes its default from
+    the pairing's diagonal, so each command multiplies one IntMatrix."""
     from collections import Counter
 
     from kummer_kulikov import degeneration, fan, lattice
@@ -140,10 +141,11 @@ def test_classify_and_base_change_repeat_no_derived_work(capsys, monkeypatch, d2
                             counted("smith", module.smith_normal_form))
     monkeypatch.setattr(degeneration.DegenerationData, "pairing_matrix",
                         counted("pairing", degeneration.DegenerationData.pairing_matrix))
+    monkeypatch.setattr(lattice.IntMatrix, "mul", counted("mul", lattice.IntMatrix.mul))
     for argv, smith in ((["classify", d22_path], 1), (["base-change", d22_path, "--e", "2"], 0)):
         calls.clear()
         assert main([*argv, "--quiet"]) == 0
-        assert (calls["smith"], calls["pairing"]) == (smith, 1), argv
+        assert (calls["smith"], calls["pairing"], calls["mul"]) == (smith, 1, 1), argv
     capsys.readouterr()
     for b in ([[2, 0], [0, 2]], [[2, 1], [0, 2]], [[2, 1], [1, 2]]):
         d = degeneration.DegenerationData(2, lattice.IntMatrix([[1, 0], [0, 1]]),
@@ -602,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     add(sub, "validate", cli.cmd_validate)
-    add(sub, "classify", cli.cmd_classify)
+    add(sub, "classify", cli.cmd_report)
     add(sub, "base-change", cli.cmd_base_change).add_argument(
         "--e", type=cli._positive_int, required=True)
     fsub = sub.add_parser("fan").add_subparsers(dest="fan_command", required=True)

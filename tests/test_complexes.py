@@ -185,11 +185,10 @@ def test_classify_and_report_build_no_cell_name(monkeypatch, tmp_path, capsys):
 def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
     # classify and report format no label; each complex command formats the
     # labels of every dimension once, from the fan.
-    calls, formatted = [], []
-    by_dim, label = fan_module.PeriodicTriangulation.class_labels, fan_module._simplex_label
+    calls = []
+    class_labels = fan_module.PeriodicTriangulation.class_labels
     monkeypatch.setattr(fan_module.PeriodicTriangulation, "class_labels",
-                        lambda t, k: calls.append(k) or by_dim(t, k))
-    monkeypatch.setattr(fan_module, "_simplex_label", lambda s: formatted.append(s) or label(s))
+                        lambda t, k: calls.append(k) or class_labels(t, k))
     for i, datum in enumerate(({"rank": 2, "phi": [[1, 0], [0, 1]], "b": [[4, 2], [2, 6]]},
                                {"rank": 1, "phi": [[1]], "b": [[8]]},
                                {"rank": 0, "phi": [], "b": []})):
@@ -198,9 +197,9 @@ def test_labels_are_formatted_when_read(monkeypatch, tmp_path, capsys):
         for command in ("classify", "report"):
             assert cli_module.main([command, str(path), "--quiet"]) == 0
     capsys.readouterr()
-    assert calls == formatted == []
+    assert calls == []
     delta_a, act, delta_x = build(make_data(1, [[4]]))
-    assert calls == formatted == []
+    assert calls == []
     _, t = auto_scale(make_data(1, [[4]]))
     labels = [t.class_labels(k) for k in range(2)]
     x_labels = quotient_labels(labels, act)

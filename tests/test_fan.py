@@ -24,6 +24,7 @@ from conftest import (
     make_data,
     scan_h_freeness,
     scan_property_d,
+    simplex_label,
 )
 from kummer_kulikov.degeneration import base_change, is_even, validate
 from kummer_kulikov.errors import SchemaError, UncertifiedFan, UnsupportedRank
@@ -743,18 +744,22 @@ def test_coset_map_columns_match_per_point_routes(case, points):
 @given(st.one_of(
     cell_cases_0.map(lambda case: unit_cell(*case[:2]).with_lattice(IntMatrix(case[2]))),
     flipped_fans().map(lambda case: fan_from_json(case[1]))))
-# Two lattices whose representatives have negative coordinates, and the
-# asymmetric cut, which the constructor reads.
+# Two lattices whose representatives have negative coordinates, the rank-0
+# development, a dimension with no class, and two fans that the constructor
+# reads: the asymmetric cut and one triangle.
 @example(developed("standard", [[-2, 0], [1, -3]]))
 @example(developed("anti", [[2, -3], [0, 2]]))
+@example(developed("standard", []))
+@example(read_fan(GOLDEN_INPUTS / "f_single_vertex_Z2.json"))
 @example(read_fan(GOLDEN_INPUTS / "f_asym_cut_22.json"))
+@example(read_fan(GOLDEN_INPUTS / "f_one_triangle_22.json"))
 def test_development_labels_match_simplex_labels(t):
-    # A development's labels are formatted per dimension from unit-cell
-    # templates and the columns of the representatives, a constructor fan's
-    # class by class (the flipped fans and the asymmetric cut); both against
-    # each class formatted on its own.
+    # Every fan's labels are formatted per dimension by one template over
+    # the coordinate columns of its cell and representatives, a development
+    # and a constructor fan (the flipped fans, the asymmetric cut and the
+    # triangle) alike; each against its class formatted on its own.
     for k in range(t.rank + 1):
-        assert t.class_labels(k) == list(map(fan_module._simplex_label, t.by_dim(k)))
+        assert t.class_labels(k) == list(map(simplex_label, t.by_dim(k)))
 
 
 # -- certify on a development against the oracle: the classes made canonical ----
@@ -1139,7 +1144,7 @@ def test_document_matches_constructor(case):
         expected.by_dim(k) for k in range(rank + 1)]
     assert got.tables == expected.tables
     assert got.tables[0] == faces_by_canonical_points(expected)
-    assert (got._unit is not None) == walk_reads_a_development(rank, listing, lattice)
+    assert (got._unit is not got) == walk_reads_a_development(rank, listing, lattice)
     cert = certify(got)
     assert cert == certify(expected)
     wd, wh = full_windows(expected)
@@ -1153,7 +1158,7 @@ def test_document_route(path):
     # which the constructor reads.
     t = read_fan(path)
     repro = path.stem in ("f_one_triangle_22", "f_asym_cut_22")
-    assert (t._unit is None) == repro
+    assert (t._unit is t) == repro
 
 
 def test_class_count_guard_reads_a_large_lattice_by_the_constructor(monkeypatch):
@@ -1166,7 +1171,7 @@ def test_class_count_guard_reads_a_large_lattice_by_the_constructor(monkeypatch)
     monkeypatch.setattr(fan_module._CosetMap, "coset_representatives", refuse)
     t = fan_from_json({"rank": 2, "lattice": [[10**6, 0], [0, 10**6]],
                        "simplices": [[[1, 1], [0, 0], [1, 0]]]})
-    assert t._unit is None
+    assert t._unit is t
     assert [len(t.by_dim(k)) for k in range(3)] == [3, 3, 1]
 
 
@@ -1180,7 +1185,7 @@ def test_reading_a_document_computes_no_residue_permutation(monkeypatch):
                         lambda self, v, sign: calls.append(v) or moved(self, v, sign))
     doc = fan_to_json(developed("standard", [[8, 0], [0, 8]]))
     t = fan_from_json(doc)
-    assert t._unit is not None and calls == []
+    assert t._unit is not t and calls == []
     assert certify(t).passes() and calls
 
 
@@ -1200,7 +1205,7 @@ def test_reading_many_shapes_is_linear(det):
             tracemalloc.stop()
 
     (small, _), (large, t) = peak(1000), peak(2000)
-    assert (t._unit is None) == (det is None)
+    assert (t._unit is t) == (det is None)
     assert len(t.by_dim(1)) == 2000
     assert large < 3 * small
 
@@ -1366,7 +1371,7 @@ def test_no_int_matrix_below_the_input_boundary(monkeypatch):
     fan_module._unit_cell.cache_clear()  # so that certify computes every flag
     fans = [fan_from_json(json.loads((GOLDEN_INPUTS / f"{name}.json").read_text()))
             for name in ("f_standard_diag44", "f_asym_cut_22", "f_odd_3113")]
-    assert [t._unit is not None for t in fans] == [True, False, True]
+    assert [t._unit is not t for t in fans] == [True, False, True]
     b = IntMatrix([[4, 2], [2, 6]])
     built = []
     init = IntMatrix.__init__

@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -252,6 +254,20 @@ def test_operator_json_schema_errors():
         operator_from_json({"dim": 1, "entries": [["x/y"]]})
     with pytest.raises(SchemaError):
         operator_from_json({"entries": [[1]]})
+
+
+@pytest.mark.parametrize("bad", [0.1, Decimal("0.5"), "1e7", "0x10"], ids=repr)
+def test_operator_refuses_inexact_entries(bad):
+    # An entry is an int, a Fraction or a "p/q" string: Fraction alone would
+    # read a float or a Decimal by its expansion (0.1 as 3602879701896397/2^55)
+    # and a string with an exponent by building its integer first.
+    with pytest.raises(TypeError):
+        RationalOperator([[bad]])
+
+
+def test_operator_refuses_a_zero_denominator():
+    with pytest.raises(ValueError, match=re.escape("bad rational '1/0': Fraction(1, 0)")):
+        RationalOperator([["1/0"]])
 
 
 # -- rank and unipotence against independent routes --------------------------------
